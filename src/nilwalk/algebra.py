@@ -10,6 +10,11 @@ The same coordinate space carries the limit (graded) structure: the limit
 bracket keeps only the layer-(a+b) component of a layer-a x layer-b bracket,
 and the limit product is the BCH series evaluated with that graded table.
 Dilations scale layer k by eps**k and are automorphisms of the limit group.
+
+Brackets, products and folds work over any leading axes: they sum over the
+table's nonzero structure constants, so a batch of N products costs a few
+array operations per nonzero constant.  ``fold`` is the one batched ordered
+product (of ``exp`` of each row) that every walk and development map uses.
 """
 
 from __future__ import annotations
@@ -76,6 +81,8 @@ class StratifiedAlgebra:
         self._check_jacobi(graded, "graded bracket table")
         for arr in (self.brackets, self.graded_brackets, self.layer_of):
             arr.setflags(write=False)
+        self.bracket_entries = _nonzero_entries(self.brackets)
+        self.graded_bracket_entries = _nonzero_entries(self.graded_brackets)
 
     # -- validation ----------------------------------------------------------
 
@@ -117,6 +124,15 @@ class StratifiedAlgebra:
             raise DimensionMismatch(f"expected vector of length {self.dim}, got shape {z.shape}")
         return z
 
+    def check_points(self, z) -> np.ndarray:
+        """Coordinate vectors over any leading axes: shape ``(..., dim)``."""
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 0 or z.shape[-1] != self.dim:
+            raise DimensionMismatch(
+                f"expected vectors of length {self.dim} on the last axis, got shape {z.shape}"
+            )
+        return z
+
     def layer(self, z: Vector, k: int) -> Vector:
         """Layer-k slice of a coordinate vector (1-based layer index)."""
         return np.asarray(z)[self.layer_slices[k - 1]]
@@ -124,18 +140,19 @@ class StratifiedAlgebra:
     def first_layer(self, z: Vector) -> Vector:
         return np.asarray(z)[: self.layer_dims[0]]
 
-    def embed_first_layer(self, v) -> Vector:
+    def embed_first_layer(self, v) -> np.ndarray:
+        """First-layer vectors (any leading axes) as coordinates with zero higher layers."""
         v = np.asarray(v, dtype=float)
         d1 = self.layer_dims[0]
-        if v.shape != (d1,):
-            raise DimensionMismatch(f"expected first-layer vector of length {d1}, got shape {v.shape}")
-        out = self.zero()
-        out[:d1] = v
+        if v.ndim == 0 or v.shape[-1] != d1:
+            raise DimensionMismatch(f"expected first-layer vectors of length {d1}, got shape {v.shape}")
+        out = np.zeros(v.shape[:-1] + (self.dim,))
+        out[..., :d1] = v
         return out
 
-    def bracket(self, z1, z2) -> Vector:
-        """[z1, z2] through the structure constants."""
-        return np.einsum("i,j,ijk->k", self.check_vector(z1), self.check_vector(z2), self.brackets)
+    def bracket(self, z1, z2) -> np.ndarray:
+        """[z1, z2] through the structure constants, over any leading axes."""
+        return _br(self.bracket_entries, self.check_points(z1), self.check_points(z2))
 
     def __repr__(self) -> str:
         return f"StratifiedAlgebra(layer_dims={self.layer_dims})"
@@ -154,24 +171,77 @@ def heisenberg_algebra() -> StratifiedAlgebra:
 # -- group operations ----------------------------------------------------------
 
 
-def _bch(table: np.ndarray, step: int, a: Vector, b: Vector) -> Vector:
-    """BCH series through order 4, exact for step <= 4 (caller checks step)."""
+def _nonzero_entries(table: np.ndarray) -> tuple:
+    """The table's ``(i, j, k, c)`` with ``i < j`` and ``|c|`` above the validation
+    tolerance (below it, validation treats a constant as zero); antisymmetry
+    gives the other orientation."""
+    return tuple(
+        (int(i), int(j), int(k), float(table[i, j, k]))
+        for i, j, k in np.argwhere(np.abs(table) > _TABLE_TOL)
+        if i < j
+    )
+
+
+def _br(entries, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bracket over leading axes: one pass per nonzero structure constant.
+
+    Each term is a column product, so no contraction against the dense table
+    (and no BLAS call on a tiny operand) is made.
+    """
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    for i, j, k, c in entries:
+        out[..., k] += c * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+    return out
+
+
+def _bch(entries, step: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BCH series through order 4 over leading axes, exact for step <= 4 (caller checks step)."""
     c = a + b
     if step == 1:
         return c
-
-    def br(x, y):
-        return np.einsum("i,j,ijk->k", x, y, table)
-
-    ab = br(a, b)
+    ab = _br(entries, a, b)
     c = c + 0.5 * ab
     if step >= 3:
-        aab = br(a, ab)
-        bab = br(b, ab)
+        aab = _br(entries, a, ab)
+        bab = _br(entries, b, ab)
         c = c + (aab - bab) / 12.0
         if step >= 4:
-            c = c - br(b, aab) / 24.0
+            c = c - _br(entries, b, aab) / 24.0
     return c
+
+
+def _fold(alg: StratifiedAlgebra, entries, gammas: np.ndarray) -> np.ndarray:
+    """``fold`` without argument checks; ``entries`` picks the group or the limit law."""
+    out = np.einsum("...kd->...d", gammas)  # several times faster than sum(axis=-2) on narrow rows
+    n = gammas.shape[-2]
+    if alg.step == 1 or n < 2:
+        return out
+    if alg.step == 2:
+        # half the bracket of each first-layer prefix with the next increment,
+        # contracted over the step axis one structure constant at a time
+        d1 = alg.layer_dims[0]
+        prefix = np.cumsum(gammas[..., :-1, :d1], axis=-2)
+        nxt = gammas[..., 1:, :d1]
+        for i, j, k, c in entries:
+            area = _dot(prefix[..., i], nxt[..., j]) - _dot(prefix[..., j], nxt[..., i])
+            out[..., k] += 0.5 * c * area
+        return out
+    # balanced tree of pairwise products; odd lengths are padded with the identity
+    g = gammas
+    while g.shape[-2] > 1:
+        if g.shape[-2] % 2:
+            g = np.concatenate([g, np.zeros(g.shape[:-2] + (1, alg.dim))], axis=-2)
+        g = _bch(entries, alg.step, g[..., 0::2, :], g[..., 1::2, :])
+    return g[..., 0, :]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner product along the last axis, batched over the leading ones.
+
+    einsum rather than ``vecdot`` or ``@``: those go to BLAS, which costs more
+    than the product itself on short rows.
+    """
+    return np.einsum("...k,...k->...", x, y)
 
 
 def _require_supported_step(alg: StratifiedAlgebra) -> None:
@@ -179,10 +249,29 @@ def _require_supported_step(alg: StratifiedAlgebra) -> None:
         raise UnsupportedStep(f"step {alg.step} exceeds the supported BCH truncation order 4")
 
 
-def bch_product(alg: StratifiedAlgebra, a, b) -> Vector:
-    """Group product in log coordinates: log(exp(a) exp(b))."""
+def bch_product(alg: StratifiedAlgebra, a, b) -> np.ndarray:
+    """Group product in log coordinates: log(exp(a) exp(b)), over any leading axes."""
     _require_supported_step(alg)
-    return _bch(alg.brackets, alg.step, alg.check_vector(a), alg.check_vector(b))
+    return _bch(alg.bracket_entries, alg.step, alg.check_points(a), alg.check_points(b))
+
+
+def fold(alg: StratifiedAlgebra, gammas, limit: bool = False) -> np.ndarray:
+    """log of the ordered product of ``exp(gammas[..., k, :])`` along axis -2.
+
+    Batched over any leading axes; an empty product is the identity.  Step 1
+    is a sum.  Step 2 is the sum plus half the brackets of each first-layer
+    prefix with the next increment.  Steps 3-4 multiply neighbours in a
+    balanced tree, which gives the ordered product because the BCH series
+    through order 4 is the exact, associative group law for step <= 4.
+    ``limit=True`` folds with the limit (graded) product instead.
+    """
+    _require_supported_step(alg)
+    gammas = alg.check_points(gammas)
+    if gammas.ndim < 2:
+        raise DimensionMismatch(
+            f"expected a sequence of vectors (..., n, {alg.dim}), got shape {gammas.shape}"
+        )
+    return _fold(alg, alg.graded_bracket_entries if limit else alg.bracket_entries, gammas)
 
 
 def group_inverse(alg: StratifiedAlgebra, a) -> Vector:
@@ -190,11 +279,11 @@ def group_inverse(alg: StratifiedAlgebra, a) -> Vector:
     return -alg.check_vector(a)
 
 
-def dilate_vector(alg: StratifiedAlgebra, eps: float, z) -> Vector:
-    """Scale layer k by eps**k (the algebra dilation)."""
+def dilate_vector(alg: StratifiedAlgebra, eps: float, z) -> np.ndarray:
+    """Scale layer k by eps**k (the algebra dilation), over any leading axes."""
     if eps < 0:
         raise NegativeEps(f"dilation parameter must be nonnegative, got {eps}")
-    return alg.check_vector(z) * float(eps) ** alg.layer_of
+    return alg.check_points(z) * float(eps) ** alg.layer_of
 
 
 def dilate_group(alg: StratifiedAlgebra, eps: float, g) -> Vector:
@@ -202,15 +291,15 @@ def dilate_group(alg: StratifiedAlgebra, eps: float, g) -> Vector:
     return dilate_vector(alg, eps, g)
 
 
-def limit_bracket(alg: StratifiedAlgebra, z1, z2) -> Vector:
+def limit_bracket(alg: StratifiedAlgebra, z1, z2) -> np.ndarray:
     """Graded part of the bracket: the scaling limit of rescaled brackets."""
-    return np.einsum("i,j,ijk->k", alg.check_vector(z1), alg.check_vector(z2), alg.graded_brackets)
+    return _br(alg.graded_bracket_entries, alg.check_points(z1), alg.check_points(z2))
 
 
-def limit_product(alg: StratifiedAlgebra, g, h) -> Vector:
+def limit_product(alg: StratifiedAlgebra, g, h) -> np.ndarray:
     """Product of the limit group: BCH evaluated with the graded table."""
     _require_supported_step(alg)
-    return _bch(alg.graded_brackets, alg.step, alg.check_vector(g), alg.check_vector(h))
+    return _bch(alg.graded_bracket_entries, alg.step, alg.check_points(g), alg.check_points(h))
 
 
 def to_limit_group(alg: StratifiedAlgebra, g) -> Vector:
@@ -220,7 +309,7 @@ def to_limit_group(alg: StratifiedAlgebra, g) -> Vector:
     coordinates; it is provided as a named operation (its own inverse) so
     experiment code can mirror the scaled-point constructions literally.
     """
-    return alg.check_vector(g).copy()
+    return alg.check_points(g).copy()
 
 
 def algebra_norm(alg: StratifiedAlgebra, z) -> float:
@@ -272,11 +361,8 @@ def finsler_distance(
     K, dim = segments, alg.dim
 
     def assemble(free_flat: np.ndarray) -> np.ndarray:
-        free = free_flat.reshape(K - 1, dim) if K > 1 else np.zeros((0, dim))
-        acc = alg.zero()
-        for row in free:
-            acc = bch_product(alg, acc, row)
-        last = bch_product(alg, -acc, target)
+        free = free_flat.reshape(K - 1, dim)
+        last = bch_product(alg, -fold(alg, free), target)
         return np.vstack([free, last[None, :]])
 
     mu = 1e-7 * max(1.0, algebra_norm(alg, target))

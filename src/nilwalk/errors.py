@@ -63,6 +63,11 @@ class ScalingDomain(NilwalkError, ValueError):
     """The step count lies outside the scaling sequence's domain."""
 
 
+class PinnedLayerMismatch(NilwalkError, RuntimeError):
+    """The first layer of a centered endpoint, computed through the group
+    product, disagrees with the centered increment sum it is pinned to."""
+
+
 # -- rate functions ----------------------------------------------------------
 
 class NonIncreasingTimes(NilwalkError, ValueError):

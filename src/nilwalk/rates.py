@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .albanese import AlbaneseData
-from .algebra import StratifiedAlgebra, _bch, _require_supported_step
+from .algebra import StratifiedAlgebra, _fold, _require_supported_step
 from .errors import DimensionMismatch, NonIncreasingTimes
 
 _MIN_KNOTS = {1: 1, 2: 2, 3: 4, 4: 8}
@@ -167,22 +167,10 @@ def finite_dim_rate(forms: QuadraticForms, times, lams) -> float:
 # Development map
 # ---------------------------------------------------------------------------
 
-def _fold_first_layer(alg: StratifiedAlgebra, table: np.ndarray, incr: np.ndarray) -> np.ndarray:
-    """log of the ordered product of exponentials of first-layer increments."""
-    d1 = alg.layer_dims[0]
-    if alg.step <= 2:
-        out = np.zeros(alg.dim)
-        out[:d1] = incr.sum(axis=0)
-        if alg.step == 2 and len(incr):
-            prefix = np.vstack([np.zeros(d1), np.cumsum(incr, axis=0)[:-1]])
-            out = out + 0.5 * np.einsum("ka,kb,abm->m", prefix, incr, table[:d1, :d1, :])
-        return out
-    acc = np.zeros(alg.dim)
-    row = np.zeros(alg.dim)
-    for delta in incr:
-        row[:d1] = delta
-        acc = _bch(table, alg.step, acc, row)
-    return acc
+def _check_path(alg: StratifiedAlgebra, path: PiecewisePath) -> None:
+    _require_supported_step(alg)
+    if path.values.shape[1] != alg.layer_dims[0]:
+        raise DimensionMismatch("path values must live in the first layer")
 
 
 def develop(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
@@ -191,18 +179,14 @@ def develop(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
     For a PL path the solution is the exact ordered product of segment
     exponentials, so it depends only on the knot increments.
     """
-    _require_supported_step(alg)
-    if path.values.shape[1] != alg.layer_dims[0]:
-        raise DimensionMismatch("path values must live in the first layer")
-    return _fold_first_layer(alg, alg.brackets, path.increments)
+    _check_path(alg, path)
+    return _fold(alg, alg.bracket_entries, alg.embed_first_layer(path.increments))
 
 
 def develop_limit(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
     """Development into the limit group (graded bracket table)."""
-    _require_supported_step(alg)
-    if path.values.shape[1] != alg.layer_dims[0]:
-        raise DimensionMismatch("path values must live in the first layer")
-    return _fold_first_layer(alg, alg.graded_brackets, path.increments)
+    _check_path(alg, path)
+    return _fold(alg, alg.graded_bracket_entries, alg.embed_first_layer(path.increments))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +195,10 @@ def develop_limit(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateBound:
-    """Certified upper bound: ``value`` is the exact rate of a path whose
-    development misses the target by ``constraint_violation``."""
+    """Certified upper bound: ``value`` is the exact rate of the path with knot
+    increments ``increments``, whose development misses the target by
+    ``constraint_violation``.  When no candidate is feasible, ``value`` is inf
+    and ``constraint_violation`` the least violation among the candidates."""
 
     value: float
     constraint_violation: float
@@ -285,13 +271,14 @@ def minimize_endpoint_rate(
         raise ValueError("restarts must be >= 1")
 
     table = alg.graded_brackets if limit else alg.brackets
+    entries = alg.graded_bracket_entries if limit else alg.bracket_entries
     k = knots
     v1 = target[:d1]
     sinv = forms.sigma_inv
     analytic = alg.step <= 2
 
     def fold(incr):
-        return _fold_first_layer(alg, table, incr)
+        return _fold(alg, entries, alg.embed_first_layer(incr))
 
     def rate_value(incr):
         return 0.5 * k * float(np.einsum("ki,ij,kj->", incr, sinv, incr))
@@ -325,9 +312,8 @@ def minimize_endpoint_rate(
             starts.append(incr)
 
     best_val = math.inf
-    best_viol = math.inf
+    best_viol = math.inf  # violation of the best path, or the least one while none is feasible
     best_incr = None
-    found = False
     for x0 in starts:
         x = x0.ravel().copy()
         for mu in penalty_schedule:
@@ -362,15 +348,18 @@ def minimize_endpoint_rate(
         for cand in candidates:
             incr = cand.reshape(k, d1)
             incr = incr + (v1 - incr.sum(axis=0)) / k  # exact first-layer projection
-            viol = float(np.linalg.norm(fold(incr) - target))
-            val = path_rate(forms, path_from_increments(incr))
-            best_viol = min(best_viol, viol)
-            if viol <= feasibility_tol and val < best_val:
-                best_val = val
-                best_incr = incr
-                found = True
+            # certify the reported path itself: the same knots feed the
+            # violation, the value, and a later path_from_increments replay
+            path = path_from_increments(incr)
+            viol = float(np.linalg.norm(fold(path.increments) - target))
+            val = path_rate(forms, path)
+            if viol <= feasibility_tol:
+                if val < best_val:
+                    best_val, best_viol, best_incr = val, viol, incr
+            elif best_incr is None:
+                best_viol = min(best_viol, viol)
 
-    if not found:
+    if best_incr is None:
         return RateBound(value=math.inf, constraint_violation=best_viol,
                          knots=k, restarts_used=len(starts), feasible=False)
     return RateBound(value=best_val, constraint_violation=best_viol,

@@ -5,6 +5,8 @@ edge multiplies the running deck element by the edge voltage, and the realized
 position is deck * position(vertex).  The first-layer statistics are tracked
 through the per-edge increment table of the supplied realization, so centered
 sums, interpolated paths, and scaled endpoints share one source of truth.
+Every group fold (the deck element of a path, of a batch of paths, or of a
+trajectory segment) goes through ``algebra.fold``.
 
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
@@ -22,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .albanese import Realization, first_layer_form
-from .algebra import bch_product, dilate_group, to_limit_group
-from .errors import ScalingDomain
+from .algebra import bch_product, dilate_group, fold, to_limit_group
+from .errors import PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
 _SNAP_TOL = 1e-8
@@ -102,44 +104,11 @@ def custom_scaling(fn: Callable, domain_min: int = 1, validate: bool = True) -> 
 
 
 # ---------------------------------------------------------------------------
-# Edge tables and group folds
+# Edge tables
 # ---------------------------------------------------------------------------
 
 def _centered_increments(graph: VoltageGraph, phi: Realization, rho: np.ndarray) -> np.ndarray:
     return first_layer_form(graph, phi) - np.asarray(rho, dtype=float)[None, :]
-
-
-def _fold_voltages(graph: VoltageGraph, gammas: np.ndarray) -> np.ndarray:
-    """log of the ordered product of exp(gamma_k); vectorized for step <= 2."""
-    alg = graph.algebra
-    if alg.step == 1:
-        return gammas.sum(axis=0)
-    if alg.step == 2:
-        return _fold_step2_batch(graph, gammas[None, :, :])[0]
-    acc = alg.zero()
-    for row in gammas:
-        acc = bch_product(alg, acc, row)
-    return acc
-
-
-def _fold_step2_batch(graph: VoltageGraph, gammas: np.ndarray) -> np.ndarray:
-    """Batched step-2 fold: (S, n, dim) -> (S, dim).
-
-    In step 2 the accumulated product is sum(gamma) plus half the sum of
-    brackets of each first-layer prefix with the next first-layer increment.
-    """
-    alg = graph.algebra
-    if gammas.shape[1] == 0:
-        return np.zeros((gammas.shape[0], alg.dim))
-    d1 = alg.layer_dims[0]
-    first = gammas[:, :, :d1]
-    prefix = np.concatenate(
-        [np.zeros((gammas.shape[0], 1, d1)), np.cumsum(first, axis=1)[:, :-1, :]], axis=1
-    )
-    out = gammas.sum(axis=1)
-    table = alg.brackets[:d1, :d1, :]
-    out = out + 0.5 * np.einsum("ska,skb,abm->sm", prefix, first, table)
-    return out
 
 
 def _single_vertex_edges(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
@@ -215,7 +184,7 @@ def _assemble_path(graph, phi, rho, edges, start) -> WalkPath:
     alg = graph.algebra
     vertices = np.concatenate([[start], graph.terminus[edges]])
     wbar = _centered_increments(graph, phi, rho)
-    deck = _fold_voltages(graph, graph.voltages[edges])
+    deck = fold(alg, graph.voltages[edges])
     xi = bch_product(alg, deck, phi.positions[vertices[-1]])
     return WalkPath(
         graph=graph,
@@ -268,18 +237,30 @@ def interpolate(path: WalkPath, scaling: ScalingSequence) -> InterpolatedPath:
     )
 
 
-def _scaled_point(graph: VoltageGraph, xi: np.ndarray, xi_bar: np.ndarray, n: int, rho, a_n: float) -> np.ndarray:
-    """tau_{1/a_n}(phi(xi exp(-n rho))), first layer pinned to the increment sum."""
+def _pin_first_layer(alg, points: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """Overwrite the first layer of ``points`` (any leading axes) by ``pinned``.
+
+    The two agree mathematically; pinning makes the identity with the
+    interpolated path's endpoint exact in floating point.  A disagreement
+    beyond rounding means the realization or the centering is inconsistent.
+    """
+    d1 = alg.layer_dims[0]
+    if not np.allclose(points[..., :d1], pinned, rtol=1e-6, atol=1e-6):
+        gap = float(np.max(np.abs(points[..., :d1] - pinned)))
+        raise PinnedLayerMismatch(
+            f"group-product first layer differs from the centered increment sum by {gap:.3g}"
+        )
+    points[..., :d1] = pinned
+    return points
+
+
+def _scaled_points(graph: VoltageGraph, xi: np.ndarray, xi_bar: np.ndarray, n: int, rho,
+                   a_n: float) -> np.ndarray:
+    """tau_{1/a_n}(phi(xi exp(-n rho))) over leading axes, first layer pinned to the increment sums."""
     alg = graph.algebra
     centered = bch_product(alg, xi, alg.embed_first_layer(-float(n) * np.asarray(rho, dtype=float)))
     pt = dilate_group(alg, 1.0 / a_n, to_limit_group(alg, centered))
-    d1 = alg.layer_dims[0]
-    pinned = xi_bar / a_n
-    # the two routes agree mathematically; pinning makes the identity with
-    # the interpolated path's endpoint exact in floating point
-    assert np.allclose(pt[:d1], pinned, rtol=1e-6, atol=1e-6)
-    pt[:d1] = pinned
-    return pt
+    return _pin_first_layer(alg, pt, xi_bar / a_n)
 
 
 def scaled_endpoint(path: WalkPath, scaling: ScalingSequence) -> np.ndarray:
@@ -287,7 +268,7 @@ def scaled_endpoint(path: WalkPath, scaling: ScalingSequence) -> np.ndarray:
     if path.n < scaling.domain_min:
         raise ScalingDomain(f"n = {path.n} below the '{scaling.kind}' scaling domain")
     a_n = float(scaling(path.n))
-    return _scaled_point(path.graph, path.xi, path.xi_bar, path.n, path.rho, a_n)
+    return _scaled_points(path.graph, path.xi, path.xi_bar, path.n, path.rho, a_n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +307,7 @@ def _edge_batches(graph: VoltageGraph, n: int, sample_ids, seed: int, start: int
             edges = _single_vertex_edges(graph, u.ravel()).reshape(len(block), n)
         else:
             edges = _multi_vertex_edges(graph, u, start)
+        del u  # not held while the consumer works on the block
         yield block, edges
 
 
@@ -402,19 +384,14 @@ def batch_endpoints(
 
     def job(shard):
         for block, edges in _edge_batches(graph, n, shard, seed, start, chunk, index_offset):
-            gam = graph.voltages[edges]
-            if alg.step == 1:
-                decks = gam.sum(axis=1)
-            elif alg.step == 2:
-                decks = _fold_step2_batch(graph, gam)
-            else:
-                decks = np.stack([_fold_voltages(graph, g) for g in gam])
-            bar = np.cumsum(wbar[edges], axis=1)[:, -1, :]
+            # np.take gathers rows several times faster than fancy indexing here;
+            # einsum sums steps in order, like sample_path's prefix sums
+            bar = np.einsum("bkd->bd", np.take(wbar, edges, axis=0))
             end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.full(len(block), start)
-            for row, s in enumerate(block):
-                xi = bch_product(alg, decks[row], phi.positions[end_vertex[row]])
-                points[s] = _scaled_point(graph, xi, bar[row], n, rho, a_n)
-                sums[s] = bar[row]
+            decks = fold(alg, np.take(graph.voltages, edges, axis=0))
+            xi = bch_product(alg, decks, phi.positions[end_vertex])
+            points[block] = _scaled_points(graph, xi, bar, n, rho, a_n)
+            sums[block] = bar
 
     _run_sharded(samples, workers, job)
     return points, sums
@@ -464,43 +441,26 @@ def trajectory_scan(
     wbar = _centered_increments(graph, phi, rho)
     rho = np.asarray(rho, dtype=float)
 
-    fast = graph.num_vertices == 1 and alg.step <= 2
     stream = sample_stream(seed, stream_index)
     points = np.empty((len(checkpoints), alg.dim))
     sup = -np.inf
     lo, hi = sup_range if sup_range is not None else (0, -1)
 
-    acc_deck = alg.zero()
-    acc_bar = np.zeros(d1)
+    deck = alg.zero()
+    bar = np.zeros(d1)
     pos = 0
     cp_next = 0
-    table = alg.brackets[:d1, :d1, :]
     vertex = start
 
     while pos < n_max:
         m = int(min(chunk, n_max - pos))
         u = stream.random(m)
-        if fast:
+        if graph.num_vertices == 1:
             edges = _single_vertex_edges(graph, u)
         else:
             edges = _walk_edges_sequential(graph, u, vertex)
             vertex = int(graph.terminus[edges[-1]])
-        gam = graph.voltages[edges]
-        first = gam[:, :d1]
-        deck_first = acc_deck[:d1] + np.cumsum(first, axis=0)
-        if alg.step == 1:
-            deck_cum = deck_first
-        elif alg.step == 2:
-            before = np.vstack([acc_deck[None, :d1], deck_first[:-1]])
-            rest_inc = gam[:, d1:] + 0.5 * np.einsum("ka,kb,abm->km", before, first, table)[:, d1:]
-            deck_cum = np.hstack([deck_first, acc_deck[None, d1:] + np.cumsum(rest_inc, axis=0)])
-        else:
-            deck_cum = np.empty((m, alg.dim))
-            acc = acc_deck
-            for k in range(m):
-                acc = bch_product(alg, acc, gam[k])
-                deck_cum[k] = acc
-        bar_cum = acc_bar + np.cumsum(wbar[edges], axis=0)
+        bar_cum = bar + np.cumsum(np.take(wbar, edges, axis=0), axis=0)
 
         if sup_range is not None:
             ns = np.arange(pos + 1, pos + m + 1)
@@ -509,18 +469,22 @@ def trajectory_scan(
                 stats = np.linalg.norm(bar_cum[mask], axis=1) / sup_scaling(ns[mask])
                 sup = max(sup, float(stats.max()))
 
+        # the deck is needed only at checkpoints and at the chunk end: fold the
+        # segments between them and chain the segment products
+        gam = np.take(graph.voltages, edges, axis=0)
+        folded = 0
         while cp_next < len(checkpoints) and checkpoints[cp_next] <= pos + m:
-            j = int(checkpoints[cp_next] - pos - 1)
             cp_n = int(checkpoints[cp_next])
-            end_v = int(graph.terminus[edges[j]])
-            xi = bch_product(alg, deck_cum[j], phi.positions[end_v])
+            j = cp_n - pos
+            deck = bch_product(alg, deck, fold(alg, gam[folded:j]))
+            folded = j
+            xi = bch_product(alg, deck, phi.positions[graph.terminus[edges[j - 1]]])
             centered = bch_product(alg, xi, alg.embed_first_layer(-float(cp_n) * rho))
-            centered[:d1] = bar_cum[j]
-            points[cp_next] = centered
+            points[cp_next] = _pin_first_layer(alg, centered, bar_cum[j - 1])
             cp_next += 1
+        deck = bch_product(alg, deck, fold(alg, gam[folded:]))
 
-        acc_deck = deck_cum[-1].copy()
-        acc_bar = bar_cum[-1].copy()
+        bar = bar_cum[-1].copy()
         pos += m
 
     return points, (None if sup_range is None else sup)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nilwalk.algebra import StratifiedAlgebra, heisenberg_algebra
+from nilwalk.graph import VoltageGraph
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,17 @@ def unipotent_algebra(n: int) -> StratifiedAlgebra:
             for k in np.nonzero(np.abs(coeffs) > 1e-15)[0]:
                 entries.append((i, j, int(k), float(coeffs[k])))
     return StratifiedAlgebra(layer_dims, entries)
+
+
+def unipotent_cayley(n: int) -> VoltageGraph:
+    """Simple random walk on the n x n unipotent group, generated by exp(+-E_{i,i+1})."""
+    alg = unipotent_algebra(n)
+    pairs = []
+    for i in range(n - 1):
+        v = np.zeros(alg.dim)
+        v[i] = 1.0
+        pairs.append((0, 0, 0.5 / (n - 1), 0.5 / (n - 1), v))
+    return VoltageGraph.from_pairs(alg, 1, pairs)
 
 
 def unipotent_exp(n: int, coords: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nilwalk.albanese import albanese_pipeline
-from nilwalk.algebra import StratifiedAlgebra, abelian_algebra
+from nilwalk.algebra import StratifiedAlgebra, abelian_algebra, fold
 from nilwalk.errors import DimensionMismatch, NonIncreasingTimes
 from nilwalk.graph import heisenberg_cayley, zd_lattice
 from nilwalk.rates import (
@@ -226,6 +226,21 @@ def test_endpoint_rate_nonhorizontal_is_bounded_and_larger(heisenberg):
     assert bound.value < 10.0
 
 
+def test_rate_certificate_describes_the_reported_path(heisenberg):
+    # the violation is the reported path's own, not the least over all candidates
+    unit = QuadraticForms.from_sigma(np.eye(2))
+    cases = (
+        (heisenberg, HALF_I2, np.array([1.0, 0.0, 0.75]), 8, 6),
+        (step3_filtered_algebra(), unit, np.array([0.5, -0.25, 0.2, 0.1]), 4, 3),
+    )
+    for alg, forms, target, knots, restarts in cases:
+        b = minimize_endpoint_rate(alg, forms, target, knots=knots, restarts=restarts, seed=11, limit=True)
+        assert b.feasible
+        path = path_from_increments(b.increments)
+        assert b.constraint_violation == float(np.linalg.norm(develop_limit(alg, path) - target))
+        assert b.value == path_rate(forms, path)
+
+
 def test_refinement_monotonicity(heisenberg):
     rng = np.random.default_rng(103)
     for _ in range(3):
@@ -274,18 +289,21 @@ def test_endpoint_rate_rejects_too_few_knots(heisenberg):
 
 
 def test_analytic_gradient_matches_finite_differences(heisenberg):
-    from nilwalk.rates import _defect_grad_terms, _fold_first_layer
+    from nilwalk.rates import _defect_grad_terms
 
     rng = np.random.default_rng(29)
     incr = rng.normal(size=(5, 2))
     target = rng.normal(size=3)
     table = heisenberg.brackets
 
+    def develop_incr(incr):
+        return fold(heisenberg, heisenberg.embed_first_layer(incr))
+
     def half_sq(flat):
-        r = _fold_first_layer(heisenberg, table, flat.reshape(5, 2)) - target
+        r = develop_incr(flat.reshape(5, 2)) - target
         return 0.5 * float(r @ r)
 
-    residual = _fold_first_layer(heisenberg, table, incr) - target
+    residual = develop_incr(incr) - target
     grad = _defect_grad_terms(heisenberg, table, incr, residual).ravel()
     num = np.zeros(10)
     flat = incr.ravel()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nilwalk.albanese import albanese_pipeline, first_layer_form
+from nilwalk.albanese import Realization, albanese_pipeline, first_layer_form
 from nilwalk.algebra import bch_product
-from nilwalk.errors import ScalingDomain
+from nilwalk.errors import PinnedLayerMismatch, ScalingDomain
 from nilwalk.graph import heisenberg_cayley, hexagonal, invariant_measure, z1_biased, z1_subdivided, zd_lattice
 from nilwalk.walk import (
     batch_centered_sums,
@@ -19,7 +19,7 @@ from nilwalk.walk import (
     trajectory_scan,
 )
 
-from conftest import unipotent_exp, unipotent_log
+from conftest import unipotent_cayley, unipotent_exp, unipotent_log
 
 
 def pipeline(graph):
@@ -216,6 +216,21 @@ def test_batch_single_sample_reduces_to_sample_path():
         assert np.abs(sums[0] - path.xi_bar).max() <= 1e-12
 
 
+def test_pinned_first_layer_mismatch_raises():
+    # a realization whose base vertex is off the identity breaks the identity
+    # between the group route and the centered increment sums
+    g = heisenberg_cayley()
+    meas, rho, phi0 = pipeline(g)
+    shifted = Realization(graph=g, positions=phi0.positions + np.array([5.0, 0.0, 0.0]))
+    scaling = power_scaling(0.75)
+    with pytest.raises(PinnedLayerMismatch):
+        batch_endpoints(g, shifted, rho, scaling, 64, samples=2, seed=1)
+    with pytest.raises(PinnedLayerMismatch):
+        scaled_endpoint(sample_path(g, shifted, rho, 64, seed=1), scaling)
+    with pytest.raises(PinnedLayerMismatch):
+        trajectory_scan(g, shifted, rho, [64], seed=1, stream_index=0)
+
+
 def test_batch_mean_near_zero_for_symmetric():
     g = zd_lattice(2)
     meas, rho, phi0 = pipeline(g)
@@ -225,14 +240,16 @@ def test_batch_mean_near_zero_for_symmetric():
 
 
 def test_batch_worker_count_invariance():
-    for g in (zd_lattice(2), hexagonal()):
+    for g in (zd_lattice(2), hexagonal(), unipotent_cayley(4)):
         meas, rho, phi0 = pipeline(g)
         one = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=1)
         eight = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=8)
         assert np.array_equal(one, eight)
         p1, s1 = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29, workers=1)
-        p8, s8 = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29, workers=8)
-        assert np.array_equal(p1, p8) and np.array_equal(s1, s8)
+        for workers, chunk in ((2, 256), (8, 256), (1, 7)):
+            p, s = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29,
+                                   workers=workers, chunk=chunk)
+            assert np.array_equal(p1, p) and np.array_equal(s1, s)
 
 
 def test_batch_matches_per_sample_streams_multivertex():
