@@ -6,14 +6,14 @@ import json
 
 import click
 
-from .experiments import RUNNERS, ExperimentConfig
+from .experiments import RUNNERS, ExperimentConfig, _jsonable
 
 
 def _run(name: str, config: str, out: str, seed, workers) -> None:
     cfg = ExperimentConfig.from_file(config).override(seed=seed, workers=workers)
     metrics = RUNNERS[name](cfg, out)
-    click.echo(json.dumps({"experiment": name, "out": str(out), "metrics": metrics},
-                          sort_keys=True, default=str))
+    click.echo(json.dumps(_jsonable({"experiment": name, "out": str(out), "metrics": metrics}),
+                          sort_keys=True, allow_nan=False, default=str))
 
 
 def _experiment_command(name: str, help_text: str):

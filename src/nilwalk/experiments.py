@@ -284,7 +284,8 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: non-finite floats are written as the strings "inf", "-inf", "nan"."""
+    Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _git_describe() -> str:
@@ -311,9 +312,9 @@ def write_summary(out_dir: Path, name: str, config: ExperimentConfig, metrics: d
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else str(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, dict):
@@ -349,7 +350,7 @@ def run_albanese(config: ExperimentConfig, out_dir) -> dict:
         "sigma": data.sigma.tolist(),
         "residual": float(data.residual),
     }
-    write_summary(out_dir, "albanese", config, _jsonable(metrics))
+    write_summary(out_dir, "albanese", config, metrics)
     return metrics
 
 
@@ -373,7 +374,7 @@ def run_lln(config: ExperimentConfig, out_dir) -> dict:
         medians[int(n)] = float(np.quantile(err, 0.5))
     write_csv(out_dir / "lln.csv", header, rows)
     metrics = {"median_error_by_n": medians}
-    write_summary(out_dir, "lln", config, _jsonable(metrics))
+    write_summary(out_dir, "lln", config, metrics)
     return metrics
 
 
@@ -396,7 +397,7 @@ def run_clt(config: ExperimentConfig, out_dir) -> dict:
         max_dev = max(max_dev, float(np.abs((est - data.sigma) / np.maximum(se, 1e-15)).max()))
     write_csv(out_dir / "clt.csv", header, rows)
     metrics = {"max_deviation_in_se": max_dev, "sigma": data.sigma.tolist()}
-    write_summary(out_dir, "clt", config, _jsonable(metrics))
+    write_summary(out_dir, "clt", config, metrics)
     return metrics
 
 
@@ -438,7 +439,7 @@ def run_mdp(config: ExperimentConfig, out_dir) -> dict:
         "mode": rows[0][4] if rows else "none",
         "rates": {f"n={n},delta={d}": r for (n, d), r in rates.items()},
     }
-    write_summary(out_dir, "mdp", config, _jsonable(metrics))
+    write_summary(out_dir, "mdp", config, metrics)
     return metrics
 
 
@@ -527,7 +528,7 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
         "containment_tol": config.containment_tol,
     }
     write_csv(out_dir / "lil.csv", header, rows)
-    write_summary(out_dir, "lil", config, _jsonable(metrics))
+    write_summary(out_dir, "lil", config, metrics)
     return metrics
 
 
@@ -552,13 +553,13 @@ def run_rate(config: ExperimentConfig, out_dir) -> dict:
         seed=config.seed, limit=(config.rate_product == "limit"),
     )
     result = {
-        "value": bound.value if np.isfinite(bound.value) else "inf",
+        "value": bound.value,
         "constraint_violation": bound.constraint_violation,
         "knots": bound.knots,
         "restarts_used": bound.restarts_used,
     }
-    write_json(Path(out_dir) / "rate.json", _jsonable(result))
-    write_summary(out_dir, "rate", config, _jsonable(result))
+    write_json(Path(out_dir) / "rate.json", result)
+    write_summary(out_dir, "rate", config, result)
     return result
 
 

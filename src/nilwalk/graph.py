@@ -66,9 +66,24 @@ class VoltageGraph:
         return [np.nonzero(self.origin == x)[0] for x in range(self.num_vertices)]
 
     @cached_property
-    def out_cumprob(self) -> list[np.ndarray]:
-        """Cumulative out-probability tables matching ``out_edges`` order."""
-        return [np.cumsum(self.prob[ids]) for ids in self.out_edges]
+    def step_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(cuts, table)``: draw the next edge from a uniform ``u`` by table look-up.
+
+        ``cuts`` merges every vertex's cumulative out-probabilities (in
+        ``out_edges`` order), except each vertex's last one, into one sorted
+        array of T <= E - V values.  ``table[v, b]`` (V x (T+1)) is the edge
+        vertex ``v`` takes when ``u`` falls in bucket ``b = searchsorted(cuts,
+        u, side="right")``: the first out-edge whose cumulative probability
+        exceeds ``u``, or the last out-edge if none does.  Each vertex's own
+        cuts are among ``cuts``, so the edge is constant on every bucket.
+        """
+        inner = [np.cumsum(self.prob[ids])[:-1] for ids in self.out_edges]
+        cuts = np.unique(np.concatenate(inner))
+        lows = np.concatenate([[-np.inf], cuts])  # bucket b is [lows[b], lows[b + 1])
+        table = np.stack(
+            [ids[np.searchsorted(c, lows, side="right")] for ids, c in zip(self.out_edges, inner)]
+        )
+        return cuts, table
 
     @classmethod
     def from_pairs(cls, algebra: StratifiedAlgebra, num_vertices: int, pairs) -> "VoltageGraph":

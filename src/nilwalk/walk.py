@@ -8,6 +8,15 @@ sums, interpolated paths, and scaled endpoints share one source of truth.
 Every group fold (the deck element of a path, of a batch of paths, or of a
 trajectory segment) goes through ``algebra.fold``.
 
+Edge selection is inversion by table look-up, one rule for every walk: each
+uniform ``u`` becomes a bucket ``b = searchsorted(cuts, u, side="right")``
+of the graph's cached ``step_table``, and vertex ``v`` then takes edge
+``table[v, b]``, the first out-edge whose cumulative probability exceeds
+``u`` (the last out-edge if none does).  The table has V x (T+1) entries
+with T <= E - V cuts.  On a one-vertex graph this is one vectorized look-up;
+on a larger quotient a loop over steps carries the current vertex of every
+row of a block at once.  Every walk starts at the realization's base vertex 0.
+
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
 single pass.  Results are therefore bitwise reproducible for any worker count
@@ -104,31 +113,33 @@ def custom_scaling(fn: Callable, domain_min: int = 1, validate: bool = True) -> 
 
 
 # ---------------------------------------------------------------------------
-# Edge tables
+# Edge selection
 # ---------------------------------------------------------------------------
 
 def _centered_increments(graph: VoltageGraph, phi: Realization, rho: np.ndarray) -> np.ndarray:
     return first_layer_form(graph, phi) - np.asarray(rho, dtype=float)[None, :]
 
 
-def _single_vertex_edges(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
-    cum = graph.out_cumprob[0]
-    idx = np.searchsorted(cum, u, side="right")
-    return graph.out_edges[0][np.minimum(idx, len(cum) - 1)]
+def _draw_buckets(graph: VoltageGraph, stream: np.random.Generator, n: int) -> np.ndarray:
+    """The next n uniforms of ``stream`` as buckets of ``graph.step_table``: (n,) int."""
+    return np.searchsorted(graph.step_table[0], stream.random(n), side="right")
 
 
-def _walk_edges_sequential(graph: VoltageGraph, u: np.ndarray, start: int) -> np.ndarray:
-    edges = np.empty(len(u), dtype=np.int64)
-    v = start
-    out_edges, out_cum = graph.out_edges, graph.out_cumprob
-    terminus = graph.terminus
-    for k, uk in enumerate(u):
-        cum = out_cum[v]
-        i = min(int(np.searchsorted(cum, uk, side="right")), len(cum) - 1)
-        e = out_edges[v][i]
-        edges[k] = e
-        v = int(terminus[e])
-    return edges
+def _select_edges(graph: VoltageGraph, buckets: np.ndarray, vertex: int = 0) -> np.ndarray:
+    """Edges (B, n) of B walks from ``vertex`` with the given buckets, written over them."""
+    _, table = graph.step_table
+    if graph.num_vertices > 1:
+        # turn each bucket into the flat table index v * width + b, so that a step
+        # is one gather and the edges are one gather after the loop
+        width = table.shape[1]
+        after = (graph.terminus[table] * width).ravel()
+        v = np.full(len(buckets), vertex * width, dtype=np.int64)
+        for col in buckets.T:
+            col += v
+            v = after[col]
+    # the indices are always in range; mode="clip" keeps take from buffering
+    # its output, so the edges overwrite the buckets without a (B, n) copy
+    return np.take(table.ravel(), buckets, out=buckets, mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +178,17 @@ def sample_path(
     rho: np.ndarray,
     n: int,
     seed: int,
-    start: int = 0,
 ) -> WalkPath:
-    """Sample an n-step trajectory from the given start vertex (stream (seed, 0))."""
+    """Sample an n-step trajectory from the base vertex 0 (stream (seed, 0))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = sample_stream(seed, 0).random(n)
-    if graph.num_vertices == 1:
-        edges = _single_vertex_edges(graph, u)
-    else:
-        edges = _walk_edges_sequential(graph, u, start)
-    return _assemble_path(graph, phi, rho, edges, start)
+    edges = _select_edges(graph, _draw_buckets(graph, sample_stream(seed, 0), n)[None, :])[0]
+    return _assemble_path(graph, phi, rho, edges)
 
 
-def _assemble_path(graph, phi, rho, edges, start) -> WalkPath:
+def _assemble_path(graph, phi, rho, edges) -> WalkPath:
     alg = graph.algebra
-    vertices = np.concatenate([[start], graph.terminus[edges]])
+    vertices = np.concatenate([[0], graph.terminus[edges]])
     wbar = _centered_increments(graph, phi, rho)
     deck = fold(alg, graph.voltages[edges])
     xi = bch_product(alg, deck, phi.positions[vertices[-1]])
@@ -293,43 +299,20 @@ def _run_sharded(total: int, workers: int, job: Callable) -> None:
             f.result()
 
 
-def _edge_batches(graph: VoltageGraph, n: int, sample_ids, seed: int, start: int, chunk: int,
+def _edge_batches(graph: VoltageGraph, n: int, sample_ids, seed: int, chunk: int,
                   index_offset: int = 0):
-    """Yield (ids, edges (B, n)) blocks with per-sample streams."""
-    multi = graph.num_vertices > 1
+    """Yield (ids, edges (B, n)) blocks with per-sample streams.
+
+    Each row's uniforms become buckets as they are drawn, and the edges are
+    written over the buckets, so a block holds one (B, n) integer array.
+    """
     ids = list(sample_ids)
     for lo in range(0, len(ids), chunk):
         block = ids[lo : lo + chunk]
-        u = np.empty((len(block), n))
+        buckets = np.empty((len(block), n), dtype=np.int64)
         for row, s in enumerate(block):
-            u[row] = sample_stream(seed, s + index_offset).random(n)
-        if not multi:
-            edges = _single_vertex_edges(graph, u.ravel()).reshape(len(block), n)
-        else:
-            edges = _multi_vertex_edges(graph, u, start)
-        del u  # not held while the consumer works on the block
-        yield block, edges
-
-
-def _multi_vertex_edges(graph: VoltageGraph, u: np.ndarray, start: int) -> np.ndarray:
-    b, n = u.shape
-    max_deg = max(len(ids) for ids in graph.out_edges)
-    cum_pad = np.full((graph.num_vertices, max_deg), np.inf)
-    edge_pad = np.zeros((graph.num_vertices, max_deg), dtype=np.int64)
-    for v in range(graph.num_vertices):
-        deg = len(graph.out_edges[v])
-        cum_pad[v, :deg] = graph.out_cumprob[v]
-        edge_pad[v, deg:] = graph.out_edges[v][-1]
-        edge_pad[v, :deg] = graph.out_edges[v]
-    edges = np.empty((b, n), dtype=np.int64)
-    v = np.full(b, start, dtype=np.int64)
-    for k in range(n):
-        local = (u[:, k, None] >= cum_pad[v]).sum(axis=1)
-        local = np.minimum(local, max_deg - 1)
-        e = edge_pad[v, local]
-        edges[:, k] = e
-        v = graph.terminus[e]
-    return edges
+            buckets[row] = _draw_buckets(graph, sample_stream(seed, s + index_offset), n)
+        yield block, _select_edges(graph, buckets)
 
 
 def batch_centered_sums(
@@ -340,7 +323,6 @@ def batch_centered_sums(
     samples: int,
     seed: int,
     workers: int = 1,
-    start: int = 0,
     chunk: int = 256,
     index_offset: int = 0,
 ) -> np.ndarray:
@@ -352,8 +334,8 @@ def batch_centered_sums(
     out = np.empty((samples, d1))
 
     def job(shard):
-        for block, edges in _edge_batches(graph, n, shard, seed, start, chunk, index_offset):
-            out[block] = np.cumsum(wbar[edges], axis=1)[:, -1, :]
+        for block, edges in _edge_batches(graph, n, shard, seed, chunk, index_offset):
+            out[block] = np.einsum("bkd->bd", np.take(wbar, edges, axis=0))
 
     _run_sharded(samples, workers, job)
     return out
@@ -368,7 +350,6 @@ def batch_endpoints(
     samples: int,
     seed: int,
     workers: int = 1,
-    start: int = 0,
     chunk: int = 256,
     index_offset: int = 0,
 ):
@@ -383,11 +364,11 @@ def batch_endpoints(
     sums = np.empty((samples, d1))
 
     def job(shard):
-        for block, edges in _edge_batches(graph, n, shard, seed, start, chunk, index_offset):
+        for block, edges in _edge_batches(graph, n, shard, seed, chunk, index_offset):
             # np.take gathers rows several times faster than fancy indexing here;
             # einsum sums steps in order, like sample_path's prefix sums
             bar = np.einsum("bkd->bd", np.take(wbar, edges, axis=0))
-            end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.full(len(block), start)
+            end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(block), dtype=np.int64)
             decks = fold(alg, np.take(graph.voltages, edges, axis=0))
             xi = bch_product(alg, decks, phi.positions[end_vertex])
             points[block] = _scaled_points(graph, xi, bar, n, rho, a_n)
@@ -422,7 +403,6 @@ def trajectory_scan(
     stream_index: int,
     sup_scaling: ScalingSequence | None = None,
     sup_range: tuple[int, int] | None = None,
-    start: int = 0,
     chunk: int = 1 << 20,
 ):
     """One long trajectory; centered group points at checkpoints, optional sup statistic.
@@ -450,16 +430,12 @@ def trajectory_scan(
     bar = np.zeros(d1)
     pos = 0
     cp_next = 0
-    vertex = start
+    vertex = 0
 
     while pos < n_max:
         m = int(min(chunk, n_max - pos))
-        u = stream.random(m)
-        if graph.num_vertices == 1:
-            edges = _single_vertex_edges(graph, u)
-        else:
-            edges = _walk_edges_sequential(graph, u, vertex)
-            vertex = int(graph.terminus[edges[-1]])
+        edges = _select_edges(graph, _draw_buckets(graph, stream, m)[None, :], vertex)[0]
+        vertex = int(graph.terminus[edges[-1]])
         bar_cum = bar + np.cumsum(np.take(wbar, edges, axis=0), axis=0)
 
         if sup_range is not None:

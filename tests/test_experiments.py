@@ -24,6 +24,7 @@ from nilwalk.experiments import (
     run_lln,
     run_mdp,
     run_rate,
+    write_json,
 )
 from nilwalk.graph import zd_lattice
 
@@ -293,6 +294,38 @@ def test_rerun_same_seed_byte_identical(tmp_path):
     s1 = json.loads((tmp_path / "a" / "lln_summary.json").read_text())
     s2 = json.loads((tmp_path / "b" / "lln_summary.json").read_text())
     assert s1 == s2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def test_summaries_are_strict_json(tmp_path):
+    # Monte Carlo MDP with no hit has a -inf rate; a sup range below every grid
+    # point leaves the LIL grid sup NaN
+    power = {"kind": "power", "theta": 0.75}
+    runs = [
+        (run_albanese, make_config()),
+        (run_lln, make_config(n_grid=[64], samples=16)),
+        (run_clt, make_config(n_grid=[64], samples=16)),
+        (run_mdp, make_config(graph={"preset": "heisenberg_cayley"}, scaling=power,
+                              n_grid=[64], delta=[50.0], samples=16, mdp_mode="mc")),
+        (run_lil, make_config(scaling={"kind": "lil"}, n_grid=[64, 128], sup_range=[16, 32],
+                              trajectories=1, rate_knots=4, rate_restarts=2)),
+        (run_rate, make_config(target=[1.0], rate_knots=4, rate_restarts=2)),
+    ]
+    for runner, cfg in runs:
+        runner(cfg, tmp_path)
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 8
+    docs = {f.name: json.loads(f.read_text(), parse_constant=_reject_constant) for f in files}
+    assert docs["mdp_summary.json"]["metrics"]["rates"] == {"n=64,delta=50.0": "-inf"}
+    assert docs["lil_summary.json"]["metrics"]["grid_sup_median"] == "nan"
+
+    write_json(tmp_path / "tokens.json", {"a": np.array([np.inf, -np.inf, np.nan]), "b": math.inf,
+                                          "c": np.float64(2.5)})
+    doc = json.loads((tmp_path / "tokens.json").read_text(), parse_constant=_reject_constant)
+    assert doc == {"a": ["inf", "-inf", "nan"], "b": "inf", "c": 2.5}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
+import nilwalk.walk as walk
 from nilwalk.albanese import Realization, albanese_pipeline, first_layer_form
-from nilwalk.algebra import bch_product
+from nilwalk.algebra import abelian_algebra, bch_product
 from nilwalk.errors import PinnedLayerMismatch, ScalingDomain
-from nilwalk.graph import heisenberg_cayley, hexagonal, invariant_measure, z1_biased, z1_subdivided, zd_lattice
+from nilwalk.graph import (
+    VoltageGraph,
+    heisenberg_cayley,
+    hexagonal,
+    invariant_measure,
+    validate,
+    z1_biased,
+    z1_subdivided,
+    zd_lattice,
+)
 from nilwalk.walk import (
     batch_centered_sums,
     batch_endpoints,
@@ -252,17 +262,78 @@ def test_batch_worker_count_invariance():
             assert np.array_equal(p1, p) and np.array_equal(s1, s)
 
 
-def test_batch_matches_per_sample_streams_multivertex():
-    g = hexagonal()
+def uneven_three_vertex() -> VoltageGraph:
+    """Unequal out-probabilities per vertex; those of vertices 0 and 1 sum to 1 - 2**-53."""
+    pairs = [
+        (0, 1, 0.3, 0.2, [1.0, 0.0]),
+        (0, 1, 0.6, 0.7, [0.0, 1.0]),
+        (0, 2, 0.1, 0.5, [1.0, 1.0]),
+        (1, 2, 0.1, 0.5, [-1.0, 0.0]),
+    ]
+    return VoltageGraph.from_pairs(abelian_algebra(2), 3, pairs)
+
+
+def _replay_vertices_edges(graph, u):
+    """Scalar replay of the selection rule from ``origin`` and ``prob`` alone.
+
+    From vertex v, take the first out-edge (in edge order) whose running
+    probability sum exceeds u, or the last out-edge if none does.
+    """
+    vertices, edges, v = [], [], 0
+    for x in u:
+        out = [e for e in range(graph.num_edges) if graph.origin[e] == v]
+        total, pick = 0.0, out[-1]
+        for e in out:
+            total += float(graph.prob[e])
+            if x < total:
+                pick = e
+                break
+        vertices.append(v)
+        edges.append(pick)
+        v = int(graph.terminus[pick])
+    return np.array(vertices), np.array(edges, dtype=np.int64)
+
+
+class _FixedStream:
+    """Stands in for a sample stream: hands out a fixed sequence of uniforms."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def random(self, n):
+        self.pos += n
+        return self.u[self.pos - n : self.pos]
+
+
+def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
+    g = uneven_three_vertex()
+    validate(g)
     meas, rho, phi0 = pipeline(g)
     wbar = first_layer_form(g, phi0) - rho[None, :]
     sums = batch_centered_sums(g, phi0, rho, 150, samples=5, seed=31)
-    from nilwalk.walk import _walk_edges_sequential
-
     for i in range(5):
-        u = sample_stream(31, i).random(150)
-        edges = _walk_edges_sequential(g, u, 0)
+        _, edges = _replay_vertices_edges(g, sample_stream(31, i).random(150))
         assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
+
+    # boundary uniforms: every cumulative out-probability, both float
+    # neighbours of each, 0 and 1 - 2**-53, each drawn at every vertex
+    per_vertex = [np.cumsum(g.prob[g.origin == v]) for v in range(g.num_vertices)]
+    assert [c[-1] for c in per_vertex] == [1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0]
+    cums = np.concatenate(per_vertex)
+    u = np.concatenate([cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0), [0.0, 1.0 - 2.0**-53]])
+    boundary = np.unique(u[u < 1.0])
+    rng = np.random.default_rng(0)
+    rows = [rng.permutation(np.tile(boundary, 3)) for _ in range(6)]
+    replays = [_replay_vertices_edges(g, row) for row in rows]
+    seen = {(x, v) for row, (vs, _) in zip(rows, replays) for x, v in zip(row, vs)}
+    assert len(seen) == len(boundary) * g.num_vertices
+
+    monkeypatch.setattr(walk, "sample_stream", lambda seed, index: _FixedStream(rows[index]))
+    n = len(rows[0])
+    sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0, chunk=4)
+    for i, (_, edges) in enumerate(replays):
+        assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
+    assert np.array_equal(sample_path(g, phi0, rho, n, seed=0).edges, replays[0][1])
 
 
 def test_lln_biased_loop():
@@ -288,7 +359,7 @@ def test_endpoints_csv_rows_shape():
 # ---------------------------------------------------------------------------
 
 def test_trajectory_scan_matches_sample_path():
-    for g in (heisenberg_cayley(), zd_lattice(1)):
+    for g in (heisenberg_cayley(), zd_lattice(1), hexagonal(), z1_subdivided()):
         meas, rho, phi0 = pipeline(g)
         checkpoints = [100, 500, 2000]
         points, _ = trajectory_scan(g, phi0, rho, checkpoints, seed=41, stream_index=0)
@@ -301,14 +372,16 @@ def test_trajectory_scan_matches_sample_path():
 
 
 def test_trajectory_scan_chunk_invariance():
-    g = heisenberg_cayley()
-    meas, rho, phi0 = pipeline(g)
+    # with an odd chunk, chunks of the bipartite two-vertex quotients start at either vertex
     cps = [50, 400, 1500]
     kw = dict(seed=43, stream_index=2, sup_scaling=lil_scaling(), sup_range=(100, 1500))
-    p_small, s_small = trajectory_scan(g, phi0, rho, cps, chunk=64, **kw)
-    p_big, s_big = trajectory_scan(g, phi0, rho, cps, chunk=1 << 20, **kw)
-    assert np.abs(p_small - p_big).max() <= 1e-10
-    assert abs(s_small - s_big) <= 1e-12
+    for g in (heisenberg_cayley(), hexagonal(), z1_subdivided()):
+        meas, rho, phi0 = pipeline(g)
+        p_big, s_big = trajectory_scan(g, phi0, rho, cps, chunk=1 << 20, **kw)
+        for chunk in (7, 64):
+            p_small, s_small = trajectory_scan(g, phi0, rho, cps, chunk=chunk, **kw)
+            assert np.abs(p_small - p_big).max() <= 1e-10
+            assert abs(s_small - s_big) <= 1e-12
 
 
 def test_trajectory_scan_sup_statistic_biased():
