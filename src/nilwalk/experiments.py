@@ -464,12 +464,18 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
     _expect(len(checkpoints) > 0 and checkpoints[0] >= scaling.domain_min,
             "/n_grid", f"grid must start at or above {scaling.domain_min}")
     sup_range = config.sup_range or (checkpoints[0], checkpoints[-1])
+    _expect(len(sup_range) == 2 and all(_is_num(x) and float(x).is_integer() for x in sup_range),
+            "/sup_range", "must be a pair of integers [lo, hi]")
+    sup_range = (int(sup_range[0]), int(sup_range[1]))
+    _expect(scaling.domain_min <= sup_range[0] <= sup_range[1] and sup_range[0] <= checkpoints[-1],
+            "/sup_range", f"must satisfy {scaling.domain_min} <= lo <= hi, with lo at most the last "
+            f"grid point {checkpoints[-1]}")
     forms = QuadraticForms.from_albanese(data)
 
     header = (
         ["trajectory", "n"]
         + [f"coord_{i}" for i in range(alg.dim)]
-        + ["rate_bound"]
+        + ["rate_bound", "rate_method", "constraint_violation"]
     )
     rows = []
     sups = []
@@ -480,7 +486,7 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
     def traj_job(t):
         points_raw, sup = trajectory_scan(
             graph, phi0, rho, checkpoints, config.seed, t,
-            sup_scaling=scaling, sup_range=tuple(sup_range),
+            sup_scaling=scaling, sup_range=sup_range,
         )
         out = []
         for c, n in enumerate(checkpoints):
@@ -490,7 +496,7 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
                 alg, forms, pt, knots=config.rate_knots, restarts=config.rate_restarts,
                 seed=config.seed, limit=True,
             )
-            out.append((n, pt, bound.value))
+            out.append((n, pt, bound))
         return sup, out
 
     results = [None] * config.trajectories
@@ -511,8 +517,8 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
         ]
         grid_sups.append(max(in_range) if in_range else np.nan)
         for n, pt, bound in recs:
-            rows.append([t, int(n)] + list(pt) + [bound])
-            bounds.append(bound)
+            rows.append([t, int(n)] + list(pt) + [bound.value, bound.method, bound.constraint_violation])
+            bounds.append(bound.value)
 
     bounds = np.array(bounds)
     level = config.containment_level + config.containment_tol
@@ -557,6 +563,7 @@ def run_rate(config: ExperimentConfig, out_dir) -> dict:
         "constraint_violation": bound.constraint_violation,
         "knots": bound.knots,
         "restarts_used": bound.restarts_used,
+        "method": bound.method,
     }
     write_json(Path(out_dir) / "rate.json", result)
     write_summary(out_dir, "rate", config, result)

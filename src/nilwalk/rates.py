@@ -4,10 +4,18 @@ The path functional is the time integral of the conjugate quadratic form of
 the covariance matrix, evaluated exactly on piecewise-linear paths.  The
 endpoint rate at a group element g is the infimum of the path functional over
 first-layer paths whose development (ordered product of segment exponentials)
-reaches g; it is approximated from above by a penalized multi-start
-minimization over uniform-knot piecewise-linear paths, with a feasibility
-polish and an exact first-layer projection so the reported value is always a
-certified upper bound at the reported constraint violation.
+reaches g.  ``minimize_endpoint_rate`` takes one of two routes, and reports
+which one in ``RateBound.method``:
+
+- ``"closed_form"`` (``exact_rate``): on a step-1 group the rate is
+  alpha_star(g); on a group with layers (2, 1) and a nonzero bracket (the
+  Heisenberg type) it is half the squared sub-Riemannian distance, which
+  Dido's isoperimetric problem gives through one scalar root find (Gaveau
+  1977; Montgomery, *A Tour of Subriemannian Geometries*, ch. 1).
+- ``"optimizer"``: everywhere else, a penalized multi-start minimization over
+  uniform-knot piecewise-linear paths, with a feasibility polish and an exact
+  first-layer projection, so the reported value is a certified upper bound
+  at the reported constraint violation.
 """
 
 from __future__ import annotations
@@ -190,22 +198,130 @@ def develop_limit(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint rate (penalized multi-start upper bound)
+# Endpoint rate: closed forms, and the penalized multi-start upper bound
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RateBound:
-    """Certified upper bound: ``value`` is the exact rate of the path with knot
-    increments ``increments``, whose development misses the target by
-    ``constraint_violation``.  When no candidate is feasible, ``value`` is inf
-    and ``constraint_violation`` the least violation among the candidates."""
+    """The endpoint rate, or a certified upper bound on it.
+
+    ``method`` names the route.  ``"closed_form"``: ``value`` is the exact
+    rate, ``constraint_violation`` is 0, ``knots`` and ``restarts_used`` are
+    0 and no path is reported.  ``"optimizer"``: ``value`` is the exact rate
+    of the path with knot increments ``increments``, whose development misses
+    the target by ``constraint_violation``; when no candidate is feasible,
+    ``value`` is inf and ``constraint_violation`` the least violation among
+    the candidates.
+    """
 
     value: float
     constraint_violation: float
     knots: int
     restarts_used: int
     feasible: bool
+    method: str
     increments: np.ndarray | None = None  # best path's knot increments
+
+
+def exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g, limit: bool = False) -> float | None:
+    """The endpoint rate at ``g`` in closed form, or None where there is none.
+
+    Step 1: alpha_star(g).  Layers (2, 1) with [X_1, X_2] = c X_3, c != 0, in
+    the table that ``limit`` selects: with Sigma = L L^T (Cholesky), the
+    substitution u = L^-1 h turns the path energy into half the squared
+    length of u, and the third coordinate of the development into c det(L)
+    times the signed area between u and its chord.  So the rate is half the
+    squared length of the shortest plane curve from 0 to u_1 = L^-1 g[:2]
+    that encloses the area A = g[2] / (c det L) with its chord.  That curve
+    is a circular arc (Dido's problem) whose central angle phi in (0, 2 pi)
+    solves (phi - sin phi) / (8 sin^2(phi/2)) = |A| / r^2, r = |u_1|, and the
+    rate is r^2 phi^2 / (8 sin^2(phi/2)): r^2 / 2 when A = 0, 2 pi |A| when
+    r = 0.
+    """
+    g = alg.check_vector(g)
+    if forms.dim != alg.layer_dims[0]:
+        raise DimensionMismatch("quadratic forms do not match the first layer")
+    if alg.step == 1:
+        return alpha_star(forms, g)
+    entries = alg.graded_bracket_entries if limit else alg.bracket_entries
+    if alg.layer_dims != (2, 1) or not entries:
+        return None
+    ((_, _, _, c),) = entries  # the filtration leaves [X_1, X_2] as the only bracket
+    # r^2 = |L^-1 g[:2]|^2 = 2 alpha_star(g[:2]), and det L = sqrt(det Sigma)
+    area = abs(float(g[2]) / (c * math.sqrt(np.linalg.det(forms.sigma))))
+    return _dido_rate(2.0 * alpha_star(forms, g[:2]), area)
+
+
+def _dido_rate(r2: float, area: float) -> float:
+    """Half the squared length of the shortest plane curve from the origin to a
+    point at distance sqrt(r2) that encloses ``area`` >= 0 with its chord.
+
+    The curve is a circular arc of central angle phi = 2 theta.  Arcs up to a
+    half circle (theta <= pi/2) are solved in theta; longer ones in
+    eta = pi - theta, so the root find stays well conditioned as phi -> 0 and
+    as phi -> 2 pi, and the rate is written in the form that stays finite at
+    each end.
+    """
+    if area <= 1e-12 * r2:  # then theta ~ 6 area / r2 and (theta / sin theta)^2 rounds to 1
+        return 0.5 * r2
+    if r2 == 0.0:
+        return 2.0 * math.pi * area
+    if 8.0 * area <= math.pi * r2:
+        theta = _solve_increasing(_minor_arc_area, area / r2, 6.0 * area / r2, math.pi / 2)
+        return 0.5 * r2 * (theta / math.sin(theta)) ** 2
+    eta = _solve_increasing(_major_arc_chord, math.sqrt(r2 / (4.0 * area)),
+                            math.sqrt(math.pi * r2 / (4.0 * area)), math.pi / 2)
+    return 2.0 * area * (math.pi - eta) ** 2 / (math.pi - eta + math.sin(eta) * math.cos(eta))
+
+
+def _segment_excess(theta: float) -> float:
+    """theta - sin(theta) cos(theta), by its Taylor series where the difference cancels."""
+    if theta >= 0.25:
+        return theta - math.sin(theta) * math.cos(theta)
+    x2 = 4.0 * theta * theta
+    term = 2.0 * theta * x2 / 12.0
+    total = 0.0
+    for k in range(1, 9):  # (2 theta)^(2k+1) / (2 (2k+1)!), alternating; 8 terms reach rounding
+        total += term
+        term *= -x2 / ((2 * k + 2) * (2 * k + 3))
+    return total
+
+
+def _minor_arc_area(theta: float) -> tuple[float, float]:
+    """Area over squared chord of the arc of central angle 2 theta, and its slope in theta."""
+    s = math.sin(theta)
+    excess = _segment_excess(theta)
+    return excess / (4.0 * s * s), 0.5 - excess * math.cos(theta) / (2.0 * s ** 3)
+
+
+def _major_arc_chord(eta: float) -> tuple[float, float]:
+    """Chord over twice the square root of the area, for the arc of central
+    angle 2 (pi - eta), and its slope in eta."""
+    s, co = math.sin(eta), math.cos(eta)
+    d = math.pi - eta + s * co  # the area over the squared radius
+    return s / math.sqrt(d), co / math.sqrt(d) + s ** 3 / d ** 1.5
+
+
+def _solve_increasing(fn, target: float, x0: float, hi: float) -> float:
+    """Root of fn(x) = target on (0, hi] for an increasing ``fn`` returning
+    (value, slope): Newton from ``x0``, bisecting whenever a step leaves the
+    bracket."""
+    lo = 0.0
+    x = min(x0, hi)
+    for _ in range(200):
+        value, slope = fn(x)
+        if value == target:
+            return x
+        if value < target:
+            lo = x
+        else:
+            hi = x
+        step = x - (value - target) / slope
+        nxt = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(nxt - x) <= 1e-15 * x:
+            return nxt
+        x = nxt
+    return x
 
 
 def _defect_grad_terms(alg, table, incr, residual):
@@ -250,26 +366,51 @@ def minimize_endpoint_rate(
     maxiter: int = 120,
     initial_paths=None,
 ) -> RateBound:
-    """Upper bound on the endpoint rate at a group element (log coordinates).
+    """The endpoint rate at a group element (log coordinates), or an upper bound.
 
-    Quadratic-penalty stages with geometrically increasing weight, then an
-    equality-constrained polish, per restart; restart 0 starts from the
-    straight path, the others from seeded perturbations of it.  The reported
-    value is the exact path functional of the best candidate whose first
-    layer has been projected to match the target exactly.
+    Where ``exact_rate`` has a closed form, that value is returned with
+    ``method="closed_form"``.  Elsewhere the optimizer runs (``method=
+    "optimizer"``): quadratic-penalty stages with geometrically increasing
+    weight, then an equality-constrained polish, per restart; restart 0
+    starts from the straight path, the others from seeded perturbations of
+    it.  Its value is the exact path functional of the best candidate whose
+    first layer has been projected to match the target exactly.  The
+    arguments are checked on both routes.
     """
-    from scipy.optimize import minimize
-
     _require_supported_step(alg)
     target = alg.check_vector(target)
-    d1 = alg.layer_dims[0]
-    if forms.dim != d1:
+    if forms.dim != alg.layer_dims[0]:
         raise DimensionMismatch("quadratic forms do not match the first layer")
     if knots < _MIN_KNOTS[alg.step]:
         raise ValueError(f"step {alg.step} requires at least {_MIN_KNOTS[alg.step]} knots")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    exact = exact_rate(alg, forms, target, limit)
+    if exact is not None:
+        return RateBound(value=exact, constraint_violation=0.0, knots=0, restarts_used=0,
+                         feasible=True, method="closed_form")
+    return _optimize_endpoint_rate(alg, forms, target, knots, restarts, seed, limit, penalty_schedule,
+                                   feasibility_tol, fd_step, maxiter, initial_paths)
 
+
+def _optimize_endpoint_rate(
+    alg: StratifiedAlgebra,
+    forms: QuadraticForms,
+    target: np.ndarray,
+    knots: int = 8,
+    restarts: int = 8,
+    seed: int = 0,
+    limit: bool = False,
+    penalty_schedule=(1.0, 1e2, 1e4, 1e6, 1e8),
+    feasibility_tol: float = 1e-8,
+    fd_step: float = 1e-6,
+    maxiter: int = 120,
+    initial_paths=None,
+) -> RateBound:
+    """The optimizer route of ``minimize_endpoint_rate``, on checked arguments."""
+    from scipy.optimize import minimize
+
+    d1 = alg.layer_dims[0]
     table = alg.graded_brackets if limit else alg.brackets
     entries = alg.graded_bracket_entries if limit else alg.bracket_entries
     k = knots
@@ -360,10 +501,11 @@ def minimize_endpoint_rate(
                 best_viol = min(best_viol, viol)
 
     if best_incr is None:
-        return RateBound(value=math.inf, constraint_violation=best_viol,
-                         knots=k, restarts_used=len(starts), feasible=False)
-    return RateBound(value=best_val, constraint_violation=best_viol,
-                     knots=k, restarts_used=len(starts), feasible=True, increments=best_incr)
+        return RateBound(value=math.inf, constraint_violation=best_viol, knots=k,
+                         restarts_used=len(starts), feasible=False, method="optimizer")
+    return RateBound(value=best_val, constraint_violation=best_viol, knots=k,
+                     restarts_used=len(starts), feasible=True, method="optimizer",
+                     increments=best_incr)
 
 
 def endpoint_rate(alg, forms, target, knots: int = 8, restarts: int = 8, seed: int = 0, **kwargs) -> float:
@@ -384,9 +526,10 @@ def limit_rate(alg, forms, g_infinity, knots: int = 8, restarts: int = 8, seed: 
 def lil_ball_contains(alg, forms, g, level: float = 1.0, tol: float = 1e-6, **kwargs) -> bool:
     """Membership test for the sublevel set {limit rate <= level}.
 
-    Uses the optimizer's upper bound, so a True answer is certified up to
-    ``tol`` while a False answer may be a false negative if the bound is
-    loose.
+    Where ``exact_rate`` has a closed form (step 1, and layers (2, 1) with a
+    nonzero bracket) the answer is exact up to ``tol``.  Elsewhere it uses the
+    optimizer's upper bound, so a True answer is certified up to ``tol``
+    while a False answer may be a false negative if the bound is loose.
     """
     if level <= 0:
         raise ValueError("level must be positive")

@@ -233,8 +233,23 @@ def test_run_lil_small(tmp_path):
     assert 0.0 <= metrics["fraction_rate_le_level"] <= 1.0
     assert metrics["fraction_half_rate_le_level"] >= metrics["fraction_rate_le_level"]
     lines = (tmp_path / "lil.csv").read_text().splitlines()
-    assert lines[0] == "trajectory,n,coord_0,rate_bound"
+    assert lines[0] == "trajectory,n,coord_0,rate_bound,rate_method,constraint_violation"
     assert len(lines) == 1 + 3 * 3
+    assert all(line.split(",")[-2:] == ["closed_form", "0"] for line in lines[1:])
+
+
+def test_run_lil_rejects_bad_sup_range(tmp_path, monkeypatch):
+    # checked before any walk: a range below the scaling domain would fail
+    # inside the scan's worker, and an empty one would leave sup = -inf
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before validating sup_range")
+
+    monkeypatch.setattr("nilwalk.experiments.trajectory_scan", no_walk)
+    for bad in ([1, 500], [500, 100], [2000, 4000], [100.5, 500], [100]):
+        cfg = make_config(scaling={"kind": "lil"}, n_grid=[256, 1024], sup_range=bad,
+                          trajectories=1, rate_knots=4, rate_restarts=2)
+        with pytest.raises(SchemaError, match="/sup_range"):
+            run_lil(cfg, tmp_path)
 
 
 def test_run_lil_requires_lil_scaling(tmp_path):
@@ -253,7 +268,8 @@ def test_run_rate_from_albanese_file(tmp_path):
     result = run_rate(rate_cfg, tmp_path / "rate")
     assert abs(result["value"] - 2.0) <= 1e-4  # alpha_star((1,1)) with sigma = I/2
     doc = json.loads((tmp_path / "rate" / "rate.json").read_text())
-    assert set(doc) == {"value", "constraint_violation", "knots", "restarts_used"}
+    assert set(doc) == {"value", "constraint_violation", "knots", "restarts_used", "method"}
+    assert doc["method"] == "closed_form"
 
 
 def test_run_rate_needs_target(tmp_path):

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nilwalk
 from nilwalk.albanese import albanese_pipeline
-from nilwalk.algebra import StratifiedAlgebra, abelian_algebra, fold
+from nilwalk.algebra import StratifiedAlgebra, abelian_algebra, dilate_group, fold
 from nilwalk.errors import DimensionMismatch, NonIncreasingTimes
 from nilwalk.graph import heisenberg_cayley, zd_lattice
 from nilwalk.rates import (
+    _optimize_endpoint_rate,
     PiecewisePath,
     QuadraticForms,
     alpha,
@@ -15,6 +21,7 @@ from nilwalk.rates import (
     develop,
     develop_limit,
     endpoint_rate,
+    exact_rate,
     finite_dim_rate,
     lil_ball_contains,
     limit_rate,
@@ -202,7 +209,7 @@ def test_endpoint_rate_abelian_closed_form():
     rng = np.random.default_rng(97)
     for _ in range(5):
         v = rng.uniform(-2, 2, size=2)
-        got = endpoint_rate(alg, forms, v, knots=6, restarts=4, seed=5)
+        got = _optimize_endpoint_rate(alg, forms, v, knots=6, restarts=4, seed=5).value
         assert abs(got - alpha_star(forms, v)) <= 1e-6
 
 
@@ -211,14 +218,14 @@ def test_endpoint_rate_horizontal_heisenberg(heisenberg):
     for _ in range(3):
         v = rng.uniform(-1.5, 1.5, size=2)
         target = np.array([v[0], v[1], 0.0])
-        got = endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=8, seed=7)
+        got = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=8, seed=7).value
         gap = got - alpha_star(HALF_I2, v)
         assert -1e-9 <= gap <= 1e-4
 
 
 def test_endpoint_rate_nonhorizontal_is_bounded_and_larger(heisenberg):
     target = np.array([1.0, 0.0, 0.75])
-    bound = minimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=8, seed=11)
+    bound = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=8, seed=11)
     assert bound.feasible
     assert bound.constraint_violation <= 1e-8
     assert bound.value > alpha_star(HALF_I2, target[:2]) + 0.1  # area costs energy
@@ -234,7 +241,7 @@ def test_rate_certificate_describes_the_reported_path(heisenberg):
         (step3_filtered_algebra(), unit, np.array([0.5, -0.25, 0.2, 0.1]), 4, 3),
     )
     for alg, forms, target, knots, restarts in cases:
-        b = minimize_endpoint_rate(alg, forms, target, knots=knots, restarts=restarts, seed=11, limit=True)
+        b = _optimize_endpoint_rate(alg, forms, target, knots=knots, restarts=restarts, seed=11, limit=True)
         assert b.feasible
         path = path_from_increments(b.increments)
         assert b.constraint_violation == float(np.linalg.norm(develop_limit(alg, path) - target))
@@ -245,9 +252,9 @@ def test_refinement_monotonicity(heisenberg):
     rng = np.random.default_rng(103)
     for _ in range(3):
         target = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)])
-        b4 = minimize_endpoint_rate(heisenberg, HALF_I2, target, knots=4, restarts=4, seed=13)
+        b4 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=4, restarts=4, seed=13)
         warm = np.repeat(b4.increments, 2, axis=0) / 2.0 if b4.feasible else None
-        b8 = minimize_endpoint_rate(
+        b8 = _optimize_endpoint_rate(
             heisenberg, HALF_I2, target, knots=8, restarts=4, seed=13,
             initial_paths=None if warm is None else [warm],
         )
@@ -256,9 +263,10 @@ def test_refinement_monotonicity(heisenberg):
 
 def test_limit_rate_equals_endpoint_rate_step2(heisenberg):
     target = np.array([0.8, -0.4, 0.3])
-    a = endpoint_rate(heisenberg, HALF_I2, target, knots=6, restarts=4, seed=17)
-    b = limit_rate(heisenberg, HALF_I2, target, knots=6, restarts=4, seed=17)
+    a = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=6, restarts=4, seed=17).value
+    b = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=6, restarts=4, seed=17, limit=True).value
     assert abs(a - b) <= 1e-10
+    assert endpoint_rate(heisenberg, HALF_I2, target) == limit_rate(heisenberg, HALF_I2, target)
 
 
 def test_endpoint_rate_step3_fd_path():
@@ -312,6 +320,138 @@ def test_analytic_gradient_matches_finite_differences(heisenberg):
         e[i] = 1e-6
         num[i] = (half_sq(flat + e) - half_sq(flat - e)) / 2e-6
     assert np.abs(grad - num).max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Closed-form rates
+# ---------------------------------------------------------------------------
+
+SKEW = QuadraticForms.from_sigma(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
+HEIS_C = StratifiedAlgebra((2, 1), [(0, 1, 2, 2.5), (1, 0, 2, -2.5)])  # [X, Y] = 2.5 Z
+
+
+def test_exact_rate_step1_is_alpha_star():
+    forms = QuadraticForms.from_sigma(np.array([[0.75, 0.2], [0.2, 0.5]]))
+    alg = abelian_algebra(2)
+    v = np.array([0.7, -1.1])
+    assert exact_rate(alg, forms, v) == alpha_star(forms, v)
+    bound = minimize_endpoint_rate(alg, forms, v)
+    assert (bound.value, bound.method, bound.feasible) == (alpha_star(forms, v), "closed_form", True)
+    assert bound.constraint_violation == 0.0 and bound.increments is None and bound.restarts_used == 0
+
+
+def test_optimizer_bound_versus_exact_heisenberg(heisenberg):
+    # the ROADMAP targets: the K=8 bound sits 0.56-5.5% above the exact rate,
+    # and K=32 narrows the gap below 0.5%
+    targets = ([1.0, 0.0, 0.2], [0.5, -0.3, 0.4], [0.2, 0.1, 1.0], [0.0, 0.0, 0.5])
+    for target in map(np.array, targets):
+        exact = exact_rate(heisenberg, HALF_I2, target, limit=True)
+        b8 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=6, seed=7, limit=True)
+        assert b8.feasible and b8.method == "optimizer"
+        assert exact - 1e-9 <= b8.value <= 1.06 * exact
+        b32 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=32, restarts=2, seed=7, limit=True)
+        assert exact - 1e-9 <= b32.value < 1.005 * exact
+        bound = minimize_endpoint_rate(heisenberg, HALF_I2, target, limit=True)
+        assert (bound.value, bound.method) == (exact, "closed_form")
+
+
+def _arc_target(sigma_chol, c, phi, radius, direction, sign, knots):
+    """A circular arc of central angle phi and the given radius in the
+    whitened plane, leaving the origin at angle ``direction``, turning
+    counterclockwise (sign +1) or clockwise (-1); returns its knot path
+    mapped back by L, and the target it reaches with its exact rate.
+    """
+    start = direction - sign * math.pi / 2  # the centre lies at radius, to the turning side
+    angles = start + sign * phi * np.linspace(0.0, 1.0, knots + 1)
+    centre = -radius * np.array([math.cos(start), math.sin(start)])
+    u = centre + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    u[0] = 0.0
+    # circular segment cut off by the chord: radius^2 (phi - sin phi) / 2, signed by the turn
+    area_u = sign * radius**2 * (phi - math.sin(phi)) / 2.0
+    det_l = sigma_chol[0, 0] * sigma_chol[1, 1]
+    target = np.concatenate([sigma_chol @ u[-1], [c * det_l * area_u]])
+    path = PiecewisePath(times=np.linspace(0.0, 1.0, knots + 1), values=u @ sigma_chol.T)
+    return path, target, 0.5 * (radius * phi) ** 2
+
+
+def test_exact_rate_matches_sampled_arc():
+    chol = np.linalg.cholesky(SKEW.sigma)
+    for phi, radius in ((0.2, 1.0), (0.5, 1.0), (2.0, 0.8), (math.pi, 0.6), (4.0, 0.5), (6.2, 0.3)):
+        for sign in (1.0, -1.0):
+            path, target, arc_rate = _arc_target(chol, 2.5, phi, radius, 0.7, sign, knots=4096)
+            assert abs(target[2]) > 0.0 and np.sign(target[2]) == sign
+            assert np.abs(develop_limit(HEIS_C, path) - target).max() <= 1e-6
+            exact = exact_rate(HEIS_C, SKEW, target, limit=True)
+            assert abs(exact - arc_rate) <= 1e-12 * arc_rate
+            assert abs(path_rate(SKEW, path) - exact) <= 1e-6 * exact
+
+
+def test_exact_rate_homogeneity():
+    rng = np.random.default_rng(107)
+    for _ in range(20):
+        g = rng.normal(size=3) * rng.uniform(0.01, 3.0, size=3)
+        lam = rng.uniform(0.05, 20.0)
+        base = exact_rate(HEIS_C, SKEW, g)
+        scaled = exact_rate(HEIS_C, SKEW, dilate_group(HEIS_C, lam, g))
+        assert abs(scaled - lam**2 * base) <= 1e-12 * lam**2 * base
+
+
+def test_exact_rate_continuity_at_the_ends():
+    v = np.array([0.6, -0.2])
+    horizontal = alpha_star(SKEW, v)
+    assert exact_rate(HEIS_C, SKEW, np.append(v, 0.0)) == horizontal
+    for z in (1e-3, 1e-6, 1e-9, 1e-13):
+        for s in (1.0, -1.0):
+            got = exact_rate(HEIS_C, SKEW, np.append(v, s * z))
+            assert 0.0 <= got - horizontal <= 10.0 * z  # grows like z^2, bounded by the linear term
+    det_l = math.sqrt(np.linalg.det(SKEW.sigma))
+    z = 0.4
+    vertical = 2.0 * math.pi * z / (2.5 * det_l)
+    assert abs(exact_rate(HEIS_C, SKEW, [0.0, 0.0, z]) - vertical) <= 1e-15 * vertical
+    for r in (1e-3, 1e-6, 1e-9, 1e-13):
+        got = exact_rate(HEIS_C, SKEW, [r, -r, z])
+        assert 0.0 <= vertical - got <= 10.0 * r  # the arc shortens linearly in r
+    # the two branches of the root find meet at the half circle, 8 |A| = pi r^2
+    r2 = 2.0 * alpha_star(SKEW, v)
+    half_circle = math.pi * r2 / 8.0 * 2.5 * det_l
+    below = exact_rate(HEIS_C, SKEW, np.append(v, half_circle * (1.0 - 1e-12)))
+    above = exact_rate(HEIS_C, SKEW, np.append(v, half_circle * (1.0 + 1e-12)))
+    assert abs(above - below) <= 1e-10 and abs(below - math.pi**2 * r2 / 8.0) <= 1e-10
+
+
+def test_segment_excess_keeps_its_digits_at_small_angles():
+    # theta - sin(theta) cos(theta) = 2 theta^3 / 3 - 2 theta^5 / 15 + 4 theta^7 / 315 + O(theta^9):
+    # the direct difference would lose about 1/theta^2 of its relative accuracy
+    from nilwalk.rates import _segment_excess
+
+    for theta in (1e-8, 1e-6, 1e-4, 1e-3):
+        want = 2.0 * theta**3 / 3.0 - 2.0 * theta**5 / 15.0 + 4.0 * theta**7 / 315.0
+        assert abs(_segment_excess(theta) - want) <= 1e-15 * want
+    below, above = _segment_excess(math.nextafter(0.25, 0.0)), _segment_excess(0.25)
+    assert abs(above - below) <= 1e-15 * above  # series and direct formula meet at the switch
+
+
+def test_exact_rate_falls_back_to_the_optimizer():
+    unit = QuadraticForms.from_sigma(np.eye(2))
+    flat = StratifiedAlgebra((2, 1))  # layers (2, 1), zero bracket
+    for alg, target in ((step3_filtered_algebra(), [0.5, -0.25, 0.2, 0.1]), (flat, [0.5, -0.25, 0.0])):
+        for limit in (False, True):
+            assert exact_rate(alg, unit, target, limit=limit) is None
+        bound = minimize_endpoint_rate(alg, unit, target, knots=4, restarts=2, seed=3, limit=True)
+        assert bound.method == "optimizer" and bound.increments is not None
+
+
+def test_closed_form_route_does_not_import_scipy():
+    code = (
+        "import sys, numpy as np\n"
+        "from nilwalk.algebra import heisenberg_algebra\n"
+        "from nilwalk.rates import QuadraticForms, minimize_endpoint_rate\n"
+        "b = minimize_endpoint_rate(heisenberg_algebra(), QuadraticForms.from_sigma(np.eye(2)), [1.0, 0.5, 0.3])\n"
+        "assert b.method == 'closed_form', b\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = str(Path(nilwalk.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,33 @@ def test_trajectory_scan_chunk_invariance():
             assert abs(s_small - s_big) <= 1e-12
 
 
+def test_row_norms_match_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for d in range(1, 21):
+        x = rng.normal(size=(1003, d)) * rng.uniform(1e-3, 1e3, size=d)
+        for part in (x, x[5:5 + 997], x[:1]):
+            assert np.array_equal(walk._row_norms(part), np.linalg.norm(part, axis=1)), d
+
+
+def test_trajectory_scan_sup_matches_replay():
+    # the sup over every step in range, replayed from sample_path's prefix sums
+    scaling = lil_scaling()
+    for g in (heisenberg_cayley(), zd_lattice(1), hexagonal()):
+        meas, rho, phi0 = pipeline(g)
+        prefix = sample_path(g, phi0, rho, 1500, seed=53).prefix
+        ns = np.arange(1, 1501)
+        for lo, hi in ((16, 1500), (100, 100), (93, 171), (700, 5000)):
+            mask = (ns >= lo) & (ns <= hi)
+            want = float((np.linalg.norm(prefix[1:][mask], axis=1) / scaling(ns[mask])).max())
+            for chunk in (1 << 20, 64, 7):
+                _, sup = trajectory_scan(g, phi0, rho, [1500], seed=53, stream_index=0, chunk=chunk,
+                                         sup_scaling=scaling, sup_range=(lo, hi))
+                if chunk == 1 << 20:
+                    assert sup == want
+                else:  # later chunks add their sums to a carried total
+                    assert abs(sup - want) <= 1e-12
+
+
 def test_trajectory_scan_sup_statistic_biased():
     g = z1_biased(0.75)
     meas, rho, phi0 = pipeline(g)
