@@ -463,8 +463,9 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
     checkpoints = [int(n) for n in config.n_grid]
     _expect(len(checkpoints) > 0 and checkpoints[0] >= scaling.domain_min,
             "/n_grid", f"grid must start at or above {scaling.domain_min}")
-    sup_range = config.sup_range or (checkpoints[0], checkpoints[-1])
-    _expect(len(sup_range) == 2 and all(_is_num(x) and float(x).is_integer() for x in sup_range),
+    sup_range = config.sup_range if config.sup_range is not None else (checkpoints[0], checkpoints[-1])
+    _expect(isinstance(sup_range, (list, tuple)) and len(sup_range) == 2
+            and all(_is_num(x) and float(x).is_integer() for x in sup_range),
             "/sup_range", "must be a pair of integers [lo, hi]")
     sup_range = (int(sup_range[0]), int(sup_range[1]))
     _expect(scaling.domain_min <= sup_range[0] <= sup_range[1] and sup_range[0] <= checkpoints[-1],

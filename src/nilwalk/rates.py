@@ -223,11 +223,12 @@ class RateBound:
     increments: np.ndarray | None = None  # best path's knot increments
 
 
-def exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g, limit: bool = False) -> float | None:
+def exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g) -> float | None:
     """The endpoint rate at ``g`` in closed form, or None where there is none.
 
-    Step 1: alpha_star(g).  Layers (2, 1) with [X_1, X_2] = c X_3, c != 0, in
-    the table that ``limit`` selects: with Sigma = L L^T (Cholesky), the
+    Step 1: alpha_star(g).  Layers (2, 1) with [X_1, X_2] = c X_3, c != 0
+    (the filtration leaves no other bracket there, so the table is already
+    graded and equals its limit): with Sigma = L L^T (Cholesky), the
     substitution u = L^-1 h turns the path energy into half the squared
     length of u, and the third coordinate of the development into c det(L)
     times the signed area between u and its chord.  So the rate is half the
@@ -241,12 +242,16 @@ def exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g, limit: bool = F
     g = alg.check_vector(g)
     if forms.dim != alg.layer_dims[0]:
         raise DimensionMismatch("quadratic forms do not match the first layer")
+    return _exact_rate(alg, forms, g)
+
+
+def _exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g: np.ndarray) -> float | None:
+    """``exact_rate`` on checked arguments."""
     if alg.step == 1:
         return alpha_star(forms, g)
-    entries = alg.graded_bracket_entries if limit else alg.bracket_entries
-    if alg.layer_dims != (2, 1) or not entries:
+    if alg.layer_dims != (2, 1) or not alg.bracket_entries:
         return None
-    ((_, _, _, c),) = entries  # the filtration leaves [X_1, X_2] as the only bracket
+    ((_, _, _, c),) = alg.bracket_entries  # [X_1, X_2] is the only bracket
     # r^2 = |L^-1 g[:2]|^2 = 2 alpha_star(g[:2]), and det L = sqrt(det Sigma)
     area = abs(float(g[2]) / (c * math.sqrt(np.linalg.det(forms.sigma))))
     return _dido_rate(2.0 * alpha_star(forms, g[:2]), area)
@@ -385,7 +390,7 @@ def minimize_endpoint_rate(
         raise ValueError(f"step {alg.step} requires at least {_MIN_KNOTS[alg.step]} knots")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    exact = exact_rate(alg, forms, target, limit)
+    exact = _exact_rate(alg, forms, target)
     if exact is not None:
         return RateBound(value=exact, constraint_violation=0.0, knots=0, restarts_used=0,
                          feasible=True, method="closed_form")

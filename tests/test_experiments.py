@@ -245,7 +245,7 @@ def test_run_lil_rejects_bad_sup_range(tmp_path, monkeypatch):
         raise AssertionError("walked before validating sup_range")
 
     monkeypatch.setattr("nilwalk.experiments.trajectory_scan", no_walk)
-    for bad in ([1, 500], [500, 100], [2000, 4000], [100.5, 500], [100]):
+    for bad in ([1, 500], [500, 100], [2000, 4000], [100.5, 500], [100], 500, 0, [], "16,32"):
         cfg = make_config(scaling={"kind": "lil"}, n_grid=[256, 1024], sup_range=bad,
                           trajectories=1, rate_knots=4, rate_restarts=2)
         with pytest.raises(SchemaError, match="/sup_range"):

@@ -345,7 +345,7 @@ def test_optimizer_bound_versus_exact_heisenberg(heisenberg):
     # and K=32 narrows the gap below 0.5%
     targets = ([1.0, 0.0, 0.2], [0.5, -0.3, 0.4], [0.2, 0.1, 1.0], [0.0, 0.0, 0.5])
     for target in map(np.array, targets):
-        exact = exact_rate(heisenberg, HALF_I2, target, limit=True)
+        exact = exact_rate(heisenberg, HALF_I2, target)
         b8 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=6, seed=7, limit=True)
         assert b8.feasible and b8.method == "optimizer"
         assert exact - 1e-9 <= b8.value <= 1.06 * exact
@@ -381,7 +381,7 @@ def test_exact_rate_matches_sampled_arc():
             path, target, arc_rate = _arc_target(chol, 2.5, phi, radius, 0.7, sign, knots=4096)
             assert abs(target[2]) > 0.0 and np.sign(target[2]) == sign
             assert np.abs(develop_limit(HEIS_C, path) - target).max() <= 1e-6
-            exact = exact_rate(HEIS_C, SKEW, target, limit=True)
+            exact = exact_rate(HEIS_C, SKEW, target)
             assert abs(exact - arc_rate) <= 1e-12 * arc_rate
             assert abs(path_rate(SKEW, path) - exact) <= 1e-6 * exact
 
@@ -435,8 +435,7 @@ def test_exact_rate_falls_back_to_the_optimizer():
     unit = QuadraticForms.from_sigma(np.eye(2))
     flat = StratifiedAlgebra((2, 1))  # layers (2, 1), zero bracket
     for alg, target in ((step3_filtered_algebra(), [0.5, -0.25, 0.2, 0.1]), (flat, [0.5, -0.25, 0.0])):
-        for limit in (False, True):
-            assert exact_rate(alg, unit, target, limit=limit) is None
+        assert exact_rate(alg, unit, target) is None
         bound = minimize_endpoint_rate(alg, unit, target, knots=4, restarts=2, seed=3, limit=True)
         assert bound.method == "optimizer" and bound.increments is not None
 
