@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     InvalidAlgebra,
     NegativeEps,
-    OptimizerFailure,
     UnsupportedStep,
 )
 
@@ -310,90 +309,3 @@ def to_limit_group(alg: StratifiedAlgebra, g) -> Vector:
     experiment code can mirror the scaled-point constructions literally.
     """
     return alg.check_points(g).copy()
-
-
-def algebra_norm(alg: StratifiedAlgebra, z) -> float:
-    """Sum over layers of the per-layer Euclidean norms."""
-    z = alg.check_vector(z)
-    return float(sum(np.linalg.norm(z[sl]) for sl in alg.layer_slices))
-
-
-# -- Finsler distance (optimization upper bound) --------------------------------
-
-
-def _smooth_norm_terms(alg: StratifiedAlgebra, seg: np.ndarray, mu: float) -> float:
-    total = 0.0
-    for sl in alg.layer_slices:
-        block = seg[:, sl]
-        total += np.sum(np.sqrt(np.einsum("ki,ki->k", block, block) + mu * mu))
-    return float(total)
-
-
-def finsler_distance(
-    alg: StratifiedAlgebra,
-    x,
-    y,
-    segments: int,
-    restarts: int = 8,
-    seed: int = 0,
-    initial_segments=None,
-    maxiter: int = 200,
-) -> float:
-    """Upper bound on the left-invariant Finsler distance between x and y.
-
-    Minimizes total length over paths that are products of exponentials of
-    constant algebra velocities, one per segment.  The last segment is solved
-    in closed form to absorb the endpoint defect, so every candidate path is
-    exactly feasible and the reported length is always a valid upper bound.
-    Warm starts (``initial_segments``: arrays of shape (segments, dim)) make
-    the bound monotone under segment refinement.
-    """
-    from scipy.optimize import minimize
-
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    x = alg.check_vector(x)
-    y = alg.check_vector(y)
-    target = bch_product(alg, group_inverse(alg, x), y)
-    if not np.any(target):
-        return 0.0
-
-    K, dim = segments, alg.dim
-
-    def assemble(free_flat: np.ndarray) -> np.ndarray:
-        free = free_flat.reshape(K - 1, dim)
-        last = bch_product(alg, -fold(alg, free), target)
-        return np.vstack([free, last[None, :]])
-
-    mu = 1e-7 * max(1.0, algebra_norm(alg, target))
-
-    def objective(free_flat: np.ndarray) -> float:
-        val = _smooth_norm_terms(alg, assemble(free_flat), mu)
-        if not np.isfinite(val):
-            raise OptimizerFailure("non-finite Finsler length objective")
-        return val
-
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    scale = algebra_norm(alg, target) / K + 1e-3
-    starts = [np.zeros((K - 1) * dim)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(rng.normal(0.0, scale, size=(K - 1) * dim))
-    if initial_segments is not None:
-        for seg in initial_segments:
-            seg = np.asarray(seg, dtype=float)
-            if seg.shape != (K, dim):
-                raise DimensionMismatch(f"warm start must have shape {(K, dim)}, got {seg.shape}")
-            starts.append(seg[: K - 1].ravel())
-
-    best = np.inf
-    for x0 in starts:
-        if K == 1:
-            cand = x0
-        else:
-            res = minimize(objective, x0, method="L-BFGS-B", options={"maxiter": maxiter})
-            cand = res.x
-        length = float(sum(algebra_norm(alg, row) for row in assemble(cand)))
-        if not np.isfinite(length):
-            raise OptimizerFailure("non-finite Finsler length")
-        best = min(best, length)
-    return best

@@ -23,10 +23,6 @@ class NegativeEps(NilwalkError, ValueError):
     """Dilation parameters must be nonnegative."""
 
 
-class OptimizerFailure(NilwalkError, RuntimeError):
-    """A metric/rate optimizer produced a non-finite objective."""
-
-
 # -- quotient graph ----------------------------------------------------------
 
 class GraphInvariantViolation(NilwalkError, ValueError):

@@ -448,10 +448,14 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
 
     Records tau_{1/b_n} of the centered endpoint for each trajectory at every
     grid point, the per-trajectory supremum of ||first-layer sum|| / b_n over
-    the full sup_range, and two containment fractions: one for the points as
-    recorded, and one for the same walk normalized by sqrt(2 n log log n)
-    (dividing the recorded point by the dilation of sqrt(2) exactly halves
-    the rate bound, so no second optimization is needed).
+    the full sup_range, and two containment fractions, with level =
+    containment_level + containment_tol.  ``fraction_rate_le_level`` counts
+    the recorded points in {I <= level}, at the theorem's normalization b_n
+    (limit set {I <= 1}).  ``fraction_half_rate_le_level`` counts the same
+    walk normalized by sqrt(2 n log log n): dividing the recorded point by the
+    dilation of sqrt(2) exactly halves the rate bound, so no second
+    optimization is needed, and at b_n this is the ball {I <= 2 level}, more
+    than twice the theorem's ball.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -262,9 +262,6 @@ class HomologyBasis:
     cycles: list             # integer coefficient vectors (E,), one per non-tree pair
     betti: int
 
-    def __post_init__(self):
-        assert len(self.cycles) == self.betti
-
 
 def cycle_basis(graph: VoltageGraph) -> HomologyBasis:
     """Fundamental cycles of a deterministic BFS spanning tree rooted at vertex 0.
@@ -287,6 +284,9 @@ def cycle_basis(graph: VoltageGraph) -> HomologyBasis:
                 parent_edge[t] = e
                 tree += [int(e), int(graph.inverse[e])]
                 queue.append(t)
+    if not visited.all():
+        missing = int(np.nonzero(~visited)[0][0])
+        raise NotStronglyConnected(f"vertex {missing} unreachable from vertex 0")
 
     def path_from_root(x: int) -> list[int]:
         edges = []
@@ -317,7 +317,8 @@ def cycle_basis(graph: VoltageGraph) -> HomologyBasis:
         cycles.append(coeff)
 
     betti = graph.num_edges // 2 - v + 1
-    assert len(cycles) == betti
+    if len(cycles) != betti:  # on a connected graph only a broken edge reversal does this
+        raise InvolutionViolation(f"{len(cycles)} non-tree edge pairs, but the Betti number is {betti}")
     return HomologyBasis(tree_edges=np.array(sorted(tree_set), dtype=np.int64), cycles=cycles, betti=betti)
 
 

@@ -30,6 +30,11 @@ from .algebra import StratifiedAlgebra, _fold, _require_supported_step
 from .errors import DimensionMismatch, NonIncreasingTimes
 
 _MIN_KNOTS = {1: 1, 2: 2, 3: 4, 4: 8}
+# the optimizer route (see minimize_endpoint_rate)
+_PENALTY_SCHEDULE = (1.0, 1e2, 1e4, 1e6, 1e8)  # quadratic-penalty weights, one L-BFGS-B stage each
+_MAXITER = 120  # L-BFGS-B iterations per penalty stage
+_FD_STEP = 1e-6  # forward-difference step on steps 3-4
+_FEASIBILITY_TOL = 1e-8  # largest endpoint defect of a reported path
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +334,6 @@ def _solve_increasing(fn, target: float, x0: float, hi: float) -> float:
     return x
 
 
-def _defect_grad_terms(alg, table, incr, residual):
-    """Gradient of 0.5 ||defect||^2 w.r.t. increments, step <= 2 closed form."""
-    d1 = alg.layer_dims[0]
-    k = len(incr)
-    grad = np.tile(residual[:d1], (k, 1))
-    if alg.step == 2:
-        tsub = table[:d1, :d1, :]
-        a = np.einsum("abm,m->ab", tsub, residual)
-        prefix = np.vstack([np.zeros(d1), np.cumsum(incr, axis=0)[:-1]])
-        suffix = incr[::-1].cumsum(axis=0)[::-1] - incr
-        grad = grad + 0.5 * (prefix @ a + suffix @ a.T)
-    return grad
-
-
 def _defect_jacobian(alg, table, incr):
     """Full Jacobian of the development map w.r.t. increments, step <= 2."""
     d1 = alg.layer_dims[0]
@@ -365,22 +356,23 @@ def minimize_endpoint_rate(
     restarts: int = 8,
     seed: int = 0,
     limit: bool = False,
-    penalty_schedule=(1.0, 1e2, 1e4, 1e6, 1e8),
-    feasibility_tol: float = 1e-8,
-    fd_step: float = 1e-6,
-    maxiter: int = 120,
-    initial_paths=None,
 ) -> RateBound:
     """The endpoint rate at a group element (log coordinates), or an upper bound.
 
     Where ``exact_rate`` has a closed form, that value is returned with
     ``method="closed_form"``.  Elsewhere the optimizer runs (``method=
-    "optimizer"``): quadratic-penalty stages with geometrically increasing
-    weight, then an equality-constrained polish, per restart; restart 0
-    starts from the straight path, the others from seeded perturbations of
-    it.  Its value is the exact path functional of the best candidate whose
-    first layer has been projected to match the target exactly.  The
-    arguments are checked on both routes.
+    "optimizer"``): per restart, one L-BFGS-B stage of at most ``_MAXITER``
+    iterations for each quadratic-penalty weight in ``_PENALTY_SCHEDULE``,
+    then an equality-constrained SLSQP polish.  Restart 0 starts from the
+    straight path when the target's first layer is nonzero; the other
+    restarts (all of them for a target with zero first layer, whose straight
+    path is the stationary zero path) start from seeded perturbations of it.
+    Steps <= 2 use the closed-form Jacobian of the development map; steps
+    3-4 use forward differences of step ``_FD_STEP``.  The value is the exact
+    path functional of the best candidate whose first layer has been
+    projected to match the target exactly and whose development misses the
+    target by at most ``_FEASIBILITY_TOL``.  The arguments are checked on
+    both routes.
     """
     _require_supported_step(alg)
     target = alg.check_vector(target)
@@ -394,8 +386,7 @@ def minimize_endpoint_rate(
     if exact is not None:
         return RateBound(value=exact, constraint_violation=0.0, knots=0, restarts_used=0,
                          feasible=True, method="closed_form")
-    return _optimize_endpoint_rate(alg, forms, target, knots, restarts, seed, limit, penalty_schedule,
-                                   feasibility_tol, fd_step, maxiter, initial_paths)
+    return _optimize_endpoint_rate(alg, forms, target, knots, restarts, seed, limit)
 
 
 def _optimize_endpoint_rate(
@@ -406,13 +397,13 @@ def _optimize_endpoint_rate(
     restarts: int = 8,
     seed: int = 0,
     limit: bool = False,
-    penalty_schedule=(1.0, 1e2, 1e4, 1e6, 1e8),
-    feasibility_tol: float = 1e-8,
-    fd_step: float = 1e-6,
-    maxiter: int = 120,
     initial_paths=None,
 ) -> RateBound:
-    """The optimizer route of ``minimize_endpoint_rate``, on checked arguments."""
+    """The optimizer route of ``minimize_endpoint_rate``, on checked arguments.
+
+    ``initial_paths`` (paths or (knots, d1) increment arrays) are extra
+    starts run after the ``restarts`` seeded ones.
+    """
     from scipy.optimize import minimize
 
     d1 = alg.layer_dims[0]
@@ -421,34 +412,37 @@ def _optimize_endpoint_rate(
     k = knots
     v1 = target[:d1]
     sinv = forms.sigma_inv
+    # steps <= 2: closed-form gradients (jac=True: rate and penalty return
+    # (value, gradient)); steps 3-4: forward differences of step eps=_FD_STEP
     analytic = alg.step <= 2
 
     def fold(incr):
         return _fold(alg, entries, alg.embed_first_layer(incr))
 
-    def rate_value(incr):
-        return 0.5 * k * float(np.einsum("ki,ij,kj->", incr, sinv, incr))
+    def rate(flat):
+        incr = flat.reshape(k, d1)
+        val = 0.5 * k * float(np.einsum("ki,ij,kj->", incr, sinv, incr))
+        return (val, (k * incr @ sinv).ravel()) if analytic else val
 
-    def rate_grad(incr):
-        return k * incr @ sinv
-
-    def penalty_fg(flat, mu):
+    def penalty(flat, mu):
         incr = flat.reshape(k, d1)
         residual = fold(incr) - target
-        val = rate_value(incr) + mu * float(residual @ residual)
-        grad = rate_grad(incr) + 2.0 * mu * _defect_grad_terms(alg, table, incr, residual)
-        return val, grad.ravel()
+        if not analytic:
+            return rate(flat) + mu * float(residual @ residual)
+        val, grad = rate(flat)
+        return (val + mu * float(residual @ residual),
+                grad + 2.0 * mu * (residual @ _defect_jacobian(alg, table, incr)))
 
-    def penalty_f(flat, mu):
-        incr = flat.reshape(k, d1)
-        residual = fold(incr) - target
-        return rate_value(incr) + mu * float(residual @ residual)
+    cons = {"type": "eq", "fun": lambda f: fold(f.reshape(k, d1)) - target}
+    if analytic:
+        cons["jac"] = lambda f: _defect_jacobian(alg, table, f.reshape(k, d1))
 
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     straight = np.tile(v1 / k, (k, 1))
     scale = (np.linalg.norm(v1) + np.linalg.norm(target)) / k * 0.5 + 0.05
-    starts = [straight]
-    for _ in range(restarts - 1):
+    # a zero straight path is stationary in every stage, so it is no start
+    starts = [straight] if np.any(v1) else []
+    while len(starts) < restarts:
         starts.append(straight + rng.normal(0.0, scale, size=(k, d1)))
     if initial_paths is not None:
         for path in initial_paths:
@@ -462,32 +456,15 @@ def _optimize_endpoint_rate(
     best_incr = None
     for x0 in starts:
         x = x0.ravel().copy()
-        for mu in penalty_schedule:
-            if analytic:
-                res = minimize(penalty_fg, x, args=(mu,), jac=True, method="L-BFGS-B",
-                               options={"maxiter": maxiter})
-            else:
-                res = minimize(penalty_f, x, args=(mu,), method="L-BFGS-B", jac=None,
-                               options={"maxiter": maxiter, "eps": fd_step, "finite_diff_rel_step": None})
+        for mu in _PENALTY_SCHEDULE:
+            res = minimize(penalty, x, args=(mu,), jac=analytic, method="L-BFGS-B",
+                           options={"maxiter": _MAXITER, "eps": _FD_STEP})
             if np.all(np.isfinite(res.x)):
                 x = res.x
 
         candidates = [x]
-        cons = {"type": "eq", "fun": lambda f: fold(f.reshape(k, d1)) - target}
-        if analytic:
-            cons["jac"] = lambda f: _defect_jacobian(alg, table, f.reshape(k, d1))
-            polish = minimize(
-                lambda f: rate_value(f.reshape(k, d1)), x,
-                jac=lambda f: rate_grad(f.reshape(k, d1)).ravel(),
-                method="SLSQP", constraints=[cons],
-                options={"maxiter": 200, "ftol": 1e-14},
-            )
-        else:
-            polish = minimize(
-                lambda f: rate_value(f.reshape(k, d1)), x,
-                method="SLSQP", constraints=[cons],
-                options={"maxiter": 200, "ftol": 1e-14, "eps": fd_step},
-            )
+        polish = minimize(rate, x, jac=analytic, method="SLSQP", constraints=[cons],
+                          options={"maxiter": 200, "ftol": 1e-14, "eps": _FD_STEP})
         if np.all(np.isfinite(polish.x)):
             candidates.append(polish.x)
 
@@ -499,7 +476,7 @@ def _optimize_endpoint_rate(
             path = path_from_increments(incr)
             viol = float(np.linalg.norm(fold(path.increments) - target))
             val = path_rate(forms, path)
-            if viol <= feasibility_tol:
+            if viol <= _FEASIBILITY_TOL:
                 if val < best_val:
                     best_val, best_viol, best_incr = val, viol, incr
             elif best_incr is None:

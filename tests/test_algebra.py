@@ -4,11 +4,9 @@ import pytest
 from nilwalk.algebra import (
     StratifiedAlgebra,
     abelian_algebra,
-    algebra_norm,
     bch_product,
     dilate_group,
     dilate_vector,
-    finsler_distance,
     group_inverse,
     limit_bracket,
     limit_product,
@@ -266,53 +264,3 @@ def test_to_limit_group_is_coordinate_identity(heisenberg):
     assert np.array_equal(out, g)
     assert out is not g  # defensive copy
     assert np.array_equal(to_limit_group(heisenberg, np.zeros(3)), np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
-# Norm and Finsler distance
-# ---------------------------------------------------------------------------
-
-def test_algebra_norm_examples(heisenberg):
-    assert algebra_norm(heisenberg, np.zeros(3)) == 0.0
-    assert algebra_norm(heisenberg, np.array([3.0, 4.0, 0.0])) == 5.0
-    assert algebra_norm(heisenberg, np.array([3.0, 4.0, 2.0])) == 7.0
-
-
-def test_algebra_norm_properties(step3_filtered):
-    rng = np.random.default_rng(61)
-    for _ in range(50):
-        z1, z2 = rng.normal(size=(2, step3_filtered.dim))
-        n1 = algebra_norm(step3_filtered, z1)
-        n12 = algebra_norm(step3_filtered, z1 + z2)
-        assert n12 <= n1 + algebra_norm(step3_filtered, z2) + 1e-12
-        c = rng.uniform(0.1, 5.0)
-        assert abs(algebra_norm(step3_filtered, c * z1) - c * n1) <= 1e-12 * max(1.0, c * n1)
-        assert n1 > 0
-
-
-def test_finsler_zero_and_abelian():
-    alg = abelian_algebra(2)
-    x = np.array([0.5, -1.0])
-    assert finsler_distance(alg, x, x, segments=4) == 0.0
-    y = np.array([2.0, 1.0])
-    want = np.linalg.norm(y - x)
-    got = finsler_distance(alg, x, y, segments=4, restarts=4, seed=1)
-    assert abs(got - want) <= 1e-6
-
-
-def test_finsler_monotone_in_segments(heisenberg):
-    rng = np.random.default_rng(71)
-    for trial in range(3):
-        x = rng.normal(size=3)
-        y = rng.normal(size=3)
-        coarse = finsler_distance(heisenberg, x, y, segments=4, restarts=4, seed=trial)
-        fine = finsler_distance(heisenberg, x, y, segments=8, restarts=4, seed=trial)
-        assert fine <= coarse + 1e-9
-
-
-def test_finsler_roughly_symmetric(heisenberg):
-    x = np.array([0.4, -0.2, 0.1])
-    y = np.array([-0.3, 0.5, -0.4])
-    d1 = finsler_distance(heisenberg, x, y, segments=4, restarts=6, seed=3)
-    d2 = finsler_distance(heisenberg, y, x, segments=4, restarts=6, seed=3)
-    assert abs(d1 - d2) <= 1e-2 * (1.0 + min(d1, d2))

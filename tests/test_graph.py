@@ -212,5 +212,18 @@ def test_cycles_linearly_independent():
         assert np.linalg.matrix_rank(mat) == basis.betti
 
 
+def test_cycle_basis_names_the_broken_invariant():
+    # unvalidated graphs: named errors, not asserts that vanish under python -O
+    pairs = [(0, 0, 0.5, 0.5, [1.0]), (1, 1, 0.5, 0.5, [1.0])]
+    disconnected = VoltageGraph.from_pairs(abelian_algebra(1), 2, pairs)
+    with pytest.raises(NotStronglyConnected, match="vertex 1"):
+        cycle_basis(disconnected)
+    base = zd_lattice(1)
+    self_paired = VoltageGraph(base.algebra, 1, base.origin, base.terminus, np.array([0, 1]),
+                               base.prob, base.voltages)
+    with pytest.raises(InvolutionViolation):
+        cycle_basis(self_paired)
+
+
 def test_presets_registry():
     assert set(PRESETS) == {"zd_lattice", "z1_biased", "hexagonal", "heisenberg_cayley", "z1_subdivided"}

@@ -13,6 +13,7 @@ from nilwalk.algebra import StratifiedAlgebra, abelian_algebra, dilate_group, fo
 from nilwalk.errors import DimensionMismatch, NonIncreasingTimes
 from nilwalk.graph import heisenberg_cayley, zd_lattice
 from nilwalk.rates import (
+    _defect_jacobian,
     _optimize_endpoint_rate,
     PiecewisePath,
     QuadraticForms,
@@ -296,30 +297,47 @@ def test_endpoint_rate_rejects_too_few_knots(heisenberg):
         endpoint_rate(heisenberg, HALF_I2, np.zeros(3), knots=1)
 
 
-def test_analytic_gradient_matches_finite_differences(heisenberg):
-    from nilwalk.rates import _defect_grad_terms
+# layers (3, 1) with [X_1, X_2] = X_4 and [X_1, X_3] = -0.7 X_4: step 2 with
+# no closed form, so the optimizer runs here
+TWO_BRACKETS = StratifiedAlgebra((3, 1), [(0, 1, 3, 1.0), (1, 0, 3, -1.0), (0, 2, 3, -0.7), (2, 0, 3, 0.7)])
 
+
+def test_defect_jacobian_matches_central_differences(heisenberg):
+    # the penalty stages take residual @ J as the gradient of 0.5 ||defect||^2
     rng = np.random.default_rng(29)
-    incr = rng.normal(size=(5, 2))
-    target = rng.normal(size=3)
-    table = heisenberg.brackets
+    h = 1e-6
+    for alg in (heisenberg, TWO_BRACKETS):
+        d1 = alg.layer_dims[0]
+        incr = rng.normal(size=(5, d1))
+        flat = incr.ravel()
+        steps = h * np.eye(flat.size)
+        target = rng.normal(size=alg.dim)
+        for limit, table in ((False, alg.brackets), (True, alg.graded_brackets)):
+            def develop_flat(f):
+                return fold(alg, alg.embed_first_layer(f.reshape(5, d1)), limit=limit)
 
-    def develop_incr(incr):
-        return fold(heisenberg, heisenberg.embed_first_layer(incr))
+            def half_sq(f):
+                r = develop_flat(f) - target
+                return 0.5 * float(r @ r)
 
-    def half_sq(flat):
-        r = develop_incr(flat.reshape(5, 2)) - target
-        return 0.5 * float(r @ r)
+            jac = _defect_jacobian(alg, table, incr)
+            num_jac = np.stack([develop_flat(flat + e) - develop_flat(flat - e) for e in steps], axis=1) / (2 * h)
+            assert jac.shape == (alg.dim, flat.size)
+            assert np.abs(jac - num_jac).max() <= 1e-7
+            residual = develop_flat(flat) - target
+            num_grad = np.array([half_sq(flat + e) - half_sq(flat - e) for e in steps]) / (2 * h)
+            assert np.abs(residual @ jac - num_grad).max() <= 1e-6
 
-    residual = develop_incr(incr) - target
-    grad = _defect_grad_terms(heisenberg, table, incr, residual).ravel()
-    num = np.zeros(10)
-    flat = incr.ravel()
-    for i in range(10):
-        e = np.zeros(10)
-        e[i] = 1e-6
-        num[i] = (half_sq(flat + e) - half_sq(flat - e)) / 2e-6
-    assert np.abs(grad - num).max() <= 1e-6
+
+def test_optimizer_starts_a_vertical_target_off_the_zero_path(heisenberg):
+    # the straight path to a target with zero first layer is the zero path, a
+    # stationary point of every stage; one restart must still reach the target
+    target = np.array([0.0, 0.0, 0.5])
+    exact = exact_rate(heisenberg, HALF_I2, target)
+    for knots in (32, 8):
+        bound = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=knots, restarts=1, seed=7, limit=True)
+        assert bound.feasible and bound.restarts_used == 1
+        assert bound.value >= exact - 1e-9
 
 
 # ---------------------------------------------------------------------------
