@@ -3,17 +3,16 @@
 Every runner takes an :class:`ExperimentConfig` plus an output directory,
 writes a CSV (or JSON) artifact with a fixed column order and
 17-significant-digit floats, and a ``<name>_summary.json`` carrying the
-config hash, the git description of the working tree, and the headline
-metrics.  All randomness flows through per-sample Philox streams keyed by
-``(seed, global sample index)``, so reruns are byte-identical for any worker
-count.
+config hash and the headline metrics.  All randomness flows through
+per-sample Philox streams keyed by ``(seed, global sample index)``, so reruns
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import subprocess
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -288,24 +287,8 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _git_describe() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
-        )
-        return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
 def write_summary(out_dir: Path, name: str, config: ExperimentConfig, metrics: dict) -> dict:
-    summary = {
-        "config_hash": config.config_hash(),
-        "git_describe": _git_describe(),
-        "metrics": metrics,
-    }
+    summary = {"config_hash": config.config_hash(), "metrics": metrics}
     write_json(Path(out_dir) / f"{name}_summary.json", summary)
     return summary
 
@@ -414,13 +397,14 @@ def run_mdp(config: ExperimentConfig, out_dir) -> dict:
         except OracleUnavailable:
             if config.mdp_mode == "exact":
                 raise
-    header = ["n", "delta", "tail", "rate", "mode"]
+    header = ["n", "delta", "tail", "log_tail", "rate", "mode"]
     rows = []
     rates = {}
     for gi, n in enumerate(config.n_grid):
         a_n = float(scaling(int(n)))
         if oracle is not None:
-            tails = [oracle.tail_probability(int(n), d * a_n) for d in config.delta]
+            log_tails = [oracle.log_tail_probability(int(n), d * a_n) for d in config.delta]
+            tails = [math.exp(lt) for lt in log_tails]
             mode = "exact"
         else:
             sums = batch_centered_sums(
@@ -429,14 +413,15 @@ def run_mdp(config: ExperimentConfig, out_dir) -> dict:
             )
             norms = np.linalg.norm(sums, axis=1)
             tails = [float(np.mean(norms >= d * a_n - 1e-9)) for d in config.delta]
+            log_tails = [math.log(t) if t > 0.0 else -math.inf for t in tails]
             mode = "mc"
-        for d, tail in zip(config.delta, tails):
-            rate = mdp_rate(int(n), a_n, tail)
-            rows.append([int(n), float(d), tail, rate, mode])
+        for d, tail, log_tail in zip(config.delta, tails, log_tails):
+            rate = mdp_rate(int(n), a_n, log_tail)
+            rows.append([int(n), float(d), tail, log_tail, rate, mode])
             rates[(int(n), float(d))] = rate
     write_csv(out_dir / "mdp.csv", header, rows)
     metrics = {
-        "mode": rows[0][4] if rows else "none",
+        "mode": rows[0][5] if rows else "none",
         "rates": {f"n={n},delta={d}": r for (n, d), r in rates.items()},
     }
     write_summary(out_dir, "mdp", config, metrics)

@@ -150,7 +150,8 @@ def test_criterion_5_mdp_decay(tmp_path):
         ok &= abs(rate + d * d) <= 0.15 * d * d
     elapsed = time.time() - t0
     ok &= elapsed < 120.0
-    _report(5, "exact DP tails reproduce the moderate-deviation decay (-1/2 and -delta^2 laws)",
+    _report(5, "exact closed-form log tails reproduce the moderate-deviation decay "
+            "(-1/2 and -delta^2 laws)",
             bool(ok), elapsed,
             f" (z1 r_1e4 {r[10000]:.4f}; z2 {m2['rates']})")
 

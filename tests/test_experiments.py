@@ -1,5 +1,6 @@
 import json
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ def test_run_albanese_outputs(tmp_path):
     assert "metrics" in summary
 
 
+def test_summary_holds_hash_and_metrics_only(tmp_path, monkeypatch):
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a runner started a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", no_subprocess)
+    cfg = make_config(scaling={"kind": "power", "theta": 0.75}, n_grid=[100], delta=[1.0])
+    metrics = run_mdp(cfg, tmp_path)
+    summary = json.loads((tmp_path / "mdp_summary.json").read_text())
+    assert summary == {"config_hash": cfg.config_hash(), "metrics": metrics}
+
+
 def test_run_lln_median_decreases(tmp_path):
     cfg = make_config(
         graph={"preset": "z1_biased", "params": {"q": 0.75}},
@@ -185,8 +197,13 @@ def test_run_mdp_exact_and_mc(tmp_path):
     metrics = run_mdp(cfg, tmp_path / "exact")
     assert metrics["mode"] == "exact"
     lines = (tmp_path / "exact" / "mdp.csv").read_text().splitlines()
-    assert lines[0] == "n,delta,tail,rate,mode"
+    assert lines[0] == "n,delta,tail,log_tail,rate,mode"
     assert all(line.endswith("exact") for line in lines[1:])
+    for line in lines[1:]:
+        n, delta, tail, log_tail, rate = (float(x) for x in line.split(",")[:5])
+        assert tail == math.exp(log_tail)
+        a_n = n**0.75
+        assert rate == n / (a_n * a_n) * log_tail
 
     cfg_mc = make_config(
         graph={"preset": "heisenberg_cayley"},

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import nilwalk
 from nilwalk.errors import OracleUnavailable
 from nilwalk.graph import heisenberg_cayley, hexagonal, z1_biased, zd_lattice
 from nilwalk.lattice import ExactLatticeDistribution, gaussian_tail_exponent, mdp_rate
@@ -60,19 +67,57 @@ def test_tail_1d_against_binomial_survival():
         assert abs(got - want) <= 1e-12 * max(want, 1e-30)
 
 
+def _dp_tail(oracle, n, law, radius):
+    """The tail summed over the DP law (offset, dist), with the oracle's site tolerance."""
+    offset, dist = law
+    center = n * oracle.mean_step
+    if oracle.dim == 1:
+        sites = offset + np.arange(len(dist)) - center[0]
+        return float(dist[np.abs(sites) >= radius - 1e-9].sum())
+    xs = offset[0] + np.arange(dist.shape[0]) - center[0]
+    ys = offset[1] + np.arange(dist.shape[1]) - center[1]
+    rr = xs[:, None] ** 2 + ys[None, :] ** 2
+    return float(dist[rr >= (radius - 1e-9) ** 2].sum())
+
+
+def _log(tail: float) -> float:
+    return math.log(tail) if tail > 0.0 else -math.inf
+
+
+def _assert_log_close(got: float, want: float, tol: float = 1e-12) -> None:
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert abs(got - want) <= tol, got - want
+
+
 def test_tail_2d_factorized_matches_naive_grid():
     oracle = ExactLatticeDistribution.from_graph(zd_lattice(2))
-    assert oracle._is_uniform_axes()
-    for n in (8, 20, 51):
-        offset, dist = oracle.distribution(n)
-        assert abs(dist.sum() - 1.0) <= 1e-12
-        xs = offset[0] + np.arange(dist.shape[0])
-        ys = offset[1] + np.arange(dist.shape[1])
-        rr = xs[:, None] ** 2 + ys[None, :] ** 2
-        for radius in (1.0, 3.0, n / 3.0):
-            naive = float(dist[rr >= (radius - 1e-9) ** 2].sum())
-            fast = oracle._tail_uniform_axes(n, radius)
-            assert abs(fast - naive) <= 1e-13
+    assert oracle._is_uniform_axes() and oracle._two_point_support() is None
+    for n in (1, 8, 20, 51):
+        law = oracle.distribution(n)
+        assert abs(law[1].sum() - 1.0) <= 1e-12
+        for radius in (1.0, 3.0, n / 3.0, float(n)):
+            _assert_log_close(oracle.log_tail_probability(n, radius),
+                              _log(_dp_tail(oracle, n, law, radius)))
+
+
+def test_route_is_chosen_from_the_support():
+    # equal steps are merged, so a split +1 edge is still a two-point kernel
+    merged = ExactLatticeDistribution([[1], [1], [-1]], [0.5, 0.25, 0.25])
+    assert merged._two_point_support() == (-1, 1, 0.75)
+    assert ExactLatticeDistribution.from_graph(z1_biased(0.25))._two_point_support() == (-1, 1, 0.25)
+    # a two-point kernel with a gap of 3 and a lazy three-point kernel
+    gapped = ExactLatticeDistribution([[-1], [2]], [0.6, 0.4])
+    assert gapped._two_point_support() == (-1, 2, 0.4)
+    lazy = ExactLatticeDistribution([[-1], [0], [1]], [0.25, 0.5, 0.25])
+    assert lazy._two_point_support() is None
+    for oracle in (merged, gapped, lazy):
+        for n in (30, 200):
+            law = oracle.distribution(n)
+            for radius in (4.0, 25.5, 61.0):
+                _assert_log_close(oracle.log_tail_probability(n, radius),
+                                  _log(_dp_tail(oracle, n, law, radius)))
 
 
 def test_tail_2d_nonuniform_uses_grid_and_budget():
@@ -94,8 +139,9 @@ def test_tail_radius_edge_cases():
 
 
 def test_mdp_rate_helper():
-    assert mdp_rate(100, 10.0, math.exp(-50.0)) == pytest.approx(-50.0, rel=1e-12)
-    assert mdp_rate(100, 10.0, 0.0) == -math.inf
+    assert mdp_rate(100, 10.0, -50.0) == -50.0
+    assert mdp_rate(400, 10.0, -50.0) == -200.0
+    assert mdp_rate(100, 10.0, -math.inf) == -math.inf
 
 
 def test_gaussian_tail_exponent():
@@ -113,5 +159,133 @@ def test_mdp_rate_converges_for_z1_srw():
     rates = []
     for n in (100, 1000):
         a_n = n ** 0.75
-        rates.append(mdp_rate(n, a_n, oracle.tail_probability(n, a_n)))
+        rates.append(mdp_rate(n, a_n, oracle.log_tail_probability(n, a_n)))
     assert abs(rates[1] + 0.5) < abs(rates[0] + 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form tails against exact integer sums
+# ---------------------------------------------------------------------------
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num / den) for integers 0 <= num <= den, den > 0, rounded once."""
+    if num == 0:
+        return -math.inf
+    shift = den.bit_length() - num.bit_length() + 64
+    return math.log((num << shift) // den) - shift * math.log(2.0)
+
+
+def _exact_log_tail_1d(n: int, quarters: int, radius: float) -> float:
+    """log P(|S_n - n (2q - 1)| >= radius) for +-1 steps with q = quarters / 4.
+
+    P(K = k) = C(n, k) quarters^k (4 - quarters)^(n - k) / 4^n, summed over
+    the tail as an exact integer.  With radius = num / den and the mean
+    n (2q - 1) = n (quarters - 2) / 2, the event is compared in integers.
+    """
+    num, den = Fraction(radius).as_integer_ratio()
+    weight = (4 - quarters) ** n  # k = 0
+    total = 0
+    for k in range(n + 1):
+        if abs(2 * (2 * k - n) - n * (quarters - 2)) * den >= 2 * num:
+            total += weight
+        weight = weight * (n - k) * quarters // ((k + 1) * (4 - quarters))
+    return _log_ratio(total, 4**n)
+
+
+def _exact_log_tail_z2(n: int, radius: float) -> float:
+    """log P(X^2 + Y^2 >= radius^2) for the simple walk on Z^2, as an exact integer sum.
+
+    U = X + Y and V = X - Y are independent sums of n uniform +-1 steps, so
+    the count of (U, V) step sequences with U^2 + V^2 >= 2 radius^2 is
+    sum_i C(n, i) #{j : (2j - n)^2 >= 2 radius^2 - (2i - n)^2}, over 4^n.
+    The V-count is streamed: as |u| falls the threshold rises, so one pass of
+    j upwards keeps the suffix sum, and the U-weights are summed over each
+    run of equal V-counts before one multiplication.  With radius =
+    num / den the threshold is compared in integers scaled by den^2.
+    """
+    num, den = Fraction(radius).as_integer_ratio()
+    j = n // 2 + 1                               # smallest j with 2j - n > 0
+    c_j = math.comb(n, j) if j <= n else 0
+    upper = (2**n - (math.comb(n, n // 2) if n % 2 == 0 else 0)) // 2  # sum over j' >= j
+    c_i = 1
+    total = run = 0
+    count = 2**n
+    for i in range(n // 2 + 1):                  # u = 2i - n <= 0, by increasing need
+        u = 2 * i - n
+        need = 2 * num * num - u * u * den * den
+        if need > 0:
+            while j <= n and (2 * j - n) ** 2 * den * den < need:
+                upper -= c_j
+                c_j = c_j * (n - j) // (j + 1)
+                j += 1
+            if 2 * upper != count:
+                total += run * count
+                run, count = 0, 2 * upper
+        run += c_i * (1 if u == 0 else 2)        # u and -u
+        c_i = c_i * (n - i) // (i + 1)
+    return _log_ratio(total + run * count, 4**n)
+
+
+def _radii(n: int, on_site: float) -> list[float]:
+    a_n = n**0.75
+    return [d * a_n for d in (0.5, 1.0, 2.0)] + [on_site]
+
+
+@pytest.mark.parametrize("quarters", [2, 3, 1])
+def test_two_point_tail_matches_exact_integer_sum(quarters):
+    oracle = ExactLatticeDistribution.from_graph(z1_biased(quarters / 4))
+    for n in (10, 1000, 20_000):
+        # the distance from the mean of a reachable site, K = floor(n q) + 2 or + 20
+        k = n * quarters // 4 + (2 if n == 10 else 20)
+        on_site = float(abs(2 * k - n - Fraction(n * (quarters - 2), 2)))
+        for radius in _radii(n, on_site):
+            want = _exact_log_tail_1d(n, quarters, radius)
+            _assert_log_close(oracle.log_tail_probability(n, radius), want)
+
+
+def test_uniform_axes_tail_matches_exact_integer_sum():
+    oracle = ExactLatticeDistribution.from_graph(zd_lattice(2))
+    # radii on a site: (4, 0) at n = 10, (6, 8) at n = 1000, (300, 400) at n = 2e4
+    for n, on_site in ((10, 4.0), (1000, 10.0), (20_000, 500.0)):
+        for radius in _radii(n, on_site):
+            _assert_log_close(oracle.log_tail_probability(n, radius), _exact_log_tail_z2(n, radius))
+
+
+def test_two_point_tail_matches_dp():
+    for g in (zd_lattice(1), z1_biased(0.75), z1_biased(0.25)):
+        oracle = ExactLatticeDistribution.from_graph(g)
+        for n in (10, 1000, 10_000):
+            law = oracle.distribution(n)
+            for radius in _radii(n, 2.0):
+                dp = _dp_tail(oracle, n, law, radius)
+                if dp > 1e-300:
+                    assert oracle.tail_probability(n, radius) == pytest.approx(dp, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_finite_far_past_underflow():
+    # at n = 1e6 the delta = 2 tails are near e^-2000 and e^-4000
+    n, delta = 1_000_000, 2.0
+    a_n = n**0.75
+    for g, limit in ((zd_lattice(1), -2.0), (zd_lattice(2), -4.0)):
+        oracle = ExactLatticeDistribution.from_graph(g)
+        t0 = time.perf_counter()
+        rate = mdp_rate(n, a_n, oracle.log_tail_probability(n, delta * a_n))
+        elapsed = time.perf_counter() - t0
+        assert math.isfinite(rate) and abs(rate - limit) <= 0.01 * abs(limit), rate
+        assert elapsed < 1.0, elapsed
+        assert oracle.tail_probability(n, delta * a_n) == 0.0
+
+
+def test_exact_oracle_does_not_import_scipy():
+    code = (
+        "import sys\n"
+        "import nilwalk\n"
+        "from nilwalk.graph import z1_biased, zd_lattice\n"
+        "from nilwalk.lattice import ExactLatticeDistribution\n"
+        "for g in (zd_lattice(2), z1_biased(0.75)):\n"
+        "    lt = ExactLatticeDistribution.from_graph(g).log_tail_probability(10_000, 1000.0)\n"
+        "    assert -1e4 < lt < 0.0, lt\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = str(Path(nilwalk.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
