@@ -26,6 +26,7 @@ from .errors import SingularSigma, SingularSystem
 from .graph import InvariantMeasure, VoltageGraph
 
 _PD_TOL = 1e-12
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,12 @@ def modified_harmonic_realization(
     graph: VoltageGraph,
     meas: InvariantMeasure,
     rho: np.ndarray,
-    base: int = 0,
-    residual_tol: float = 1e-10,
 ) -> Realization:
     """Solve the per-vertex mean-increment equations for the vertex positions.
 
     Unknowns are the first-layer coordinates phi_1(v); the kernel of the
-    system is the constants and is removed by pinning phi_1(base) = 0.
+    system is the constants and is removed by pinning phi_1(0) = 0, the
+    vertex every walk starts from.
     """
     v = graph.num_vertices
     d1 = graph.algebra.layer_dims[0]
@@ -96,17 +96,17 @@ def modified_harmonic_realization(
     a = p - np.eye(v)
     rhs = np.tile(rho, (v, 1)).astype(float)
     np.add.at(rhs, graph.origin, -graph.prob[:, None] * graph.first_layer_voltages())
-    a[base, :] = 0.0
-    a[base, base] = 1.0
-    rhs[base, :] = 0.0
+    a[0, :] = 0.0
+    a[0, 0] = 1.0
+    rhs[0, :] = 0.0
     try:
         phi1 = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"harmonic solve failed: {exc}") from exc
     realization = realization_from_first_layer(graph, phi1)
     residual = harmonicity_residual(graph, realization, rho)
-    if residual > residual_tol:
-        raise SingularSystem(f"harmonicity residual {residual} exceeds {residual_tol}")
+    if residual > _RESIDUAL_TOL:
+        raise SingularSystem(f"harmonicity residual {residual} exceeds {_RESIDUAL_TOL}")
     return realization
 
 
@@ -140,13 +140,12 @@ def albanese_matrix(
     meas: InvariantMeasure,
     phi0: Realization,
     rho: np.ndarray,
-    pd_tol: float = _PD_TOL,
 ) -> AlbaneseData:
     """Covariance form of the modified-harmonic 1-form components, and its inverse."""
     w0 = first_layer_form(graph, phi0)
     sigma = np.einsum("e,ei,ej->ij", meas.m_tilde, w0, w0) - np.outer(rho, rho)
     eigvals = np.linalg.eigvalsh(sigma)
-    if eigvals.min() <= pd_tol * max(1.0, eigvals.max()):
+    if eigvals.min() <= _PD_TOL * max(1.0, eigvals.max()):
         raise SingularSigma(
             "covariance form is singular: first-layer voltages do not span the layer"
         )

@@ -31,9 +31,6 @@ from .errors import (
     VoltageInverseViolation,
 )
 
-_DENSE_SOLVE_LIMIT = 512
-_POWER_ITER_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class VoltageGraph:
@@ -177,36 +174,22 @@ class InvariantMeasure:
     m_tilde: np.ndarray  # (E,) edge measure p(e) m(o(e))
 
 
-def invariant_measure(graph: VoltageGraph, tol: float = _POWER_ITER_TOL) -> InvariantMeasure:
+def invariant_measure(graph: VoltageGraph) -> InvariantMeasure:
     """Stationary distribution of the quotient chain plus the edge measure.
 
-    Dense solve of ``(P^T - I) m = 0`` with the normalization row for small
-    graphs; power iteration beyond ``512`` vertices.
+    Dense solve of ``(P^T - I) m = 0`` with the first row replaced by the
+    normalization, at every size; a periodic chain is solved like any other.
     """
     p = graph.transition_matrix()
     v = graph.num_vertices
-    if v == 1:
-        m = np.ones(1)
-    elif v <= _DENSE_SOLVE_LIMIT:
-        a = p.T - np.eye(v)
-        a[0, :] = 1.0
-        b = np.zeros(v)
-        b[0] = 1.0
-        try:
-            m = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"stationary solve failed: {exc}") from exc
-    else:
-        m = np.full(v, 1.0 / v)
-        for _ in range(1_000_000):
-            nxt = m @ p
-            nxt /= nxt.sum()
-            if np.abs(nxt - m).max() <= tol:
-                m = nxt
-                break
-            m = nxt
-        else:
-            raise SingularSystem("power iteration did not converge")
+    a = p.T - np.eye(v)
+    a[0, :] = 1.0
+    b = np.zeros(v)
+    b[0] = 1.0
+    try:
+        m = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"stationary solve failed: {exc}") from exc
     if np.any(m <= 0):
         raise SingularSystem("stationary distribution is not strictly positive")
     m = m / m.sum()

@@ -12,10 +12,11 @@ which one in ``RateBound.method``:
   Heisenberg type) it is half the squared sub-Riemannian distance, which
   Dido's isoperimetric problem gives through one scalar root find (Gaveau
   1977; Montgomery, *A Tour of Subriemannian Geometries*, ch. 1).
-- ``"optimizer"``: everywhere else, a penalized multi-start minimization over
-  uniform-knot piecewise-linear paths, with a feasibility polish and an exact
-  first-layer projection, so the reported value is a certified upper bound
-  at the reported constraint violation.
+- ``"optimizer"``: everywhere else, a multi-start minimization over
+  uniform-knot piecewise-linear paths, one SLSQP solve per start with the
+  endpoint as an equality constraint, and an exact first-layer projection,
+  so the reported value is a certified upper bound at the reported
+  constraint violation.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .errors import DimensionMismatch, NonIncreasingTimes
 
 _MIN_KNOTS = {1: 1, 2: 2, 3: 4, 4: 8}
 # the optimizer route (see minimize_endpoint_rate)
-_PENALTY_SCHEDULE = (1.0, 1e2, 1e4, 1e6, 1e8)  # quadratic-penalty weights, one L-BFGS-B stage each
-_MAXITER = 120  # L-BFGS-B iterations per penalty stage
-_FD_STEP = 1e-6  # forward-difference step on steps 3-4
+_MAXITER = 300  # SLSQP iterations per start
+_FD_STEP = 1e-6  # forward-difference step of the constraint Jacobian on steps 3-4
 _FEASIBILITY_TOL = 1e-8  # largest endpoint defect of a reported path
 
 
@@ -203,7 +203,7 @@ def develop_limit(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint rate: closed forms, and the penalized multi-start upper bound
+# Endpoint rate: closed forms, and the multi-start upper bound
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -361,18 +361,19 @@ def minimize_endpoint_rate(
 
     Where ``exact_rate`` has a closed form, that value is returned with
     ``method="closed_form"``.  Elsewhere the optimizer runs (``method=
-    "optimizer"``): per restart, one L-BFGS-B stage of at most ``_MAXITER``
-    iterations for each quadratic-penalty weight in ``_PENALTY_SCHEDULE``,
-    then an equality-constrained SLSQP polish.  Restart 0 starts from the
-    straight path when the target's first layer is nonzero; the other
-    restarts (all of them for a target with zero first layer, whose straight
-    path is the stationary zero path) start from seeded perturbations of it.
-    Steps <= 2 use the closed-form Jacobian of the development map; steps
-    3-4 use forward differences of step ``_FD_STEP``.  The value is the exact
-    path functional of the best candidate whose first layer has been
-    projected to match the target exactly and whose development misses the
-    target by at most ``_FEASIBILITY_TOL``.  The arguments are checked on
-    both routes.
+    "optimizer"``): one SLSQP solve per start, of at most ``_MAXITER``
+    iterations, minimizing the path energy subject to the endpoint equality
+    constraint.  Restart 0 starts from the straight path when the target's
+    first layer is nonzero; the other restarts (all of them for a target
+    with zero first layer, whose straight path is the stationary zero path)
+    start from seeded perturbations of it.  The energy is a quadratic with
+    an analytic gradient; the constraint Jacobian is the closed-form
+    Jacobian of the development map on steps <= 2 and forward differences of
+    step ``_FD_STEP`` on steps 3-4.  Each start and its solution are
+    candidates.  The value is the exact path functional of the best
+    candidate whose first layer has been projected to match the target
+    exactly and whose development misses the target by at most
+    ``_FEASIBILITY_TOL``.  The arguments are checked on both routes.
     """
     _require_supported_step(alg)
     target = alg.check_vector(target)
@@ -412,35 +413,23 @@ def _optimize_endpoint_rate(
     k = knots
     v1 = target[:d1]
     sinv = forms.sigma_inv
-    # steps <= 2: closed-form gradients (jac=True: rate and penalty return
-    # (value, gradient)); steps 3-4: forward differences of step eps=_FD_STEP
-    analytic = alg.step <= 2
 
     def fold(incr):
         return _fold(alg, entries, alg.embed_first_layer(incr))
 
     def rate(flat):
         incr = flat.reshape(k, d1)
-        val = 0.5 * k * float(np.einsum("ki,ij,kj->", incr, sinv, incr))
-        return (val, (k * incr @ sinv).ravel()) if analytic else val
-
-    def penalty(flat, mu):
-        incr = flat.reshape(k, d1)
-        residual = fold(incr) - target
-        if not analytic:
-            return rate(flat) + mu * float(residual @ residual)
-        val, grad = rate(flat)
-        return (val + mu * float(residual @ residual),
-                grad + 2.0 * mu * (residual @ _defect_jacobian(alg, table, incr)))
+        return 0.5 * k * float(np.einsum("ki,ij,kj->", incr, sinv, incr)), (k * incr @ sinv).ravel()
 
     cons = {"type": "eq", "fun": lambda f: fold(f.reshape(k, d1)) - target}
-    if analytic:
+    if alg.step <= 2:
         cons["jac"] = lambda f: _defect_jacobian(alg, table, f.reshape(k, d1))
 
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     straight = np.tile(v1 / k, (k, 1))
     scale = (np.linalg.norm(v1) + np.linalg.norm(target)) / k * 0.5 + 0.05
-    # a zero straight path is stationary in every stage, so it is no start
+    # a zero straight path is stationary (the energy gradient and the Jacobian
+    # of the vertical defect both vanish there), so it is no start
     starts = [straight] if np.any(v1) else []
     while len(starts) < restarts:
         starts.append(straight + rng.normal(0.0, scale, size=(k, d1)))
@@ -455,18 +444,11 @@ def _optimize_endpoint_rate(
     best_viol = math.inf  # violation of the best path, or the least one while none is feasible
     best_incr = None
     for x0 in starts:
-        x = x0.ravel().copy()
-        for mu in _PENALTY_SCHEDULE:
-            res = minimize(penalty, x, args=(mu,), jac=analytic, method="L-BFGS-B",
-                           options={"maxiter": _MAXITER, "eps": _FD_STEP})
-            if np.all(np.isfinite(res.x)):
-                x = res.x
-
-        candidates = [x]
-        polish = minimize(rate, x, jac=analytic, method="SLSQP", constraints=[cons],
-                          options={"maxiter": 200, "ftol": 1e-14, "eps": _FD_STEP})
-        if np.all(np.isfinite(polish.x)):
-            candidates.append(polish.x)
+        candidates = [x0]
+        res = minimize(rate, x0.ravel(), jac=True, method="SLSQP", constraints=[cons],
+                       options={"maxiter": _MAXITER, "ftol": 1e-14, "eps": _FD_STEP})
+        if np.all(np.isfinite(res.x)):
+            candidates.append(res.x)
 
         for cand in candidates:
             incr = cand.reshape(k, d1)

@@ -241,7 +241,7 @@ def test_sigma_invariant_under_relabeling():
     validate(relabeled)
     meas2 = invariant_measure(relabeled)
     rho2 = asymptotic_direction(relabeled, meas2)
-    phi2 = modified_harmonic_realization(relabeled, meas2, rho2, base=0)
+    phi2 = modified_harmonic_realization(relabeled, meas2, rho2)
     data2 = albanese_matrix(relabeled, meas2, phi2, rho2)
     assert np.abs(data2.sigma - data.sigma).max() <= 1e-12
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nilwalk.albanese import albanese_pipeline
 from nilwalk.algebra import abelian_algebra
 from nilwalk.errors import (
     InvolutionViolation,
@@ -110,6 +111,23 @@ def test_two_vertex_asymmetric_measure():
     validate(g)
     meas = invariant_measure(g)
     assert np.allclose(meas.m, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
+
+
+def test_periodic_star_measure_beyond_512_vertices():
+    # centre 0 joined to 512 leaves, with a second edge (voltage 1) to leaf 1:
+    # every step alternates centre and leaf, so the chain has period 2 and the
+    # centre holds exactly half the stationary mass
+    leaves = 512
+    pairs = [(0, 1, 1.0 / (leaves + 1), 0.5, [1.0])]
+    pairs += [(0, j, 1.0 / (leaves + 1), 0.5 if j == 1 else 1.0, [0.0]) for j in range(1, leaves + 1)]
+    g = VoltageGraph.from_pairs(abelian_algebra(1), leaves + 1, pairs)
+    validate(g)
+    meas = invariant_measure(g)
+    want = np.full(leaves + 1, 0.5 / (leaves + 1))
+    want[0], want[1] = 0.5, 1.0 / (leaves + 1)
+    assert np.abs(meas.m - want).max() <= 1e-14
+    _, _, _, data = albanese_pipeline(g)
+    assert data.residual <= 1e-10 and data.sigma[0, 0] > 0.0
 
 
 def test_edge_measure_identities():

@@ -32,7 +32,7 @@ from nilwalk.rates import (
     straight_path,
 )
 
-from conftest import grid_sup_conjugate, heisenberg_matrix_product_log, step3_filtered_algebra
+from conftest import grid_sup_conjugate, heisenberg_matrix_product_log, step3_filtered_algebra, unipotent_cayley
 
 
 HALF_I2 = QuadraticForms.from_sigma(0.5 * np.eye(2))
@@ -303,7 +303,8 @@ TWO_BRACKETS = StratifiedAlgebra((3, 1), [(0, 1, 3, 1.0), (1, 0, 3, -1.0), (0, 2
 
 
 def test_defect_jacobian_matches_central_differences(heisenberg):
-    # the penalty stages take residual @ J as the gradient of 0.5 ||defect||^2
+    # SLSQP takes J as the constraint Jacobian on step 2; residual @ J is the
+    # gradient of 0.5 ||defect||^2
     rng = np.random.default_rng(29)
     h = 1e-6
     for alg in (heisenberg, TWO_BRACKETS):
@@ -331,13 +332,27 @@ def test_defect_jacobian_matches_central_differences(heisenberg):
 
 def test_optimizer_starts_a_vertical_target_off_the_zero_path(heisenberg):
     # the straight path to a target with zero first layer is the zero path, a
-    # stationary point of every stage; one restart must still reach the target
+    # stationary point of the constrained problem; one restart must still
+    # reach the target
     target = np.array([0.0, 0.0, 0.5])
     exact = exact_rate(heisenberg, HALF_I2, target)
     for knots in (32, 8):
         bound = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=knots, restarts=1, seed=7, limit=True)
         assert bound.feasible and bound.restarts_used == 1
         assert bound.value >= exact - 1e-9
+    # step 3, where forward differences give the constraint Jacobian
+    uni = unipotent_cayley(4)
+    uni_forms = QuadraticForms.from_albanese(albanese_pipeline(uni)[3])
+    uni_target = [0.0, 0.0, 0.0, 0.1, 0.05, 0.02]
+    cases = (
+        (step3_filtered_algebra(), QuadraticForms.from_sigma(np.eye(2)), [0.0, 0.0, 0.2, 0.1], 4, 0),
+        (uni.algebra, uni_forms, uni_target, 8, 0),
+        (uni.algebra, uni_forms, uni_target, 8, 7),
+    )
+    for alg, forms, target, knots, seed in cases:
+        b = _optimize_endpoint_rate(alg, forms, np.array(target), knots=knots, restarts=1, seed=seed, limit=True)
+        assert b.feasible and b.constraint_violation <= 1e-8
+        assert b.value == path_rate(forms, path_from_increments(b.increments))
 
 
 # ---------------------------------------------------------------------------
