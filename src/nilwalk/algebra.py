@@ -6,10 +6,13 @@ and the group law is the Baker-Campbell-Hausdorff series, which terminates
 for nilpotent algebras.  Orders up to 4 of the series are implemented, which
 is exact for algebras of step <= 4.
 
-The same coordinate space carries the limit (graded) structure: the limit
+The same coordinate space carries the limit (graded) group: the limit
 bracket keeps only the layer-(a+b) component of a layer-a x layer-b bracket,
 and the limit product is the BCH series evaluated with that graded table.
-Dilations scale layer k by eps**k and are automorphisms of the limit group.
+The canonical chart identifying the group with its limit is the identity on
+coordinates, so a group element is read as a limit-group element as it
+stands.  Dilations (``dilate_vector``) scale layer k by eps**k and are
+automorphisms of the limit group.
 
 Brackets, products and folds work over any leading axes: they sum over the
 table's nonzero structure constants, so a batch of N products costs a few
@@ -285,11 +288,6 @@ def dilate_vector(alg: StratifiedAlgebra, eps: float, z) -> np.ndarray:
     return alg.check_points(z) * float(eps) ** alg.layer_of
 
 
-def dilate_group(alg: StratifiedAlgebra, eps: float, g) -> Vector:
-    """Group dilation exp . (layer scaling) . log; same array op as dilate_vector here."""
-    return dilate_vector(alg, eps, g)
-
-
 def limit_bracket(alg: StratifiedAlgebra, z1, z2) -> np.ndarray:
     """Graded part of the bracket: the scaling limit of rescaled brackets."""
     return _br(alg.graded_bracket_entries, alg.check_points(z1), alg.check_points(z2))
@@ -299,13 +297,3 @@ def limit_product(alg: StratifiedAlgebra, g, h) -> np.ndarray:
     """Product of the limit group: BCH evaluated with the graded table."""
     _require_supported_step(alg)
     return _bch(alg.graded_bracket_entries, alg.step, alg.check_points(g), alg.check_points(h))
-
-
-def to_limit_group(alg: StratifiedAlgebra, g) -> Vector:
-    """Canonical chart identification with the limit group.
-
-    In exponential coordinates the identification is the identity on
-    coordinates; it is provided as a named operation (its own inverse) so
-    experiment code can mirror the scaled-point constructions literally.
-    """
-    return alg.check_points(g).copy()

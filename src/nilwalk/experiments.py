@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .albanese import albanese_pipeline, clt_covariance_oracle
-from .algebra import StratifiedAlgebra, dilate_group, to_limit_group
+from .algebra import StratifiedAlgebra, dilate_vector
 from .errors import OracleUnavailable, SchemaError
 from .graph import PRESETS, VoltageGraph, validate
 from .lattice import ExactLatticeDistribution, mdp_rate
@@ -41,7 +41,7 @@ _CONFIG_FIELDS = {
     "graph", "scaling", "n_grid", "samples", "trajectories", "delta", "seed",
     "workers", "mdp_mode", "lln_quantiles", "rate_knots", "rate_restarts",
     "containment_level", "containment_tol", "sup_range", "target",
-    "albanese_file", "rate_product",
+    "albanese_file",
 }
 
 
@@ -64,7 +64,6 @@ class ExperimentConfig:
     sup_range: tuple | None = None
     target: tuple | None = None
     albanese_file: str | None = None
-    rate_product: str = "limit"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -100,8 +99,6 @@ class ExperimentConfig:
             raise SchemaError("/workers", "must be >= 1")
         if self.mdp_mode not in ("auto", "exact", "mc"):
             raise SchemaError("/mdp_mode", "must be one of auto, exact, mc")
-        if self.rate_product not in ("limit", "group"):
-            raise SchemaError("/rate_product", "must be 'limit' or 'group'")
 
     def override(self, seed=None, workers=None) -> "ExperimentConfig":
         cfg = self
@@ -481,11 +478,9 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
         out = []
         for c, n in enumerate(checkpoints):
             b_n = float(scaling(n))
-            pt = dilate_group(alg, 1.0 / b_n, to_limit_group(alg, points_raw[c]))
-            bound = minimize_endpoint_rate(
-                alg, forms, pt, knots=config.rate_knots, restarts=config.rate_restarts,
-                seed=config.seed, limit=True,
-            )
+            pt = dilate_vector(alg, 1.0 / b_n, points_raw[c])
+            bound = minimize_endpoint_rate(alg, forms, pt, knots=config.rate_knots,
+                                           restarts=config.rate_restarts, seed=config.seed)
             out.append((n, pt, bound))
         return sup, out
 
@@ -544,10 +539,8 @@ def run_rate(config: ExperimentConfig, out_dir) -> dict:
         alg = graph.algebra
         forms = QuadraticForms.from_albanese(data)
     target = np.asarray(config.target, dtype=float)
-    bound = minimize_endpoint_rate(
-        alg, forms, target, knots=config.rate_knots, restarts=config.rate_restarts,
-        seed=config.seed, limit=(config.rate_product == "limit"),
-    )
+    bound = minimize_endpoint_rate(alg, forms, target, knots=config.rate_knots,
+                                   restarts=config.rate_restarts, seed=config.seed)
     result = {
         "value": bound.value,
         "constraint_violation": bound.constraint_violation,

@@ -1,11 +1,14 @@
 """Rate functionals on paths and group endpoints, and the iterated-logarithm ball.
 
 The path functional is the time integral of the conjugate quadratic form of
-the covariance matrix, evaluated exactly on piecewise-linear paths.  The
-endpoint rate at a group element g is the infimum of the path functional over
-first-layer paths whose development (ordered product of segment exponentials)
-reaches g.  ``minimize_endpoint_rate`` takes one of two routes, and reports
-which one in ``RateBound.method``:
+the covariance matrix, evaluated exactly on piecewise-linear paths.  Rates
+live on the limit group G_inf, the graded group on which the dilations are
+automorphisms and to which the rescaled walk converges: the endpoint rate at
+g in G_inf is the infimum of the path functional over first-layer paths whose
+development (ordered product of segment exponentials under the graded law,
+``limit_product``) reaches g.  On step <= 2, and on any graded table, the
+graded law is the group law itself.  ``minimize_endpoint_rate`` takes one of
+two routes, and reports which one in ``RateBound.method``:
 
 - ``"closed_form"`` (``exact_rate``): on a step-1 group the rate is
   alpha_star(g); on a group with layers (2, 1) and a nonzero bracket (the
@@ -187,17 +190,11 @@ def _check_path(alg: StratifiedAlgebra, path: PiecewisePath) -> None:
 
 
 def develop(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
-    """Endpoint of the left-invariant ODE driven by the path (group product).
+    """Endpoint of the left-invariant ODE on the limit group driven by the path.
 
-    For a PL path the solution is the exact ordered product of segment
-    exponentials, so it depends only on the knot increments.
+    For a PL path the solution is the exact ordered product (graded law) of
+    segment exponentials, so it depends only on the knot increments.
     """
-    _check_path(alg, path)
-    return _fold(alg, alg.bracket_entries, alg.embed_first_layer(path.increments))
-
-
-def develop_limit(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
-    """Development into the limit group (graded bracket table)."""
     _check_path(alg, path)
     return _fold(alg, alg.graded_bracket_entries, alg.embed_first_layer(path.increments))
 
@@ -254,9 +251,9 @@ def _exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g: np.ndarray) ->
     """``exact_rate`` on checked arguments."""
     if alg.step == 1:
         return alpha_star(forms, g)
-    if alg.layer_dims != (2, 1) or not alg.bracket_entries:
+    if alg.layer_dims != (2, 1) or not alg.graded_bracket_entries:
         return None
-    ((_, _, _, c),) = alg.bracket_entries  # [X_1, X_2] is the only bracket
+    ((_, _, _, c),) = alg.graded_bracket_entries  # [X_1, X_2] is the only bracket
     # r^2 = |L^-1 g[:2]|^2 = 2 alpha_star(g[:2]), and det L = sqrt(det Sigma)
     area = abs(float(g[2]) / (c * math.sqrt(np.linalg.det(forms.sigma))))
     return _dido_rate(2.0 * alpha_star(forms, g[:2]), area)
@@ -334,14 +331,14 @@ def _solve_increasing(fn, target: float, x0: float, hi: float) -> float:
     return x
 
 
-def _defect_jacobian(alg, table, incr):
+def _defect_jacobian(alg, incr):
     """Full Jacobian of the development map w.r.t. increments, step <= 2."""
     d1 = alg.layer_dims[0]
     k = len(incr)
     jac = np.zeros((alg.dim, k, d1))
     jac[np.arange(d1), :, np.arange(d1)] = 1.0
     if alg.step == 2:
-        tsub = table[:d1, :d1, :]
+        tsub = alg.graded_brackets[:d1, :d1, :]
         prefix = np.vstack([np.zeros(d1), np.cumsum(incr, axis=0)[:-1]])
         suffix = incr[::-1].cumsum(axis=0)[::-1] - incr
         jac += 0.5 * (np.einsum("ka,acm->mkc", prefix, tsub) + np.einsum("kb,cbm->mkc", suffix, tsub))
@@ -355,9 +352,8 @@ def minimize_endpoint_rate(
     knots: int = 8,
     restarts: int = 8,
     seed: int = 0,
-    limit: bool = False,
 ) -> RateBound:
-    """The endpoint rate at a group element (log coordinates), or an upper bound.
+    """The endpoint rate at a limit-group element (log coordinates), or an upper bound.
 
     Where ``exact_rate`` has a closed form, that value is returned with
     ``method="closed_form"``.  Elsewhere the optimizer runs (``method=
@@ -387,7 +383,7 @@ def minimize_endpoint_rate(
     if exact is not None:
         return RateBound(value=exact, constraint_violation=0.0, knots=0, restarts_used=0,
                          feasible=True, method="closed_form")
-    return _optimize_endpoint_rate(alg, forms, target, knots, restarts, seed, limit)
+    return _optimize_endpoint_rate(alg, forms, target, knots, restarts, seed)
 
 
 def _optimize_endpoint_rate(
@@ -397,25 +393,17 @@ def _optimize_endpoint_rate(
     knots: int = 8,
     restarts: int = 8,
     seed: int = 0,
-    limit: bool = False,
-    initial_paths=None,
 ) -> RateBound:
-    """The optimizer route of ``minimize_endpoint_rate``, on checked arguments.
-
-    ``initial_paths`` (paths or (knots, d1) increment arrays) are extra
-    starts run after the ``restarts`` seeded ones.
-    """
+    """The optimizer route of ``minimize_endpoint_rate``, on checked arguments."""
     from scipy.optimize import minimize
 
     d1 = alg.layer_dims[0]
-    table = alg.graded_brackets if limit else alg.brackets
-    entries = alg.graded_bracket_entries if limit else alg.bracket_entries
     k = knots
     v1 = target[:d1]
     sinv = forms.sigma_inv
 
     def fold(incr):
-        return _fold(alg, entries, alg.embed_first_layer(incr))
+        return _fold(alg, alg.graded_bracket_entries, alg.embed_first_layer(incr))
 
     def rate(flat):
         incr = flat.reshape(k, d1)
@@ -423,7 +411,7 @@ def _optimize_endpoint_rate(
 
     cons = {"type": "eq", "fun": lambda f: fold(f.reshape(k, d1)) - target}
     if alg.step <= 2:
-        cons["jac"] = lambda f: _defect_jacobian(alg, table, f.reshape(k, d1))
+        cons["jac"] = lambda f: _defect_jacobian(alg, f.reshape(k, d1))
 
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     straight = np.tile(v1 / k, (k, 1))
@@ -433,12 +421,6 @@ def _optimize_endpoint_rate(
     starts = [straight] if np.any(v1) else []
     while len(starts) < restarts:
         starts.append(straight + rng.normal(0.0, scale, size=(k, d1)))
-    if initial_paths is not None:
-        for path in initial_paths:
-            incr = path.increments if isinstance(path, PiecewisePath) else np.asarray(path, float)
-            if incr.shape != (k, d1):
-                raise DimensionMismatch(f"warm start must provide {k} increments of length {d1}")
-            starts.append(incr)
 
     best_val = math.inf
     best_viol = math.inf  # violation of the best path, or the least one while none is feasible
@@ -472,23 +454,13 @@ def _optimize_endpoint_rate(
                      increments=best_incr)
 
 
-def endpoint_rate(alg, forms, target, knots: int = 8, restarts: int = 8, seed: int = 0, **kwargs) -> float:
+def endpoint_rate(alg, forms, target, knots: int = 8, restarts: int = 8, seed: int = 0) -> float:
     """Upper bound on the endpoint rate; +inf when no feasible path was found."""
-    return minimize_endpoint_rate(alg, forms, target, knots, restarts, seed, **kwargs).value
-
-
-def limit_rate(alg, forms, g_infinity, knots: int = 8, restarts: int = 8, seed: int = 0, **kwargs) -> float:
-    """Endpoint rate on the limit group.
-
-    The canonical chart is the coordinate identity, so the pullback of a
-    limit-group element is the same coordinate vector; only the development
-    changes, to the graded product.
-    """
-    return minimize_endpoint_rate(alg, forms, g_infinity, knots, restarts, seed, limit=True, **kwargs).value
+    return minimize_endpoint_rate(alg, forms, target, knots, restarts, seed).value
 
 
 def lil_ball_contains(alg, forms, g, level: float = 1.0, tol: float = 1e-6, **kwargs) -> bool:
-    """Membership test for the sublevel set {limit rate <= level}.
+    """Membership test for the sublevel set {endpoint rate <= level}.
 
     Where ``exact_rate`` has a closed form (step 1, and layers (2, 1) with a
     nonzero bracket) the answer is exact up to ``tol``.  Elsewhere it uses the
@@ -497,4 +469,4 @@ def lil_ball_contains(alg, forms, g, level: float = 1.0, tol: float = 1e-6, **kw
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    return limit_rate(alg, forms, g, **kwargs) <= level + tol
+    return endpoint_rate(alg, forms, g, **kwargs) <= level + tol

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .albanese import Realization, first_layer_form
-from .algebra import bch_product, dilate_group, fold, to_limit_group
+from .algebra import bch_product, dilate_vector, fold
 from .errors import PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
@@ -59,7 +59,6 @@ class ScalingSequence:
     kind: str
     evaluate: Callable
     domain_min: int = 1
-    theta: float | None = None
 
     def __call__(self, n):
         arr = np.asarray(n)
@@ -89,7 +88,7 @@ def power_scaling(theta: float) -> ScalingSequence:
     """a_n = n**theta with theta in the open window (1/2, 1)."""
     if not 0.5 < theta < 1.0:
         raise ValueError(f"theta must lie in (1/2, 1), got {theta}")
-    s = ScalingSequence(kind="power", evaluate=lambda n: n**theta, domain_min=1, theta=theta)
+    s = ScalingSequence(kind="power", evaluate=lambda n: n**theta, domain_min=1)
     _probe_window(s)
     return s
 
@@ -105,10 +104,9 @@ def lil_scaling() -> ScalingSequence:
     return s
 
 
-def custom_scaling(fn: Callable, domain_min: int = 1, validate: bool = True) -> ScalingSequence:
+def custom_scaling(fn: Callable, domain_min: int = 1) -> ScalingSequence:
     s = ScalingSequence(kind="custom", evaluate=fn, domain_min=domain_min)
-    if validate:
-        _probe_window(s)
+    _probe_window(s)
     return s
 
 
@@ -265,7 +263,7 @@ def _scaled_points(graph: VoltageGraph, xi: np.ndarray, xi_bar: np.ndarray, n: i
     """tau_{1/a_n}(phi(xi exp(-n rho))) over leading axes, first layer pinned to the increment sums."""
     alg = graph.algebra
     centered = bch_product(alg, xi, alg.embed_first_layer(-float(n) * np.asarray(rho, dtype=float)))
-    pt = dilate_group(alg, 1.0 / a_n, to_limit_group(alg, centered))
+    pt = dilate_vector(alg, 1.0 / a_n, centered)
     return _pin_first_layer(alg, pt, xi_bar / a_n)
 
 

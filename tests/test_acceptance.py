@@ -13,7 +13,6 @@ import numpy as np
 from nilwalk.albanese import albanese_pipeline, clt_covariance_oracle
 from nilwalk.algebra import (
     bch_product,
-    dilate_group,
     dilate_vector,
     heisenberg_algebra,
     limit_product,
@@ -100,8 +99,8 @@ def test_criterion_3_group_arithmetic_oracle():
         g, h = rng.uniform(-2.0, 2.0, size=(2, 3))
         eps, delta = rng.uniform(0.1, 2.0, size=2)
         semi = dilate_vector(alg, eps, dilate_vector(alg, delta, g)) - dilate_vector(alg, eps * delta, g)
-        auto = dilate_group(alg, eps, limit_product(alg, g, h)) - limit_product(
-            alg, dilate_group(alg, eps, g), dilate_group(alg, eps, h)
+        auto = dilate_vector(alg, eps, limit_product(alg, g, h)) - limit_product(
+            alg, dilate_vector(alg, eps, g), dilate_vector(alg, eps, h)
         )
         dil_worst = max(dil_worst, float(np.abs(semi).max()), float(np.abs(auto).max()))
     ok &= dil_worst <= 1e-12

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nilwalk.algebra import (
     StratifiedAlgebra,
     abelian_algebra,
     bch_product,
-    dilate_group,
     dilate_vector,
     group_inverse,
     limit_bracket,
     limit_product,
-    to_limit_group,
 )
 from nilwalk.errors import (
     DimensionMismatch,
@@ -119,6 +120,17 @@ def test_bch_matches_unipotent_oracle_steps_3_and_4(n):
         assert np.abs(got - want).max() <= 1e-12
 
 
+# steps 3 and 4, with a non-graded table among them, for the property checks
+STEP_3_AND_4 = (step3_filtered_algebra(), unipotent_algebra(4), unipotent_algebra(5))
+
+
+@st.composite
+def _algebra_and_points(draw, count):
+    alg = draw(st.sampled_from(STEP_3_AND_4))
+    points = draw(arrays(np.float64, (count, alg.dim), elements=st.floats(-1.5, 1.5, allow_subnormal=False)))
+    return alg, points
+
+
 def test_group_inverse(heisenberg):
     assert np.array_equal(group_inverse(heisenberg, np.zeros(3)), np.zeros(3))
     g = np.array([1.0, 1.0, 0.5])
@@ -128,6 +140,15 @@ def test_group_inverse(heisenberg):
         g = rng.normal(size=3)
         prod = bch_product(heisenberg, g, group_inverse(heisenberg, g))
         assert np.abs(prod).max() <= 1e-12
+    _inverse_rule_on_steps_3_and_4()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_algebra_and_points(1))
+def _inverse_rule_on_steps_3_and_4(case):
+    alg, (g,) = case
+    for prod in (bch_product, limit_product):
+        assert np.abs(prod(alg, g, group_inverse(alg, g))).max() <= 1e-12
 
 
 def test_associativity_both_products(heisenberg):
@@ -140,6 +161,17 @@ def test_associativity_both_products(heisenberg):
                 left = prod(alg, prod(alg, a, b), c)
                 right = prod(alg, a, prod(alg, b, c))
                 assert np.abs(left - right).max() <= 1e-10
+    _associativity_on_steps_3_and_4()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_algebra_and_points(3))
+def _associativity_on_steps_3_and_4(case):
+    alg, (a, b, c) = case
+    for prod in (bch_product, limit_product):
+        left = prod(alg, prod(alg, a, b), c)
+        right = prod(alg, a, prod(alg, b, c))
+        assert np.abs(left - right).max() <= 1e-10
 
 
 def test_first_layer_homomorphism(step3_filtered):
@@ -160,7 +192,7 @@ def test_dilate_examples(heisenberg):
     assert np.array_equal(dilate_vector(heisenberg, 1.0, z), z)
     assert np.array_equal(dilate_vector(heisenberg, 2.0, z), [2.0, 2.0, 2.0])
     assert np.array_equal(dilate_vector(heisenberg, 0.0, z), np.zeros(3))
-    assert np.array_equal(dilate_group(heisenberg, 0.5, z), [0.5, 0.5, 0.125])
+    assert np.array_equal(dilate_vector(heisenberg, 0.5, z), [0.5, 0.5, 0.125])
     with pytest.raises(NegativeEps):
         dilate_vector(heisenberg, -0.1, z)
 
@@ -180,11 +212,11 @@ def test_dilation_automorphism_of_limit_product(step3_filtered):
     for _ in range(50):
         g, h = rng.normal(size=(2, step3_filtered.dim))
         eps = rng.uniform(0.1, 2.0)
-        left = dilate_group(step3_filtered, eps, limit_product(step3_filtered, g, h))
+        left = dilate_vector(step3_filtered, eps, limit_product(step3_filtered, g, h))
         right = limit_product(
             step3_filtered,
-            dilate_group(step3_filtered, eps, g),
-            dilate_group(step3_filtered, eps, h),
+            dilate_vector(step3_filtered, eps, g),
+            dilate_vector(step3_filtered, eps, h),
         )
         assert np.abs(left - right).max() <= 1e-12 * max(1.0, np.abs(left).max())
 
@@ -256,11 +288,3 @@ def test_limit_product_differs_from_group_product_when_not_graded(step3_filtered
         limit_product(step3_filtered, x1, x2),
         bch_product(step3_filtered, x1, x2),
     )
-
-
-def test_to_limit_group_is_coordinate_identity(heisenberg):
-    g = np.array([0.3, -0.7, 2.0])
-    out = to_limit_group(heisenberg, g)
-    assert np.array_equal(out, g)
-    assert out is not g  # defensive copy
-    assert np.array_equal(to_limit_group(heisenberg, np.zeros(3)), np.zeros(3))

@@ -5,13 +5,18 @@ import subprocess
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilwalk.albanese import albanese_pipeline
+from nilwalk.algebra import abelian_algebra, heisenberg_algebra
 from nilwalk.cli import main as cli_main
 from nilwalk.errors import (
     InvalidAlgebra,
     InvolutionViolation,
     OracleUnavailable,
     SchemaError,
+    SingularSigma,
 )
 from nilwalk.experiments import (
     ExperimentConfig,
@@ -27,7 +32,7 @@ from nilwalk.experiments import (
     run_rate,
     write_json,
 )
-from nilwalk.graph import zd_lattice
+from nilwalk.graph import VoltageGraph, zd_lattice
 
 
 def make_config(**kw):
@@ -43,6 +48,9 @@ def make_config(**kw):
 def test_config_rejects_unknown_field():
     with pytest.raises(SchemaError, match="unknown config field"):
         ExperimentConfig.from_dict({"graph": {}, "bogus": 1})
+    with pytest.raises(SchemaError, match="unknown config field") as exc:
+        ExperimentConfig.from_dict({"graph": {}, "rate_product": "group"})  # rates have one geometry
+    assert exc.value.pointer == "/rate_product"
 
 
 def test_config_validates_grid_and_counts():
@@ -87,6 +95,44 @@ def test_graph_round_trip(tmp_path):
     cfg = make_config(graph={"file": str(path)})
     g2 = load_graph(cfg)
     assert np.array_equal(g2.prob, g.prob)
+    _random_graphs_round_trip()
+
+
+@st.composite
+def _voltage_graphs(draw):
+    """1-4 vertices: a spanning cycle plus random edge pairs, probabilities
+    normalized per vertex."""
+    alg = draw(st.sampled_from((abelian_algebra(1), abelian_algebra(2), heisenberg_algebra())))
+    nv = draw(st.integers(1, 4))
+    vertex = st.integers(0, nv - 1)
+    pairs = [(v, (v + 1) % nv) for v in range(nv)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    coord = st.floats(-2.0, 2.0, allow_subnormal=False)
+    volts = [draw(st.lists(coord, min_size=alg.dim, max_size=alg.dim)) for _ in pairs]
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2 * len(pairs), max_size=2 * len(pairs))))
+    g = VoltageGraph.from_pairs(alg, nv, [(o, t, 1.0, 1.0, v) for (o, t), v in zip(pairs, volts)])
+    out_sums = np.zeros(nv)
+    np.add.at(out_sums, g.origin, weights)
+    return VoltageGraph(alg, nv, g.origin, g.terminus, g.inverse, weights / out_sums[g.origin], g.voltages)
+
+
+def _sigma_or_singular(graph):
+    try:
+        return albanese_pipeline(graph)[3].sigma
+    except SingularSigma:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_voltage_graphs())
+def _random_graphs_round_trip(g):
+    g2 = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+    assert g2.num_vertices == g.num_vertices and g2.algebra.layer_dims == g.algebra.layer_dims
+    assert np.array_equal(g2.algebra.brackets, g.algebra.brackets)
+    for name in ("origin", "terminus", "inverse", "prob", "voltages"):
+        assert np.array_equal(getattr(g2, name), getattr(g, name)), name
+    s1, s2 = _sigma_or_singular(g), _sigma_or_singular(g2)
+    assert (s1 is None and s2 is None) or np.array_equal(s1, s2)
 
 
 def test_round_trip_gives_identical_analysis(tmp_path):

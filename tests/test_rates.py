@@ -9,7 +9,7 @@ import pytest
 
 import nilwalk
 from nilwalk.albanese import albanese_pipeline
-from nilwalk.algebra import StratifiedAlgebra, abelian_algebra, dilate_group, fold
+from nilwalk.algebra import StratifiedAlgebra, abelian_algebra, dilate_vector, fold
 from nilwalk.errors import DimensionMismatch, NonIncreasingTimes
 from nilwalk.graph import heisenberg_cayley, zd_lattice
 from nilwalk.rates import (
@@ -20,12 +20,10 @@ from nilwalk.rates import (
     alpha,
     alpha_star,
     develop,
-    develop_limit,
     endpoint_rate,
     exact_rate,
     finite_dim_rate,
     lil_ball_contains,
-    limit_rate,
     minimize_endpoint_rate,
     path_from_increments,
     path_rate,
@@ -179,15 +177,6 @@ def test_develop_increment_local_under_refinement(heisenberg):
     assert np.abs(develop(heisenberg, path) - develop(heisenberg, path.refine())).max() <= 1e-14
 
 
-def test_develop_limit_vs_group():
-    heis = __import__("nilwalk.algebra", fromlist=["heisenberg_algebra"]).heisenberg_algebra()
-    path = path_from_increments(np.random.default_rng(79).normal(size=(4, 2)))
-    assert np.array_equal(develop(heis, path), develop_limit(heis, path))
-    alg3 = step3_filtered_algebra()
-    path3 = path_from_increments(np.random.default_rng(83).normal(size=(4, 2)))
-    assert not np.allclose(develop(alg3, path3), develop_limit(alg3, path3))
-
-
 def test_develop_first_layer_is_endpoint(heisenberg):
     path = path_from_increments(np.random.default_rng(89).normal(size=(5, 2)))
     assert np.abs(develop(heisenberg, path)[:2] - path.endpoint()).max() <= 1e-14
@@ -242,10 +231,10 @@ def test_rate_certificate_describes_the_reported_path(heisenberg):
         (step3_filtered_algebra(), unit, np.array([0.5, -0.25, 0.2, 0.1]), 4, 3),
     )
     for alg, forms, target, knots, restarts in cases:
-        b = _optimize_endpoint_rate(alg, forms, target, knots=knots, restarts=restarts, seed=11, limit=True)
+        b = _optimize_endpoint_rate(alg, forms, target, knots=knots, restarts=restarts, seed=11)
         assert b.feasible
         path = path_from_increments(b.increments)
-        assert b.constraint_violation == float(np.linalg.norm(develop_limit(alg, path) - target))
+        assert b.constraint_violation == float(np.linalg.norm(develop(alg, path) - target))
         assert b.value == path_rate(forms, path)
 
 
@@ -254,20 +243,29 @@ def test_refinement_monotonicity(heisenberg):
     for _ in range(3):
         target = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)])
         b4 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=4, restarts=4, seed=13)
-        warm = np.repeat(b4.increments, 2, axis=0) / 2.0 if b4.feasible else None
-        b8 = _optimize_endpoint_rate(
-            heisenberg, HALF_I2, target, knots=8, restarts=4, seed=13,
-            initial_paths=None if warm is None else [warm],
-        )
+        b8 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=4, seed=13)
         assert b8.value <= b4.value + 1e-9
 
 
 def test_limit_rate_equals_endpoint_rate_step2(heisenberg):
+    # on step 2 the graded law is the group law, so the limit-group rate's
+    # path reaches the target under the group product as well
     target = np.array([0.8, -0.4, 0.3])
-    a = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=6, restarts=4, seed=17).value
-    b = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=6, restarts=4, seed=17, limit=True).value
-    assert abs(a - b) <= 1e-10
-    assert endpoint_rate(heisenberg, HALF_I2, target) == limit_rate(heisenberg, HALF_I2, target)
+    b = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=6, restarts=4, seed=17)
+    gammas = heisenberg.embed_first_layer(b.increments)
+    assert b.feasible and np.array_equal(fold(heisenberg, gammas), fold(heisenberg, gammas, limit=True))
+    assert np.linalg.norm(fold(heisenberg, gammas) - target) <= 1e-8
+    assert endpoint_rate(heisenberg, HALF_I2, target) == minimize_endpoint_rate(heisenberg, HALF_I2, target).value
+
+
+def test_default_rate_lives_on_the_limit_group():
+    # a non-graded step-3 table: the reported path must develop onto the
+    # target under the graded law, with no flag asking for it
+    alg = step3_filtered_algebra()
+    target = np.array([0.5, -0.25, 0.2, 0.1])
+    b = minimize_endpoint_rate(alg, QuadraticForms.from_sigma(np.eye(2)), target, knots=4, restarts=3, seed=11)
+    assert b.feasible
+    assert np.linalg.norm(fold(alg, alg.embed_first_layer(b.increments), limit=True) - target) <= 1e-8
 
 
 def test_endpoint_rate_step3_fd_path():
@@ -313,21 +311,21 @@ def test_defect_jacobian_matches_central_differences(heisenberg):
         flat = incr.ravel()
         steps = h * np.eye(flat.size)
         target = rng.normal(size=alg.dim)
-        for limit, table in ((False, alg.brackets), (True, alg.graded_brackets)):
-            def develop_flat(f):
-                return fold(alg, alg.embed_first_layer(f.reshape(5, d1)), limit=limit)
 
-            def half_sq(f):
-                r = develop_flat(f) - target
-                return 0.5 * float(r @ r)
+        def develop_flat(f):
+            return fold(alg, alg.embed_first_layer(f.reshape(5, d1)), limit=True)
 
-            jac = _defect_jacobian(alg, table, incr)
-            num_jac = np.stack([develop_flat(flat + e) - develop_flat(flat - e) for e in steps], axis=1) / (2 * h)
-            assert jac.shape == (alg.dim, flat.size)
-            assert np.abs(jac - num_jac).max() <= 1e-7
-            residual = develop_flat(flat) - target
-            num_grad = np.array([half_sq(flat + e) - half_sq(flat - e) for e in steps]) / (2 * h)
-            assert np.abs(residual @ jac - num_grad).max() <= 1e-6
+        def half_sq(f):
+            r = develop_flat(f) - target
+            return 0.5 * float(r @ r)
+
+        jac = _defect_jacobian(alg, incr)
+        num_jac = np.stack([develop_flat(flat + e) - develop_flat(flat - e) for e in steps], axis=1) / (2 * h)
+        assert jac.shape == (alg.dim, flat.size)
+        assert np.abs(jac - num_jac).max() <= 1e-7
+        residual = develop_flat(flat) - target
+        num_grad = np.array([half_sq(flat + e) - half_sq(flat - e) for e in steps]) / (2 * h)
+        assert np.abs(residual @ jac - num_grad).max() <= 1e-6
 
 
 def test_optimizer_starts_a_vertical_target_off_the_zero_path(heisenberg):
@@ -337,7 +335,7 @@ def test_optimizer_starts_a_vertical_target_off_the_zero_path(heisenberg):
     target = np.array([0.0, 0.0, 0.5])
     exact = exact_rate(heisenberg, HALF_I2, target)
     for knots in (32, 8):
-        bound = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=knots, restarts=1, seed=7, limit=True)
+        bound = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=knots, restarts=1, seed=7)
         assert bound.feasible and bound.restarts_used == 1
         assert bound.value >= exact - 1e-9
     # step 3, where forward differences give the constraint Jacobian
@@ -350,7 +348,7 @@ def test_optimizer_starts_a_vertical_target_off_the_zero_path(heisenberg):
         (uni.algebra, uni_forms, uni_target, 8, 7),
     )
     for alg, forms, target, knots, seed in cases:
-        b = _optimize_endpoint_rate(alg, forms, np.array(target), knots=knots, restarts=1, seed=seed, limit=True)
+        b = _optimize_endpoint_rate(alg, forms, np.array(target), knots=knots, restarts=1, seed=seed)
         assert b.feasible and b.constraint_violation <= 1e-8
         assert b.value == path_rate(forms, path_from_increments(b.increments))
 
@@ -379,12 +377,12 @@ def test_optimizer_bound_versus_exact_heisenberg(heisenberg):
     targets = ([1.0, 0.0, 0.2], [0.5, -0.3, 0.4], [0.2, 0.1, 1.0], [0.0, 0.0, 0.5])
     for target in map(np.array, targets):
         exact = exact_rate(heisenberg, HALF_I2, target)
-        b8 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=6, seed=7, limit=True)
+        b8 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=6, seed=7)
         assert b8.feasible and b8.method == "optimizer"
         assert exact - 1e-9 <= b8.value <= 1.06 * exact
-        b32 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=32, restarts=2, seed=7, limit=True)
+        b32 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=32, restarts=2, seed=7)
         assert exact - 1e-9 <= b32.value < 1.005 * exact
-        bound = minimize_endpoint_rate(heisenberg, HALF_I2, target, limit=True)
+        bound = minimize_endpoint_rate(heisenberg, HALF_I2, target)
         assert (bound.value, bound.method) == (exact, "closed_form")
 
 
@@ -413,7 +411,7 @@ def test_exact_rate_matches_sampled_arc():
         for sign in (1.0, -1.0):
             path, target, arc_rate = _arc_target(chol, 2.5, phi, radius, 0.7, sign, knots=4096)
             assert abs(target[2]) > 0.0 and np.sign(target[2]) == sign
-            assert np.abs(develop_limit(HEIS_C, path) - target).max() <= 1e-6
+            assert np.abs(develop(HEIS_C, path) - target).max() <= 1e-6
             exact = exact_rate(HEIS_C, SKEW, target)
             assert abs(exact - arc_rate) <= 1e-12 * arc_rate
             assert abs(path_rate(SKEW, path) - exact) <= 1e-6 * exact
@@ -425,7 +423,7 @@ def test_exact_rate_homogeneity():
         g = rng.normal(size=3) * rng.uniform(0.01, 3.0, size=3)
         lam = rng.uniform(0.05, 20.0)
         base = exact_rate(HEIS_C, SKEW, g)
-        scaled = exact_rate(HEIS_C, SKEW, dilate_group(HEIS_C, lam, g))
+        scaled = exact_rate(HEIS_C, SKEW, dilate_vector(HEIS_C, lam, g))
         assert abs(scaled - lam**2 * base) <= 1e-12 * lam**2 * base
 
 
@@ -469,7 +467,7 @@ def test_exact_rate_falls_back_to_the_optimizer():
     flat = StratifiedAlgebra((2, 1))  # layers (2, 1), zero bracket
     for alg, target in ((step3_filtered_algebra(), [0.5, -0.25, 0.2, 0.1]), (flat, [0.5, -0.25, 0.0])):
         assert exact_rate(alg, unit, target) is None
-        bound = minimize_endpoint_rate(alg, unit, target, knots=4, restarts=2, seed=3, limit=True)
+        bound = minimize_endpoint_rate(alg, unit, target, knots=4, restarts=2, seed=3)
         assert bound.method == "optimizer" and bound.increments is not None
 
 
