@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +36,6 @@ from .walk import (
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-_CONFIG_FIELDS = {
-    "graph", "scaling", "n_grid", "samples", "trajectories", "delta", "seed",
-    "workers", "mdp_mode", "lln_quantiles", "rate_knots", "rate_restarts",
-    "containment_level", "containment_tol", "sup_range", "target",
-    "albanese_file",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,11 +102,20 @@ class ExperimentConfig:
         return cfg
 
     def canonical_dict(self) -> dict:
-        return json.loads(json.dumps(_thaw(self), sort_keys=True))
+        """The fields that differ from their defaults, as plain JSON.
+
+        ``workers`` is left out: the artifacts are the same for any worker
+        count, so their summaries carry the same hash.
+        """
+        plain, default = (json.loads(json.dumps(asdict(c))) for c in (self, ExperimentConfig()))
+        return {k: v for k, v in sorted(plain.items()) if k != "workers" and v != default[k]}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _freeze(v):
@@ -123,17 +124,6 @@ def _freeze(v):
     if isinstance(v, dict):
         return {k: _freeze(x) for k, x in v.items()}
     return v
-
-
-def _thaw(cfg: ExperimentConfig) -> dict:
-    def conv(v):
-        if isinstance(v, tuple):
-            return [conv(x) for x in v]
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        return v
-
-    return {k: conv(getattr(cfg, k)) for k in sorted(_CONFIG_FIELDS)}
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class VoltageGraph:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(graph: VoltageGraph, tol: float = 1e-12) -> None:
+def validate(graph: VoltageGraph) -> None:
     """Check all voltage-graph invariants; raise a named error on the first failure."""
     if np.any(graph.origin < 0) or np.any(graph.origin >= graph.num_vertices):
         raise InvolutionViolation("edge origin out of vertex range")
@@ -124,7 +124,7 @@ def validate(graph: VoltageGraph, tol: float = 1e-12) -> None:
         raise StochasticityViolation(f"edge {bad[0]}: transition probability {graph.prob[bad[0]]} is not positive")
     sums = np.zeros(graph.num_vertices)
     np.add.at(sums, graph.origin, graph.prob)
-    bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
+    bad = np.nonzero(np.abs(sums - 1.0) > 1e-12)[0]
     if bad.size:
         raise StochasticityViolation(f"vertex {bad[0]}: out-probabilities sum to {sums[bad[0]]!r}")
 
@@ -143,7 +143,7 @@ def validate(graph: VoltageGraph, tol: float = 1e-12) -> None:
         raise InvolutionViolation(f"edge {k}: reversed edge does not swap origin and terminus")
 
     defect = np.abs(graph.voltages[inv] + graph.voltages).max(axis=1)
-    bad = np.nonzero(defect > tol)[0]
+    bad = np.nonzero(defect > 1e-12)[0]
     if bad.size:
         raise VoltageInverseViolation(f"edge {bad[0]}: reversed voltage is not the group inverse")
 
@@ -199,9 +199,9 @@ def invariant_measure(graph: VoltageGraph) -> InvariantMeasure:
     return InvariantMeasure(m=m, m_tilde=graph.prob * m[graph.origin])
 
 
-def is_symmetric(graph: VoltageGraph, meas: InvariantMeasure, tol: float = 1e-14) -> bool:
+def is_symmetric(graph: VoltageGraph, meas: InvariantMeasure) -> bool:
     """True iff the edge measure is reversal-invariant: m_tilde(e) = m_tilde(e-bar)."""
-    return bool(np.abs(meas.m_tilde - meas.m_tilde[graph.inverse]).max() <= tol)
+    return bool(np.abs(meas.m_tilde - meas.m_tilde[graph.inverse]).max() <= 1e-14)
 
 
 # ---------------------------------------------------------------------------

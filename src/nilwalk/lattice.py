@@ -15,11 +15,12 @@ from the step support itself:
 Their binomial log pmfs use Loader's saddle-point form (C. Loader, "Fast and
 accurate computation of binomial probabilities", 2000), and the tail is a
 logsumexp over the tail region, so it neither underflows nor costs more than
-O(n).  Every other kernel falls back to dynamic-programming convolution of the
-integer step distribution: dimension 1 convolves the full support, dimension 2
-materializes the full grid only at small n (the workload grows like
-n * (2n+1)^2).  The closed forms are validated against the DP and against
-exact integer sums in the tests.
+O(n).  Every other kernel falls back to one dynamic-programming convolution
+of the integer step distribution, the same in either dimension: the law lives
+on a box that grows by the kernel width at each step.  In dimension 2 the
+workload grows like n * (2n+1)^2, so it runs only under a size budget.  The
+closed forms are validated against the DP and against exact integer sums in
+the tests.
 """
 
 from __future__ import annotations
@@ -116,65 +117,33 @@ class ExactLatticeDistribution:
     def mean_step(self) -> np.ndarray:
         return self.probs @ self.steps
 
-    # -- dimension 1 ---------------------------------------------------------
-
-    def _kernel_1d(self):
-        lo = int(self.steps[:, 0].min())
-        hi = int(self.steps[:, 0].max())
-        kernel = np.zeros(hi - lo + 1)
-        np.add.at(kernel, self.steps[:, 0] - lo, self.probs)
-        return lo, kernel
-
-    def _distribution_1d(self, n: int):
-        lo, kernel = self._kernel_1d()
-        dist = np.array([1.0])
-        offset = 0
-        for _ in range(n):
-            dist = np.convolve(dist, kernel)
-            offset += lo
-        return offset, dist
-
-    # -- dimension 2 ---------------------------------------------------------
-
-    def _kernel_2d(self):
-        lo = self.steps.min(axis=0)
-        hi = self.steps.max(axis=0)
-        kernel = np.zeros(hi - lo + 1)
-        np.add.at(kernel, (self.steps[:, 0] - lo[0], self.steps[:, 1] - lo[1]), self.probs)
-        return lo, kernel
-
-    def _distribution_2d(self, n: int):
-        lo, kernel = self._kernel_2d()
-        hi = self.steps.max(axis=0)
-        span = (hi - lo) * n + 1
-        cells = float(span[0]) * float(span[1])
-        if n * cells * len(self.probs) > _GRID_BUDGET:
-            raise OracleUnavailable(
-                f"naive 2-d DP workload n * cells = {n * cells:.3g} exceeds the budget; "
-                "only the uniform four-step walk factorizes at this size"
-            )
-        dist = np.zeros(span)
-        start = -lo * n  # index of the origin
-        dist[start[0], start[1]] = 1.0
-        for _ in range(n):
-            nxt = np.zeros_like(dist)
-            for (sx, sy), p in zip(self.steps, self.probs):
-                src = dist[
-                    max(0, -sx) : span[0] - max(0, sx),
-                    max(0, -sy) : span[1] - max(0, sy),
-                ]
-                nxt[
-                    max(0, sx) : span[0] - max(0, -sx),
-                    max(0, sy) : span[1] - max(0, -sy),
-                ] += p * src
-            dist = nxt
-        return -start, dist
-
     def distribution(self, n: int):
-        """(origin offset, probability array) over reachable sites after n steps."""
+        """(offset, law) with P(S_n = offset + i) = law[i] on the box reachable in n steps.
+
+        One convolution DP in any dimension, from the point mass at the
+        origin.  Each step grows the box by the kernel width (max - min step
+        per axis), then adds p * law into the slice shifted by step - lo, for
+        each step in list order.  The offset is the (dim,) array n * lo.
+        """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return self._distribution_1d(n) if self.dim == 1 else self._distribution_2d(n)
+        lo = self.steps.min(axis=0)
+        width = self.steps.max(axis=0) - lo
+        if self.dim == 2:
+            span = width * n + 1
+            cells = float(span[0]) * float(span[1])
+            if n * cells * len(self.probs) > _GRID_BUDGET:
+                raise OracleUnavailable(
+                    f"naive 2-d DP workload n * cells = {n * cells:.3g} exceeds the budget; "
+                    "only the uniform four-step walk factorizes at this size"
+                )
+        law = np.ones((1,) * self.dim)
+        for _ in range(n):
+            grown = np.zeros(np.add(law.shape, width))
+            for shift, p in zip(self.steps - lo, self.probs):
+                grown[tuple(slice(s, s + m) for s, m in zip(shift, law.shape))] += p * law
+            law = grown
+        return lo * n, law
 
     # -- tails ----------------------------------------------------------------
 
@@ -234,16 +203,10 @@ class ExactLatticeDistribution:
         elif self._is_uniform_axes():
             log_tail = self._log_tail_uniform_axes(n, radius)
         else:
-            if self.dim == 1:
-                offset, dist = self._distribution_1d(n)
-                sites = offset + np.arange(len(dist)) - center[0]
-                tail = float(dist[np.abs(sites) >= radius - 1e-9].sum())
-            else:
-                offset, dist = self._distribution_2d(n)
-                xs = offset[0] + np.arange(dist.shape[0]) - center[0]
-                ys = offset[1] + np.arange(dist.shape[1]) - center[1]
-                rr = xs[:, None] ** 2 + ys[None, :] ** 2
-                tail = float(dist[rr >= (radius - 1e-9) ** 2].sum())
+            offset, law = self.distribution(n)
+            axes = np.ix_(*(offset[i] + np.arange(m) - center[i] for i, m in enumerate(law.shape)))
+            rr = sum(x * x for x in axes)
+            tail = float(law[rr >= max(radius - 1e-9, 0.0) ** 2].sum())
             log_tail = math.log(tail) if tail > 0.0 else -math.inf
         return min(log_tail, 0.0)
 

@@ -390,9 +390,9 @@ def _optimize_endpoint_rate(
     alg: StratifiedAlgebra,
     forms: QuadraticForms,
     target: np.ndarray,
-    knots: int = 8,
-    restarts: int = 8,
-    seed: int = 0,
+    knots: int,
+    restarts: int,
+    seed: int,
 ) -> RateBound:
     """The optimizer route of ``minimize_endpoint_rate``, on checked arguments."""
     from scipy.optimize import minimize

@@ -234,8 +234,6 @@ class InterpolatedPath:
 
 
 def interpolate(path: WalkPath, scaling: ScalingSequence) -> InterpolatedPath:
-    if path.n < scaling.domain_min:
-        raise ScalingDomain(f"n = {path.n} below the '{scaling.kind}' scaling domain")
     return InterpolatedPath(
         n=path.n, a_n=float(scaling(path.n)), prefix=path.prefix, increments=path.increments
     )
@@ -269,8 +267,6 @@ def _scaled_points(graph: VoltageGraph, xi: np.ndarray, xi_bar: np.ndarray, n: i
 
 def scaled_endpoint(path: WalkPath, scaling: ScalingSequence) -> np.ndarray:
     """Group log-coordinates of the dilated, centered endpoint."""
-    if path.n < scaling.domain_min:
-        raise ScalingDomain(f"n = {path.n} below the '{scaling.kind}' scaling domain")
     a_n = float(scaling(path.n))
     return _scaled_points(path.graph, path.xi, path.xi_bar, path.n, path.rho, a_n)
 
@@ -353,8 +349,6 @@ def batch_endpoints(
 ):
     """Scaled group endpoints plus raw centered sums: ((S, dim), (S, d1))."""
     alg = graph.algebra
-    if n < scaling.domain_min:
-        raise ScalingDomain(f"n = {n} below the '{scaling.kind}' scaling domain")
     a_n = float(scaling(n))
     d1 = alg.layer_dims[0]
     wbar = _centered_increments(graph, phi, rho)

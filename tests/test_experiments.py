@@ -62,13 +62,22 @@ def test_config_validates_grid_and_counts():
         make_config(mdp_mode="magic")
 
 
-def test_config_hash_stable_and_sensitive():
+def test_config_hash_stable_and_sensitive(tmp_path):
     a = make_config(n_grid=[10, 20])
     b = make_config(n_grid=[10, 20])
     c = make_config(n_grid=[10, 21])
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert a.override(seed=4).config_hash() != a.config_hash()
+    # only fields away from their defaults are hashed, and never workers
+    assert a.override(workers=8).config_hash() == a.config_hash()
+    assert list(ExperimentConfig.from_dict({"graph": {"preset": "hexagonal"}}).canonical_dict()) == ["graph"]
+    assert ExperimentConfig(delta=[1.0]).canonical_dict() == {}  # a list equals its default tuple
+    cfg = make_config(n_grid=[64], samples=16)
+    for workers in (1, 2):
+        run_clt(cfg.override(workers=workers), tmp_path / f"w{workers}")
+    summaries = [(tmp_path / f"w{w}" / "clt_summary.json").read_bytes() for w in (1, 2)]
+    assert summaries[0] == summaries[1]
 
 
 def test_scaling_config_errors():

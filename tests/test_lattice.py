@@ -48,6 +48,19 @@ def test_srw_distribution_matches_binomial_closed_form():
     for s in (-64, -10, 0, 8, 64):
         want = binom.pmf((n + s) // 2, n, 0.5) if (n + s) % 2 == 0 else 0.0
         assert abs(dist[sites.tolist().index(s)] - want) <= 1e-14
+    # the lazy kernel (1/4, 1/2, 1/4) is two +-1/2 steps: P(S_n = k) = C(2n, n + k) / 4^n
+    lazy = ExactLatticeDistribution([[-1], [0], [1]], [0.25, 0.5, 0.25])
+    offset, dist = lazy.distribution(n)
+    want = np.array([math.comb(2 * n, n + k) / 4**n for k in offset[0] + np.arange(len(dist))])
+    assert np.abs(dist - want).max() <= 1e-14
+    # the uniform diagonal kernel moves both coordinates by independent +-1 steps,
+    # so its law is the outer product of two Bin(n, 1/2) on the sites 2k - n
+    diag = ExactLatticeDistribution([[1, 1], [1, -1], [-1, 1], [-1, -1]], [0.25] * 4)
+    offset, dist = diag.distribution(n)
+    assert offset.tolist() == [-n, -n] and dist.shape == (2 * n + 1, 2 * n + 1)
+    pmf = np.zeros(2 * n + 1)
+    pmf[::2] = [math.comb(n, k) / 2**n for k in range(n + 1)]
+    assert np.abs(dist - np.outer(pmf, pmf)).max() <= 1e-14
 
 
 def test_biased_mean_step():

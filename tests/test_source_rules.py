@@ -21,12 +21,18 @@ def test_no_assert_statements():
 
 
 def test_readme_config_fields_match_the_schema():
-    # every backticked bare name in README's "Config fields" paragraph is a
-    # config field, and every config field is listed there
+    # the backticked bare names in README's "Config fields" paragraph are
+    # exactly the config fields, and the calls on its "Presets:" line exactly
+    # the graph presets
     from nilwalk.experiments import _CONFIG_FIELDS
+    from nilwalk.graph import PRESETS
 
     readme = (Path(nilwalk.__file__).resolve().parents[2] / "README.md").read_text()
-    start = readme.index("Config fields (used per subcommand)")
-    paragraph = readme[start:readme.index("\n\n", start)]
-    listed = {name for name in re.findall(r"`([^`]*)`", paragraph) if re.fullmatch(r"[a-z_]+", name)}
-    assert listed == set(_CONFIG_FIELDS)
+    for heading, pattern, names in (
+        ("Config fields (used per subcommand)", r"([a-z_]+)", _CONFIG_FIELDS),
+        ("Presets:", r"([a-z_0-9]+)\(\w*\)", PRESETS),
+    ):
+        start = readme.index(heading)
+        paragraph = readme[start:readme.index("\n\n", start)]
+        listed = {m.group(1) for name in re.findall(r"`([^`]*)`", paragraph) if (m := re.fullmatch(pattern, name))}
+        assert listed == set(names), heading

@@ -176,6 +176,10 @@ def test_interpolation_lil_domain():
     path = sample_path(g, phi0, rho, 15, seed=9)
     with pytest.raises(ScalingDomain):
         interpolate(path, lil_scaling())
+    with pytest.raises(ScalingDomain):
+        scaled_endpoint(path, lil_scaling())
+    with pytest.raises(ScalingDomain):
+        batch_endpoints(g, phi0, rho, lil_scaling(), n=15, samples=4, seed=9)
 
 
 def test_scaled_endpoint_consistency():
