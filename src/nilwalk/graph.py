@@ -69,10 +69,11 @@ class VoltageGraph:
         ``cuts`` merges every vertex's cumulative out-probabilities (in
         ``out_edges`` order), except each vertex's last one, into one sorted
         array of T <= E - V values.  ``table[v, b]`` (V x (T+1)) is the edge
-        vertex ``v`` takes when ``u`` falls in bucket ``b = searchsorted(cuts,
-        u, side="right")``: the first out-edge whose cumulative probability
-        exceeds ``u``, or the last out-edge if none does.  Each vertex's own
-        cuts are among ``cuts``, so the edge is constant on every bucket.
+        vertex ``v`` takes when ``u`` falls in bucket ``b``, the number of cuts
+        <= ``u`` (``searchsorted(cuts, u, side="right")``): the first out-edge
+        whose cumulative probability exceeds ``u``, or the last out-edge if
+        none does.  Each vertex's own cuts are among ``cuts``, so the edge is
+        constant on every bucket.
         """
         inner = [np.cumsum(self.prob[ids])[:-1] for ids in self.out_edges]
         cuts = np.unique(np.concatenate(inner))
@@ -220,14 +221,6 @@ class OneChain:
         np.add.at(flux, graph.terminus, self.coeff)
         np.add.at(flux, graph.origin, -self.coeff)
         return flux
-
-    def pair_with_form(self, form: np.ndarray) -> np.ndarray:
-        """Pairing with an antisymmetric edge function (form[e-bar] = -form[e]).
-
-        The chain is sum over edge pairs of coeff(e) e, i.e. half the sum over
-        all oriented edges.
-        """
-        return 0.5 * np.einsum("e,e...->...", self.coeff, form)
 
 
 def homological_direction(graph: VoltageGraph, meas: InvariantMeasure) -> OneChain:

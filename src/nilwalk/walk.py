@@ -9,13 +9,15 @@ Every group fold (the deck element of a path, of a batch of paths, or of a
 trajectory segment) goes through ``algebra.fold``.
 
 Edge selection is inversion by table look-up, one rule for every walk: each
-uniform ``u`` becomes a bucket ``b = searchsorted(cuts, u, side="right")``
-of the graph's cached ``step_table``, and vertex ``v`` then takes edge
-``table[v, b]``, the first out-edge whose cumulative probability exceeds
-``u`` (the last out-edge if none does).  The table has V x (T+1) entries
-with T <= E - V cuts.  On a one-vertex graph this is one vectorized look-up;
-on a larger quotient a loop over steps carries the current vertex of every
-row of a block at once.  Every walk starts at the realization's base vertex 0.
+uniform ``u`` becomes a bucket ``b`` of the graph's cached ``step_table``,
+the number of its T <= E - V cuts that are <= ``u``, counted by one
+vectorized comparison per cut.  Vertex ``v`` then takes edge ``table[v, b]``,
+the first out-edge whose cumulative probability exceeds ``u`` (the last
+out-edge if none does).  On a one-vertex graph this is one vectorized look-up; on a larger quotient a loop
+over steps carries the current vertex of every row of a block at once.
+Sum-only walks reduce each row to edge counts times the increments; on one
+vertex the counts come from the uniforms at or above each cut, with no
+per-step array.  Every walk starts at the realization's base vertex 0.
 
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
@@ -118,9 +120,17 @@ def _centered_increments(graph: VoltageGraph, phi: Realization, rho: np.ndarray)
     return first_layer_form(graph, phi) - np.asarray(rho, dtype=float)[None, :]
 
 
+def _buckets(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
+    """Buckets of ``graph.step_table`` for uniforms ``u`` of any shape: the number of cuts <= u."""
+    buckets = np.zeros(np.shape(u), dtype=np.int64)
+    for c in graph.step_table[0]:
+        buckets += u >= c
+    return buckets
+
+
 def _draw_buckets(graph: VoltageGraph, stream: np.random.Generator, n: int) -> np.ndarray:
     """The next n uniforms of ``stream`` as buckets of ``graph.step_table``: (n,) int."""
-    return np.searchsorted(graph.step_table[0], stream.random(n), side="right")
+    return _buckets(graph, stream.random(n))
 
 
 def _select_edges(graph: VoltageGraph, buckets: np.ndarray, vertex: int = 0) -> np.ndarray:
@@ -138,6 +148,22 @@ def _select_edges(graph: VoltageGraph, buckets: np.ndarray, vertex: int = 0) -> 
     # the indices are always in range; mode="clip" keeps take from buffering
     # its output, so the edges overwrite the buckets without a (B, n) copy
     return np.take(table.ravel(), buckets, out=buckets, mode="clip")
+
+
+def _edge_counts(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
+    """How often each of B walks from vertex 0 with uniforms ``u`` (B, n) takes each edge: (B, E)."""
+    (rows, n), width = u.shape, graph.num_edges
+    if graph.num_vertices > 1:
+        edges = _select_edges(graph, _buckets(graph, u))
+        edges += np.arange(0, rows * width, width)[:, None]
+        return np.bincount(edges.ravel(), minlength=rows * width).reshape(rows, width)
+    # each row's steps at or above each cut; their differences count the buckets,
+    # and on one vertex table[0] takes distinct buckets to distinct edges
+    cuts, table = graph.step_table
+    above = np.column_stack([np.full(rows, n)] + [np.count_nonzero(u >= c, axis=1) for c in cuts])
+    counts = np.zeros((rows, width), dtype=np.int64)
+    counts[:, table[0]] = -np.diff(above, append=0)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +354,12 @@ def batch_centered_sums(
     out = np.empty((samples, d1))
 
     def job(shard):
-        for block, edges in _edge_batches(graph, n, shard, seed, chunk, index_offset):
-            out[block] = np.einsum("bkd->bd", np.take(wbar, edges, axis=0))
+        for lo in range(0, len(shard), chunk):
+            block = shard[lo : lo + chunk]
+            u = np.empty((len(block), n))
+            for row, s in enumerate(block):
+                u[row] = sample_stream(seed, s + index_offset).random(n)
+            out[block] = np.einsum("be,ed->bd", _edge_counts(graph, u), wbar)
 
     _run_sharded(samples, workers, job)
     return out

@@ -254,7 +254,10 @@ def test_batch_mean_near_zero_for_symmetric():
 
 
 def test_batch_worker_count_invariance():
-    for g in (zd_lattice(2), hexagonal(), unipotent_cayley(4)):
+    # the last two graphs have non-dyadic centered increments, so their sums
+    # are rounded and would show a reduction that depends on the block size
+    for g in (zd_lattice(2), hexagonal(), unipotent_cayley(4), uneven_three_vertex(),
+              one_vertex_non_dyadic()):
         meas, rho, phi0 = pipeline(g)
         one = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=1)
         eight = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=8)
@@ -275,6 +278,18 @@ def uneven_three_vertex() -> VoltageGraph:
         (1, 2, 0.1, 0.5, [-1.0, 0.0]),
     ]
     return VoltageGraph.from_pairs(abelian_algebra(2), 3, pairs)
+
+
+def one_vertex_non_dyadic() -> VoltageGraph:
+    """One vertex with cuts 0.4, 0.5 and 0.8 and the non-dyadic drift (0.3, 0.1)."""
+    pairs = [(0, 0, 0.4, 0.1, [1.0, 0.0]), (0, 0, 0.3, 0.2, [0.0, 1.0])]
+    return VoltageGraph.from_pairs(abelian_algebra(2), 1, pairs)
+
+
+def one_vertex_many_cuts() -> VoltageGraph:
+    """One vertex, 10 edge pairs with the distinct probabilities k / 210, k = 1..20: 19 cuts."""
+    pairs = [(0, 0, k / 210, (k + 10) / 210, [float(k % 2), float(1 - k % 2)]) for k in range(1, 11)]
+    return VoltageGraph.from_pairs(abelian_algebra(2), 1, pairs)
 
 
 def _replay_vertices_edges(graph, u):
@@ -310,34 +325,66 @@ class _FixedStream:
 
 
 def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
-    g = uneven_three_vertex()
-    validate(g)
+    # graphs with their cumulative out-probability totals, where they are pinned
+    cases = [
+        (uneven_three_vertex(), [1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0]),
+        (one_vertex_non_dyadic(), [1.0]),
+        (z1_biased(0.75), None),
+        (heisenberg_cayley(), None),
+        (unipotent_cayley(4), None),
+        (one_vertex_many_cuts(), None),
+    ]
+    assert [len(g.step_table[0]) for g, _ in cases] == [4, 3, 1, 3, 5, 19]
+    for g, totals in cases:
+        validate(g)
+        meas, rho, phi0 = pipeline(g)
+        wbar = first_layer_form(g, phi0) - rho[None, :]
+        sums = batch_centered_sums(g, phi0, rho, 150, samples=5, seed=31)
+        for i in range(5):
+            _, edges = _replay_vertices_edges(g, sample_stream(31, i).random(150))
+            assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
+
+        # boundary uniforms: every cumulative out-probability, both float
+        # neighbours of each, 0 and 1 - 2**-53, each drawn at every vertex
+        per_vertex = [np.cumsum(g.prob[g.origin == v]) for v in range(g.num_vertices)]
+        if totals is not None:
+            assert [c[-1] for c in per_vertex] == totals
+        cums = np.concatenate(per_vertex)
+        u = np.concatenate([cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0),
+                            [0.0, 1.0 - 2.0**-53]])
+        boundary = np.unique(u[u < 1.0])
+        rng = np.random.default_rng(0)
+        rows = np.array([rng.permutation(np.tile(boundary, 3)) for _ in range(6)])
+        assert np.array_equal(walk._buckets(g, rows),
+                              np.searchsorted(g.step_table[0], rows, side="right"))
+        replays = [_replay_vertices_edges(g, row) for row in rows]
+        seen = {(x, v) for row, (vs, _) in zip(rows, replays) for x, v in zip(row, vs)}
+        assert len(seen) == len(boundary) * g.num_vertices
+
+        with monkeypatch.context() as m:
+            m.setattr(walk, "sample_stream", lambda seed, index: _FixedStream(rows[index]))
+            n = len(rows[0])
+            sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0, chunk=4)
+            for i, (_, edges) in enumerate(replays):
+                assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
+            assert np.array_equal(sample_path(g, phi0, rho, n, seed=0).edges, replays[0][1])
+
+
+def test_batch_centered_sums_memory():
+    # one 256 x 10^4 block holds its uniforms and nothing per step beside them:
+    # the peak stays below 1.5 times the (B, n) float buffer
+    import tracemalloc
+
+    g = zd_lattice(2)
     meas, rho, phi0 = pipeline(g)
-    wbar = first_layer_form(g, phi0) - rho[None, :]
-    sums = batch_centered_sums(g, phi0, rho, 150, samples=5, seed=31)
-    for i in range(5):
-        _, edges = _replay_vertices_edges(g, sample_stream(31, i).random(150))
-        assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
-
-    # boundary uniforms: every cumulative out-probability, both float
-    # neighbours of each, 0 and 1 - 2**-53, each drawn at every vertex
-    per_vertex = [np.cumsum(g.prob[g.origin == v]) for v in range(g.num_vertices)]
-    assert [c[-1] for c in per_vertex] == [1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0]
-    cums = np.concatenate(per_vertex)
-    u = np.concatenate([cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0), [0.0, 1.0 - 2.0**-53]])
-    boundary = np.unique(u[u < 1.0])
-    rng = np.random.default_rng(0)
-    rows = [rng.permutation(np.tile(boundary, 3)) for _ in range(6)]
-    replays = [_replay_vertices_edges(g, row) for row in rows]
-    seen = {(x, v) for row, (vs, _) in zip(rows, replays) for x, v in zip(row, vs)}
-    assert len(seen) == len(boundary) * g.num_vertices
-
-    monkeypatch.setattr(walk, "sample_stream", lambda seed, index: _FixedStream(rows[index]))
-    n = len(rows[0])
-    sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0, chunk=4)
-    for i, (_, edges) in enumerate(replays):
-        assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
-    assert np.array_equal(sample_path(g, phi0, rho, n, seed=0).edges, replays[0][1])
+    batch_centered_sums(g, phi0, rho, 100, samples=4, seed=3, workers=1)
+    tracemalloc.start()
+    try:
+        batch_centered_sums(g, phi0, rho, 10_000, samples=256, seed=3, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 256 * 10_000 * 8
 
 
 def test_lln_biased_loop():
