@@ -110,13 +110,6 @@ def modified_harmonic_realization(
     return realization
 
 
-def corrector(phi: Realization, phi0: Realization) -> np.ndarray:
-    """First-layer gap between two periodic realizations, per quotient vertex."""
-    if phi.graph is not phi0.graph and phi.graph.num_vertices != phi0.graph.num_vertices:
-        raise ValueError("realizations live on different graphs")
-    return phi.first_layer - phi0.first_layer
-
-
 @dataclass(frozen=True)
 class AlbaneseData:
     rho: np.ndarray        # (d1,) asymptotic direction

@@ -257,7 +257,7 @@ def bch_product(alg: StratifiedAlgebra, a, b) -> np.ndarray:
     return _bch(alg.bracket_entries, alg.step, alg.check_points(a), alg.check_points(b))
 
 
-def fold(alg: StratifiedAlgebra, gammas, limit: bool = False) -> np.ndarray:
+def fold(alg: StratifiedAlgebra, gammas) -> np.ndarray:
     """log of the ordered product of ``exp(gammas[..., k, :])`` along axis -2.
 
     Batched over any leading axes; an empty product is the identity.  Step 1
@@ -265,7 +265,8 @@ def fold(alg: StratifiedAlgebra, gammas, limit: bool = False) -> np.ndarray:
     prefix with the next increment.  Steps 3-4 multiply neighbours in a
     balanced tree, which gives the ordered product because the BCH series
     through order 4 is the exact, associative group law for step <= 4.
-    ``limit=True`` folds with the limit (graded) product instead.
+    The rate layer folds under the limit (graded) law through ``_fold`` with
+    ``alg.graded_bracket_entries``.
     """
     _require_supported_step(alg)
     gammas = alg.check_points(gammas)
@@ -273,12 +274,7 @@ def fold(alg: StratifiedAlgebra, gammas, limit: bool = False) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a sequence of vectors (..., n, {alg.dim}), got shape {gammas.shape}"
         )
-    return _fold(alg, alg.graded_bracket_entries if limit else alg.bracket_entries, gammas)
-
-
-def group_inverse(alg: StratifiedAlgebra, a) -> Vector:
-    """exp(a)^-1 = exp(-a), exact in exponential coordinates."""
-    return -alg.check_vector(a)
+    return _fold(alg, alg.bracket_entries, gammas)
 
 
 def dilate_vector(alg: StratifiedAlgebra, eps: float, z) -> np.ndarray:
@@ -286,11 +282,6 @@ def dilate_vector(alg: StratifiedAlgebra, eps: float, z) -> np.ndarray:
     if eps < 0:
         raise NegativeEps(f"dilation parameter must be nonnegative, got {eps}")
     return alg.check_points(z) * float(eps) ** alg.layer_of
-
-
-def limit_bracket(alg: StratifiedAlgebra, z1, z2) -> np.ndarray:
-    """Graded part of the bracket: the scaling limit of rescaled brackets."""
-    return _br(alg.graded_bracket_entries, alg.check_points(z1), alg.check_points(z2))
 
 
 def limit_product(alg: StratifiedAlgebra, g, h) -> np.ndarray:

@@ -22,7 +22,7 @@ from .albanese import albanese_pipeline, clt_covariance_oracle
 from .algebra import StratifiedAlgebra, dilate_vector
 from .errors import OracleUnavailable, SchemaError
 from .graph import PRESETS, VoltageGraph, validate
-from .lattice import ExactLatticeDistribution, mdp_rate
+from .lattice import ExactLatticeDistribution, gaussian_tail_exponent, mdp_rate
 from .rates import QuadraticForms, minimize_endpoint_rate
 from .walk import (
     ScalingSequence,
@@ -384,7 +384,7 @@ def run_mdp(config: ExperimentConfig, out_dir) -> dict:
         except OracleUnavailable:
             if config.mdp_mode == "exact":
                 raise
-    header = ["n", "delta", "tail", "log_tail", "rate", "mode"]
+    header = ["n", "delta", "tail", "log_tail", "rate", "predicted_rate", "mode"]
     rows = []
     rates = {}
     for gi, n in enumerate(config.n_grid):
@@ -404,11 +404,12 @@ def run_mdp(config: ExperimentConfig, out_dir) -> dict:
             mode = "mc"
         for d, tail, log_tail in zip(config.delta, tails, log_tails):
             rate = mdp_rate(int(n), a_n, log_tail)
-            rows.append([int(n), float(d), tail, log_tail, rate, mode])
+            predicted = gaussian_tail_exponent(data.sigma, float(d))
+            rows.append([int(n), float(d), tail, log_tail, rate, predicted, mode])
             rates[(int(n), float(d))] = rate
     write_csv(out_dir / "mdp.csv", header, rows)
     metrics = {
-        "mode": rows[0][5] if rows else "none",
+        "mode": rows[0][-1] if rows else "none",
         "rates": {f"n={n},delta={d}": r for (n, d), r in rates.items()},
     }
     write_summary(out_dir, "mdp", config, metrics)

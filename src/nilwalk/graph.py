@@ -10,8 +10,7 @@ voltages.
 The derived objects of interest are edge-indexed, which is why an oriented
 edge list (rather than an adjacency matrix) is the primary representation:
 the stationary vertex measure ``m``, the edge measure ``m_tilde(e) =
-p(e) m(o(e))``, the homological direction (an antisymmetric 1-chain), and a
-homology basis from a deterministic spanning tree.
+p(e) m(o(e))`` and the homological direction (an antisymmetric 1-chain).
 """
 
 from __future__ import annotations
@@ -200,11 +199,6 @@ def invariant_measure(graph: VoltageGraph) -> InvariantMeasure:
     return InvariantMeasure(m=m, m_tilde=graph.prob * m[graph.origin])
 
 
-def is_symmetric(graph: VoltageGraph, meas: InvariantMeasure) -> bool:
-    """True iff the edge measure is reversal-invariant: m_tilde(e) = m_tilde(e-bar)."""
-    return bool(np.abs(meas.m_tilde - meas.m_tilde[graph.inverse]).max() <= 1e-14)
-
-
 # ---------------------------------------------------------------------------
 # Homology
 # ---------------------------------------------------------------------------
@@ -230,72 +224,6 @@ def homological_direction(graph: VoltageGraph, meas: InvariantMeasure) -> OneCha
     when the walk is m-symmetric.
     """
     return OneChain(coeff=meas.m_tilde - meas.m_tilde[graph.inverse])
-
-
-@dataclass(frozen=True)
-class HomologyBasis:
-    tree_edges: np.ndarray   # edge ids in the spanning tree (both orientations)
-    cycles: list             # integer coefficient vectors (E,), one per non-tree pair
-    betti: int
-
-
-def cycle_basis(graph: VoltageGraph) -> HomologyBasis:
-    """Fundamental cycles of a deterministic BFS spanning tree rooted at vertex 0.
-
-    The BFS explores out-edges in ascending edge order (lowest-index
-    tie-breaking), so the basis is reproducible across runs and platforms.
-    """
-    v = graph.num_vertices
-    parent_edge = np.full(v, -1, dtype=np.int64)  # tree edge parent -> vertex
-    visited = np.zeros(v, dtype=bool)
-    visited[0] = True
-    queue = [0]
-    tree: list[int] = []
-    while queue:
-        x = queue.pop(0)
-        for e in graph.out_edges[x]:
-            t = int(graph.terminus[e])
-            if not visited[t]:
-                visited[t] = True
-                parent_edge[t] = e
-                tree += [int(e), int(graph.inverse[e])]
-                queue.append(t)
-    if not visited.all():
-        missing = int(np.nonzero(~visited)[0][0])
-        raise NotStronglyConnected(f"vertex {missing} unreachable from vertex 0")
-
-    def path_from_root(x: int) -> list[int]:
-        edges = []
-        while parent_edge[x] >= 0:
-            e = int(parent_edge[x])
-            edges.append(e)
-            x = int(graph.origin[e])
-        edges.reverse()
-        return edges
-
-    tree_set = set(tree)
-    cycles = []
-    for e in range(graph.num_edges):
-        ebar = int(graph.inverse[e])
-        if e in tree_set or e > ebar:
-            continue  # one representative per non-tree pair
-        coeff = np.zeros(graph.num_edges, dtype=np.int64)
-
-        def add_edge(edge_id: int, sign: int, coeff=coeff):
-            coeff[edge_id] += sign
-            coeff[graph.inverse[edge_id]] -= sign
-
-        add_edge(e, 1)
-        for te in path_from_root(int(graph.origin[e])):
-            add_edge(te, 1)
-        for te in path_from_root(int(graph.terminus[e])):
-            add_edge(te, -1)
-        cycles.append(coeff)
-
-    betti = graph.num_edges // 2 - v + 1
-    if len(cycles) != betti:  # on a connected graph only a broken edge reversal does this
-        raise InvolutionViolation(f"{len(cycles)} non-tree edge pairs, but the Betti number is {betti}")
-    return HomologyBasis(tree_edges=np.array(sorted(tree_set), dtype=np.int64), cycles=cycles, betti=betti)
 
 
 # ---------------------------------------------------------------------------

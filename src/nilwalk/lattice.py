@@ -210,10 +210,6 @@ class ExactLatticeDistribution:
             log_tail = math.log(tail) if tail > 0.0 else -math.inf
         return min(log_tail, 0.0)
 
-    def tail_probability(self, n: int, radius: float) -> float:
-        """P(||S_n - n * mean||_2 >= radius); 0.0 once the tail is below the smallest double."""
-        return math.exp(self.log_tail_probability(n, radius))
-
 
 def mdp_rate(n: int, a_n: float, log_tail: float) -> float:
     """Normalized log-probability (n / a_n^2) log_tail; -inf when the tail is 0."""

@@ -72,27 +72,6 @@ class PiecewisePath:
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
 
-    def refine(self) -> "PiecewisePath":
-        """Insert the midpoint of every segment (geometry unchanged)."""
-        t = self.times
-        v = self.values
-        mid_t = 0.5 * (t[:-1] + t[1:])
-        mid_v = 0.5 * (v[:-1] + v[1:])
-        times = np.empty(2 * len(t) - 1)
-        values = np.empty((2 * len(t) - 1, v.shape[1]))
-        times[0::2] = t
-        times[1::2] = mid_t
-        values[0::2] = v
-        values[1::2] = mid_v
-        return PiecewisePath(times=times, values=values)
-
-
-def straight_path(v, knots: int) -> PiecewisePath:
-    v = np.asarray(v, dtype=float)
-    times = np.linspace(0.0, 1.0, knots + 1)
-    return PiecewisePath(times=times, values=np.outer(times, v))
-
-
 def path_from_increments(increments: np.ndarray) -> PiecewisePath:
     increments = np.asarray(increments, dtype=float)
     k = len(increments)
@@ -143,14 +122,8 @@ def _check_vec(forms: QuadraticForms, v) -> np.ndarray:
     return v
 
 
-def alpha(forms: QuadraticForms, chi) -> float:
-    """Half the covariance quadratic form."""
-    chi = _check_vec(forms, chi)
-    return float(0.5 * chi @ forms.sigma @ chi)
-
-
 def alpha_star(forms: QuadraticForms, lam) -> float:
-    """Convex conjugate of ``alpha``: half the inverse form."""
+    """Half the inverse covariance form: the convex conjugate of half the covariance form."""
     lam = _check_vec(forms, lam)
     return float(0.5 * lam @ forms.sigma_inv @ lam)
 

@@ -4,7 +4,7 @@ State on the cover is a (quotient vertex, deck element) pair: traversing an
 edge multiplies the running deck element by the edge voltage, and the realized
 position is deck * position(vertex).  The first-layer statistics are tracked
 through the per-edge increment table of the supplied realization, so centered
-sums, interpolated paths, and scaled endpoints share one source of truth.
+sums and scaled endpoints share one source of truth.
 Every group fold (the deck element of a path, of a batch of paths, or of a
 trajectory segment) goes through ``algebra.fold``.
 
@@ -39,8 +39,6 @@ from .algebra import bch_product, dilate_vector, fold
 from .errors import PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
-_SNAP_TOL = 1e-8
-
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream: Philox keyed by (seed, sample index)."""
@@ -70,46 +68,20 @@ class ScalingSequence:
         return float(out) if np.isscalar(n) or np.ndim(n) == 0 else np.asarray(out, dtype=float)
 
 
-def _probe_window(scaling: ScalingSequence) -> None:
-    """Numerically check monotonicity and the window conditions on a log grid."""
-    n = scaling.domain_min * 2.0 ** np.arange(0, 40)
-    a = scaling.evaluate(n)
-    if np.any(a <= 0):
-        raise ValueError(f"scaling '{scaling.kind}' is not positive on the probe grid")
-    if np.any(np.diff(a) <= 0):
-        raise ValueError(f"scaling '{scaling.kind}' is not monotone increasing")
-    ratio_clt = a / np.sqrt(n)
-    if np.any(np.diff(ratio_clt) < -1e-12 * ratio_clt[:-1]) or ratio_clt[-1] < 1.2 * ratio_clt[0]:
-        raise ValueError(f"scaling '{scaling.kind}' does not outgrow sqrt(n)")
-    ratio_lln = a / n
-    if np.any(np.diff(ratio_lln) > 1e-12 * ratio_lln[:-1]) or ratio_lln[-1] > 0.5 * ratio_lln[0]:
-        raise ValueError(f"scaling '{scaling.kind}' does not fall below n")
-
-
 def power_scaling(theta: float) -> ScalingSequence:
     """a_n = n**theta with theta in the open window (1/2, 1)."""
     if not 0.5 < theta < 1.0:
         raise ValueError(f"theta must lie in (1/2, 1), got {theta}")
-    s = ScalingSequence(kind="power", evaluate=lambda n: n**theta, domain_min=1)
-    _probe_window(s)
-    return s
+    return ScalingSequence(kind="power", evaluate=lambda n: n**theta, domain_min=1)
 
 
 def lil_scaling() -> ScalingSequence:
     """b_n = sqrt(n log log n), defined for n >= 16 (the first n with log log n >= 1)."""
-    s = ScalingSequence(
+    return ScalingSequence(
         kind="lil",
         evaluate=lambda n: np.sqrt(n * np.log(np.log(n))),
         domain_min=16,
     )
-    _probe_window(s)
-    return s
-
-
-def custom_scaling(fn: Callable, domain_min: int = 1) -> ScalingSequence:
-    s = ScalingSequence(kind="custom", evaluate=fn, domain_min=domain_min)
-    _probe_window(s)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -228,48 +200,11 @@ def _assemble_path(graph, phi, rho, edges) -> WalkPath:
     )
 
 
-# ---------------------------------------------------------------------------
-# Interpolated path process
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterpolatedPath:
-    """Piecewise-linear interpolation of the centered partial sums, scaled by a_n."""
-
-    n: int
-    a_n: float
-    prefix: np.ndarray      # (n+1, d1)
-    increments: np.ndarray  # (n, d1)
-
-    def values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any((ts < 0) | (ts > 1)):
-            raise ValueError("query times must lie in [0, 1]")
-        s = ts * self.n
-        near = np.rint(s)
-        snap = np.abs(s - near) <= _SNAP_TOL
-        s = np.where(snap, near, s)
-        k = np.floor(s).astype(np.int64)
-        frac = s - k
-        inc_idx = np.minimum(k, self.n - 1) if self.n > 0 else np.zeros_like(k)
-        inc = self.increments[inc_idx] if self.n > 0 else np.zeros((len(k), self.prefix.shape[1]))
-        return (self.prefix[k] + frac[:, None] * inc) / self.a_n
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.values([t])[0]
-
-
-def interpolate(path: WalkPath, scaling: ScalingSequence) -> InterpolatedPath:
-    return InterpolatedPath(
-        n=path.n, a_n=float(scaling(path.n)), prefix=path.prefix, increments=path.increments
-    )
-
-
 def _pin_first_layer(alg, points: np.ndarray, pinned: np.ndarray) -> np.ndarray:
     """Overwrite the first layer of ``points`` (any leading axes) by ``pinned``.
 
     The two agree mathematically; pinning makes the identity with the
-    interpolated path's endpoint exact in floating point.  A disagreement
+    centered increment sum exact in floating point.  A disagreement
     beyond rounding means the realization or the centering is inconsistent.
     """
     d1 = alg.layer_dims[0]

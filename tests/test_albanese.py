@@ -6,7 +6,6 @@ from nilwalk.albanese import (
     albanese_pipeline,
     asymptotic_direction,
     clt_covariance_oracle,
-    corrector,
     first_layer_form,
     harmonicity_residual,
     modified_harmonic_realization,
@@ -15,8 +14,8 @@ from nilwalk.albanese import (
 from nilwalk.algebra import abelian_algebra
 from nilwalk.errors import SingularSigma
 from nilwalk.graph import (
+    OneChain,
     VoltageGraph,
-    cycle_basis,
     heisenberg_cayley,
     hexagonal,
     invariant_measure,
@@ -33,6 +32,18 @@ ALL_PRESETS = {
     "hexagonal": hexagonal(),
     "heisenberg_cayley": heisenberg_cayley(),
     "z1_subdivided": z1_subdivided(),
+}
+
+# a basis of integer cycles (coefficients on the oriented edges) per preset: on a
+# one-vertex preset each loop pair is a cycle; on hexagonal() edge pair 0 closes
+# the other two, and z1_subdivided() goes out on pair 0 and back on pair 1
+CYCLES = {
+    "zd_lattice(1)": [[1, -1]],
+    "zd_lattice(2)": [[1, -1, 0, 0], [0, 0, 1, -1]],
+    "z1_biased(0.75)": [[1, -1]],
+    "hexagonal": [[-1, 1, 1, -1, 0, 0], [-1, 1, 0, 0, 1, -1]],
+    "heisenberg_cayley": [[1, -1, 0, 0], [0, 0, 1, -1]],
+    "z1_subdivided": [[1, -1, 1, -1]],
 }
 
 
@@ -83,7 +94,7 @@ def test_direction_realization_independent():
 
 def test_form_antisymmetry_and_cycle_holonomy():
     rng = np.random.default_rng(29)
-    for g in ALL_PRESETS.values():
+    for name, g in ALL_PRESETS.items():
         phi = realization_from_first_layer(
             g, rng.normal(size=(g.num_vertices, g.algebra.layer_dims[0]))
         )
@@ -91,9 +102,10 @@ def test_form_antisymmetry_and_cycle_holonomy():
         assert np.abs(w[g.inverse] + w).max() <= 1e-13
         # the cycle sum sees only the voltage holonomy, not the realization
         gamma1 = g.first_layer_voltages()
-        for cyc in cycle_basis(g).cycles:
-            got = 0.5 * np.einsum("e,ei->i", cyc.astype(float), w)
-            want = 0.5 * np.einsum("e,ei->i", cyc.astype(float), gamma1)
+        for cyc in np.array(CYCLES[name], dtype=float):
+            assert np.array_equal(cyc[g.inverse], -cyc) and not OneChain(coeff=cyc).boundary(g).any()
+            got = 0.5 * np.einsum("e,ei->i", cyc, w)
+            want = 0.5 * np.einsum("e,ei->i", cyc, gamma1)
             assert np.abs(got - want).max() <= 1e-12
 
 
@@ -101,10 +113,10 @@ def test_hexagonal_cycle_holonomy_by_hand():
     g = hexagonal()
     phi0 = modified_harmonic_realization(g, invariant_measure(g), np.zeros(2))
     w = first_layer_form(g, phi0)
-    basis = cycle_basis(g)
-    # tree edge: pair 0 (voltage (1,0)); first fundamental cycle traverses
-    # pair 1 backwards to the root, i.e. holonomy (0,1) - (1,0) = (-1, 1)
-    holonomies = {tuple(0.5 * np.einsum("e,ei->i", c.astype(float), w)) for c in basis.cycles}
+    # pair 0 (voltage (1,0)) closes each cycle: the first runs out on pair 1 and
+    # back on pair 0, i.e. holonomy (0,1) - (1,0) = (-1, 1)
+    cycles = np.array(CYCLES["hexagonal"], dtype=float)
+    holonomies = {tuple(0.5 * np.einsum("e,ei->i", c, w)) for c in cycles}
     assert holonomies == {(-1.0, 1.0), (-2.0, -1.0)} or len(holonomies) == 2
 
 
@@ -134,43 +146,6 @@ def test_harmonicity_residual_all_presets():
         rho = asymptotic_direction(g, meas)
         phi0 = modified_harmonic_realization(g, meas, rho)
         assert harmonicity_residual(g, phi0, rho) <= 1e-10, name
-
-
-# ---------------------------------------------------------------------------
-# Corrector
-# ---------------------------------------------------------------------------
-
-def test_corrector_zero_for_same_realization():
-    g = hexagonal()
-    meas = invariant_measure(g)
-    rho = asymptotic_direction(g, meas)
-    phi0 = modified_harmonic_realization(g, meas, rho)
-    assert np.array_equal(corrector(phi0, phi0), np.zeros((2, 2)))
-
-
-def test_corrector_subdivided_example():
-    g = z1_subdivided()
-    meas = invariant_measure(g)
-    rho = asymptotic_direction(g, meas)
-    phi0 = modified_harmonic_realization(g, meas, rho)
-    naive = realization_from_first_layer(g, np.zeros((2, 1)))
-    psi = corrector(naive, phi0)
-    assert np.allclose(psi, [[0.0], [-0.5]], atol=1e-14)
-
-
-def test_corrector_edge_differences_cancel_in_mean():
-    # stationarity kills the m-tilde-weighted mean of corrector increments
-    rng = np.random.default_rng(37)
-    for g in (hexagonal(), z1_subdivided()):
-        meas = invariant_measure(g)
-        rho = asymptotic_direction(g, meas)
-        phi0 = modified_harmonic_realization(g, meas, rho)
-        phi = realization_from_first_layer(
-            g, rng.normal(size=(g.num_vertices, g.algebra.layer_dims[0]))
-        )
-        psi = corrector(phi, phi0)
-        diff = psi[g.terminus] - psi[g.origin]
-        assert np.abs(np.einsum("e,ei->i", meas.m_tilde, diff)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

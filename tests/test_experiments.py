@@ -252,13 +252,14 @@ def test_run_mdp_exact_and_mc(tmp_path):
     metrics = run_mdp(cfg, tmp_path / "exact")
     assert metrics["mode"] == "exact"
     lines = (tmp_path / "exact" / "mdp.csv").read_text().splitlines()
-    assert lines[0] == "n,delta,tail,log_tail,rate,mode"
+    assert lines[0] == "n,delta,tail,log_tail,rate,predicted_rate,mode"
     assert all(line.endswith("exact") for line in lines[1:])
     for line in lines[1:]:
-        n, delta, tail, log_tail, rate = (float(x) for x in line.split(",")[:5])
+        n, delta, tail, log_tail, rate, predicted = (float(x) for x in line.split(",")[:6])
         assert tail == math.exp(log_tail)
         a_n = n**0.75
         assert rate == n / (a_n * a_n) * log_tail
+        assert predicted == -0.5 * delta * delta  # Z: sigma = 1
 
     cfg_mc = make_config(
         graph={"preset": "heisenberg_cayley"},
@@ -286,7 +287,7 @@ def test_mdp_exact_vs_mc_agreement(tmp_path):
     g = zd_lattice(1)
     meas, rho, phi0, data = albanese_pipeline(g)
     n, a_n = 100, 100 ** 0.75
-    exact = ExactLatticeDistribution.from_graph(g).tail_probability(n, a_n)
+    exact = math.exp(ExactLatticeDistribution.from_graph(g).log_tail_probability(n, a_n))
     sums = batch_centered_sums(g, phi0, rho, n, samples=1_000_000, seed=12, chunk=8192)
     hits = np.abs(sums[:, 0]) >= a_n - 1e-9
     est = float(hits.mean())

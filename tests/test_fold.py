@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nilwalk.algebra import bch_product, fold, heisenberg_algebra, limit_product
+from nilwalk.algebra import _fold, bch_product, fold, heisenberg_algebra, limit_product
 from nilwalk.errors import DimensionMismatch
 
 from conftest import step3_filtered_algebra, unipotent_algebra, unipotent_exp, unipotent_log
@@ -50,7 +50,7 @@ def test_fold_matches_sequential_and_matrix_products(name, batch, data):
     gammas = data.draw(arrays(np.float64, batch + (length, alg.dim),
                               elements=st.floats(-1.5, 1.5, allow_subnormal=False)))
     got = fold(alg, gammas)
-    got_limit = fold(alg, gammas, limit=True)
+    got_limit = _fold(alg, alg.graded_bracket_entries, gammas)
     assert got.shape == batch + (alg.dim,)
     for idx in np.ndindex(*batch):
         rows = gammas[idx]

@@ -12,12 +12,10 @@ from nilwalk.errors import (
 from nilwalk.graph import (
     PRESETS,
     VoltageGraph,
-    cycle_basis,
     heisenberg_cayley,
     hexagonal,
     homological_direction,
     invariant_measure,
-    is_symmetric,
     validate,
     z1_biased,
     z1_subdivided,
@@ -167,7 +165,6 @@ def test_symmetric_presets_have_zero_direction():
         meas = invariant_measure(g)
         chain = homological_direction(g, meas)
         assert np.abs(chain.coeff).max() <= 1e-14
-        assert is_symmetric(g, meas)
 
 
 def test_direction_boundary_vanishes():
@@ -175,72 +172,6 @@ def test_direction_boundary_vanishes():
         meas = invariant_measure(g)
         chain = homological_direction(g, meas)
         assert np.abs(chain.boundary(g)).max() <= 1e-14
-
-
-def test_is_symmetric_matches_direction():
-    for g in all_presets():
-        meas = invariant_measure(g)
-        chain = homological_direction(g, meas)
-        assert is_symmetric(g, meas) == (np.abs(chain.coeff).max() <= 1e-13)
-    assert not is_symmetric(z1_biased(0.75), invariant_measure(z1_biased(0.75)))
-
-
-# ---------------------------------------------------------------------------
-# Cycle basis
-# ---------------------------------------------------------------------------
-
-def test_betti_numbers():
-    assert cycle_basis(zd_lattice(3)).betti == 3
-    assert cycle_basis(hexagonal()).betti == 2
-    assert cycle_basis(heisenberg_cayley()).betti == 2
-    assert cycle_basis(z1_subdivided()).betti == 1
-
-
-def test_tree_graph_has_no_cycles():
-    # path A - B - C with no wrap-around edges
-    pairs = [
-        (0, 1, 1.0, 0.5, [0.0]),
-        (1, 2, 0.5, 1.0, [0.0]),
-    ]
-    g = VoltageGraph.from_pairs(abelian_algebra(1), 3, pairs)
-    validate(g)
-    basis = cycle_basis(g)
-    assert basis.betti == 0
-    assert basis.cycles == []
-
-
-def test_cycles_are_integer_with_zero_boundary():
-    from nilwalk.graph import OneChain
-
-    for g in all_presets():
-        basis = cycle_basis(g)
-        for cyc in basis.cycles:
-            assert cyc.dtype == np.int64
-            assert np.array_equal(cyc[g.inverse], -cyc)
-            flux = OneChain(coeff=cyc.astype(float)).boundary(g)
-            assert np.array_equal(flux, np.zeros(g.num_vertices))
-
-
-def test_cycles_linearly_independent():
-    for g in all_presets():
-        basis = cycle_basis(g)
-        if basis.betti == 0:
-            continue
-        mat = np.array(basis.cycles, dtype=float)
-        assert np.linalg.matrix_rank(mat) == basis.betti
-
-
-def test_cycle_basis_names_the_broken_invariant():
-    # unvalidated graphs: named errors, not asserts that vanish under python -O
-    pairs = [(0, 0, 0.5, 0.5, [1.0]), (1, 1, 0.5, 0.5, [1.0])]
-    disconnected = VoltageGraph.from_pairs(abelian_algebra(1), 2, pairs)
-    with pytest.raises(NotStronglyConnected, match="vertex 1"):
-        cycle_basis(disconnected)
-    base = zd_lattice(1)
-    self_paired = VoltageGraph(base.algebra, 1, base.origin, base.terminus, np.array([0, 1]),
-                               base.prob, base.voltages)
-    with pytest.raises(InvolutionViolation):
-        cycle_basis(self_paired)
 
 
 def test_presets_registry():

@@ -36,3 +36,28 @@ def test_readme_config_fields_match_the_schema():
         paragraph = readme[start:readme.index("\n\n", start)]
         listed = {m.group(1) for name in re.findall(r"`([^`]*)`", paragraph) if (m := re.fullmatch(pattern, name))}
         assert listed == set(names), heading
+
+
+def test_every_export_is_reached():
+    # a public name earns its place when the package itself, an acceptance
+    # criterion or the benchmark uses it, or README documents it; a name only
+    # its own unit test calls is dead weight
+    root = Path(nilwalk.__file__).resolve().parents[2]
+    sources = [p for p in Path(nilwalk.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    sources += [root / "tests" / "test_acceptance.py"]
+    sources += [p for p in (root / "perfbench").glob("*.py") if p.name != "test_smoke.py"]
+    reached = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+    readme = (root / "README.md").read_text()
+    fences = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
+    documented = [body for lang, body in fences.findall(readme) if lang == "python"]
+    documented += re.findall(r"`([^`\n]+)`", fences.sub("", readme))
+    for text in documented:
+        reached.update(re.findall(r"[A-Za-z_]\w*", text))
+    unreached = sorted(set(nilwalk.__all__) - reached)
+    assert unreached == [], f"exported but reached by nothing: {unreached}"

@@ -18,9 +18,7 @@ from nilwalk.graph import (
 from nilwalk.walk import (
     batch_centered_sums,
     batch_endpoints,
-    custom_scaling,
     endpoints_csv_rows,
-    interpolate,
     lil_scaling,
     power_scaling,
     sample_path,
@@ -56,15 +54,6 @@ def test_lil_scaling_domain():
     assert abs(s(100) - np.sqrt(100 * np.log(np.log(100)))) <= 1e-12
     with pytest.raises(ScalingDomain):
         s(15)
-
-
-def test_custom_scaling_validation():
-    ok = custom_scaling(lambda n: n ** 0.6 * 2.0)
-    assert ok(32) == 2.0 * 32 ** 0.6
-    with pytest.raises(ValueError):
-        custom_scaling(lambda n: np.sqrt(n))  # does not outgrow sqrt(n)
-    with pytest.raises(ValueError):
-        custom_scaling(lambda n: n * 1.0)  # does not fall below n
 
 
 def test_stream_is_chunk_invariant():
@@ -146,36 +135,13 @@ def test_empirical_step_distribution():
 
 
 # ---------------------------------------------------------------------------
-# Interpolation and scaled endpoints
+# Scaled endpoints
 # ---------------------------------------------------------------------------
-
-def test_interpolation_identities():
-    g = zd_lattice(2)
-    meas, rho, phi0 = pipeline(g)
-    scaling = power_scaling(0.75)
-    path = sample_path(g, phi0, rho, 64, seed=3)
-    z = interpolate(path, scaling)
-    a_n = scaling(64)
-    assert np.array_equal(z(1.0), path.xi_bar / a_n)
-    assert np.array_equal(z(0.0), np.zeros(2))
-    for k in (1, 7, 32, 63):
-        assert np.abs(z(k / 64) - path.prefix[k] / a_n).max() <= 1e-15
-
-
-def test_interpolation_single_segment():
-    g = zd_lattice(1)
-    meas, rho, phi0 = pipeline(g)
-    path = sample_path(g, phi0, rho, 1, seed=9)
-    z = interpolate(path, power_scaling(0.75))
-    assert np.array_equal(z(0.5), 0.5 * path.increments[0] / 1.0)
-
 
 def test_interpolation_lil_domain():
     g = zd_lattice(1)
     meas, rho, phi0 = pipeline(g)
     path = sample_path(g, phi0, rho, 15, seed=9)
-    with pytest.raises(ScalingDomain):
-        interpolate(path, lil_scaling())
     with pytest.raises(ScalingDomain):
         scaled_endpoint(path, lil_scaling())
     with pytest.raises(ScalingDomain):
@@ -188,8 +154,7 @@ def test_scaled_endpoint_consistency():
         meas, rho, phi0 = pipeline(g)
         path = sample_path(g, phi0, rho, 256, seed=21)
         pt = scaled_endpoint(path, scaling)
-        z = interpolate(path, scaling)
-        assert np.array_equal(pt[: len(z(1.0))], z(1.0))
+        assert np.array_equal(pt[: g.algebra.layer_dims[0]], path.xi_bar / scaling(256))
 
 
 def test_scaled_endpoint_symmetric_equals_uncentered():
@@ -465,7 +430,7 @@ def test_trajectory_scan_sup_matches_replay():
 def test_trajectory_scan_sup_statistic_biased():
     g = z1_biased(0.75)
     meas, rho, phi0 = pipeline(g)
-    scaling = custom_scaling(lambda n: n**0.75)
+    scaling = power_scaling(0.75)
     points, sup = trajectory_scan(
         g, phi0, rho, [4096], seed=47, stream_index=0,
         sup_scaling=scaling, sup_range=(64, 4096),
