@@ -156,30 +156,3 @@ def albanese_pipeline(graph: VoltageGraph):
     phi0 = modified_harmonic_realization(graph, meas, rho)
     data = albanese_matrix(graph, meas, phi0, rho)
     return meas, rho, phi0, data
-
-
-def clt_covariance_oracle(
-    graph: VoltageGraph,
-    meas: InvariantMeasure,
-    phi: Realization,
-    n_steps: int,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-    index_offset: int = 0,
-):
-    """Monte Carlo estimate of (1/N) E[centered-sum outer product] with standard errors.
-
-    Consistent for the covariance form as N grows; the centered per-sample sums
-    are produced by the seeded walk engine (per-sample streams), so the result
-    is reproducible independently of the worker count.
-    """
-    from .walk import batch_centered_sums
-
-    rho = asymptotic_direction(graph, meas)
-    sums = batch_centered_sums(graph, phi, rho, n_steps, samples, seed,
-                               workers=workers, index_offset=index_offset)
-    prods = np.einsum("si,sj->sij", sums, sums) / float(n_steps)
-    est = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / np.sqrt(samples)
-    return est, se

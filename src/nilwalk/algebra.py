@@ -59,10 +59,6 @@ class StratifiedAlgebra:
         self.step = len(self.layer_dims)
         self.dim = int(sum(self.layer_dims))
         self.layer_of = np.repeat(np.arange(1, self.step + 1), self.layer_dims)
-        offsets = np.concatenate([[0], np.cumsum(self.layer_dims)]).astype(int)
-        self.layer_slices = tuple(
-            slice(int(offsets[k]), int(offsets[k + 1])) for k in range(self.step)
-        )
 
         table = np.zeros((self.dim, self.dim, self.dim))
         for entry in brackets:
@@ -134,13 +130,6 @@ class StratifiedAlgebra:
                 f"expected vectors of length {self.dim} on the last axis, got shape {z.shape}"
             )
         return z
-
-    def layer(self, z: Vector, k: int) -> Vector:
-        """Layer-k slice of a coordinate vector (1-based layer index)."""
-        return np.asarray(z)[self.layer_slices[k - 1]]
-
-    def first_layer(self, z: Vector) -> Vector:
-        return np.asarray(z)[: self.layer_dims[0]]
 
     def embed_first_layer(self, v) -> np.ndarray:
         """First-layer vectors (any leading axes) as coordinates with zero higher layers."""

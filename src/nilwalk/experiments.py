@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .albanese import albanese_pipeline, clt_covariance_oracle
+from .albanese import albanese_pipeline
 from .algebra import StratifiedAlgebra, dilate_vector
 from .errors import OracleUnavailable, SchemaError
 from .graph import PRESETS, VoltageGraph, validate
@@ -26,7 +26,9 @@ from .lattice import ExactLatticeDistribution, gaussian_tail_exponent, mdp_rate
 from .rates import QuadraticForms, minimize_endpoint_rate
 from .walk import (
     ScalingSequence,
+    _run_sharded,
     batch_centered_sums,
+    clt_covariance_oracle,
     lil_scaling,
     power_scaling,
     trajectory_scan,
@@ -227,12 +229,11 @@ def load_graph(config: ExperimentConfig) -> VoltageGraph:
         params = spec.get("params", {})
         _expect(isinstance(params, dict), "/graph/params", "must be an object")
         graph = PRESETS[name](**params)
-    elif "file" in spec:
-        graph = ingest_graph(spec["file"])
-    else:
-        raise SchemaError("/graph", "must contain 'preset' or 'file'")
-    validate(graph)
-    return graph
+        validate(graph)
+        return graph
+    if "file" in spec:
+        return ingest_graph(spec["file"])
+    raise SchemaError("/graph", "must contain 'preset' or 'file'")
 
 
 def scaling_from_config(config: ExperimentConfig) -> ScalingSequence:
@@ -360,7 +361,7 @@ def run_clt(config: ExperimentConfig, out_dir) -> dict:
     max_dev = 0.0
     for gi, n in enumerate(config.n_grid):
         est, se = clt_covariance_oracle(
-            graph, meas, phi0, int(n), config.samples, config.seed,
+            graph, phi0, rho, int(n), config.samples, config.seed,
             workers=config.workers, index_offset=gi * config.samples,
         )
         rows.append([int(n)] + list(est.ravel()) + list(se.ravel()) + list(data.sigma.ravel()))
@@ -476,7 +477,6 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
         return sup, out
 
     results = [None] * config.trajectories
-    from .walk import _run_sharded
 
     def job(shard):
         for t in shard:

@@ -15,14 +15,15 @@ vectorized comparison per cut.  Vertex ``v`` then takes edge ``table[v, b]``,
 the first out-edge whose cumulative probability exceeds ``u`` (the last
 out-edge if none does).  On a one-vertex graph this is one vectorized look-up; on a larger quotient a loop
 over steps carries the current vertex of every row of a block at once.
-Sum-only walks reduce each row to edge counts times the increments; on one
-vertex the counts come from the uniforms at or above each cut, with no
-per-step array.  Every walk starts at the realization's base vertex 0.
+Every batched first-layer sum reduces each row to edge counts times the
+increments; a sum-only walk on one vertex counts the uniforms at or above
+each cut, with no per-step array.  Every walk starts at the realization's
+base vertex 0.
 
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
 single pass.  Results are therefore bitwise reproducible for any worker count
-or chunk size, and batch sample 0 replays ``sample_path`` exactly.
+or block size, and batch sample 0 replays ``sample_path`` exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .albanese import Realization, first_layer_form
 from .algebra import bch_product, dilate_vector, fold
 from .errors import PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
+
+# Walks per batched block, and steps per block of a long trajectory.
+_BLOCK_ROWS = 256
+_SCAN_STEPS = 1 << 20
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
@@ -100,11 +105,6 @@ def _buckets(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
     return buckets
 
 
-def _draw_buckets(graph: VoltageGraph, stream: np.random.Generator, n: int) -> np.ndarray:
-    """The next n uniforms of ``stream`` as buckets of ``graph.step_table``: (n,) int."""
-    return _buckets(graph, stream.random(n))
-
-
 def _select_edges(graph: VoltageGraph, buckets: np.ndarray, vertex: int = 0) -> np.ndarray:
     """Edges (B, n) of B walks from ``vertex`` with the given buckets, written over them."""
     _, table = graph.step_table
@@ -122,13 +122,21 @@ def _select_edges(graph: VoltageGraph, buckets: np.ndarray, vertex: int = 0) -> 
     return np.take(table.ravel(), buckets, out=buckets, mode="clip")
 
 
+def _count_edges(edges: np.ndarray, width: int) -> np.ndarray:
+    """How often each row of ``edges`` (B, n) takes each of ``width`` edges: (B, width).
+
+    The rows are offset in place to disjoint ranges, so that one bincount counts them all.
+    """
+    rows = len(edges)
+    edges += np.arange(0, rows * width, width)[:, None]
+    return np.bincount(edges.ravel(), minlength=rows * width).reshape(rows, width)
+
+
 def _edge_counts(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
     """How often each of B walks from vertex 0 with uniforms ``u`` (B, n) takes each edge: (B, E)."""
     (rows, n), width = u.shape, graph.num_edges
     if graph.num_vertices > 1:
-        edges = _select_edges(graph, _buckets(graph, u))
-        edges += np.arange(0, rows * width, width)[:, None]
-        return np.bincount(edges.ravel(), minlength=rows * width).reshape(rows, width)
+        return _count_edges(_select_edges(graph, _buckets(graph, u)), width)
     # each row's steps at or above each cut; their differences count the buckets,
     # and on one vertex table[0] takes distinct buckets to distinct edges
     cuts, table = graph.step_table
@@ -178,7 +186,7 @@ def sample_path(
     """Sample an n-step trajectory from the base vertex 0 (stream (seed, 0))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    edges = _select_edges(graph, _draw_buckets(graph, sample_stream(seed, 0), n)[None, :])[0]
+    edges = _select_edges(graph, _buckets(graph, sample_stream(seed, 0).random(n))[None, :])[0]
     return _assemble_path(graph, phi, rho, edges)
 
 
@@ -254,22 +262,6 @@ def _run_sharded(total: int, workers: int, job: Callable) -> None:
             f.result()
 
 
-def _edge_batches(graph: VoltageGraph, n: int, sample_ids, seed: int, chunk: int,
-                  index_offset: int = 0):
-    """Yield (ids, edges (B, n)) blocks with per-sample streams.
-
-    Each row's uniforms become buckets as they are drawn, and the edges are
-    written over the buckets, so a block holds one (B, n) integer array.
-    """
-    ids = list(sample_ids)
-    for lo in range(0, len(ids), chunk):
-        block = ids[lo : lo + chunk]
-        buckets = np.empty((len(block), n), dtype=np.int64)
-        for row, s in enumerate(block):
-            buckets[row] = _draw_buckets(graph, sample_stream(seed, s + index_offset), n)
-        yield block, _select_edges(graph, buckets)
-
-
 def batch_centered_sums(
     graph: VoltageGraph,
     phi: Realization,
@@ -278,7 +270,6 @@ def batch_centered_sums(
     samples: int,
     seed: int,
     workers: int = 1,
-    chunk: int = 256,
     index_offset: int = 0,
 ) -> np.ndarray:
     """Centered first-layer sums for ``samples`` independent n-step walks: (S, d1)."""
@@ -289,8 +280,8 @@ def batch_centered_sums(
     out = np.empty((samples, d1))
 
     def job(shard):
-        for lo in range(0, len(shard), chunk):
-            block = shard[lo : lo + chunk]
+        for lo in range(0, len(shard), _BLOCK_ROWS):
+            block = shard[lo : lo + _BLOCK_ROWS]
             u = np.empty((len(block), n))
             for row, s in enumerate(block):
                 u[row] = sample_stream(seed, s + index_offset).random(n)
@@ -309,30 +300,62 @@ def batch_endpoints(
     samples: int,
     seed: int,
     workers: int = 1,
-    chunk: int = 256,
-    index_offset: int = 0,
 ):
-    """Scaled group endpoints plus raw centered sums: ((S, dim), (S, d1))."""
+    """Scaled group endpoints plus raw centered sums: ((S, dim), (S, d1)).
+
+    Each row's uniforms become buckets as they are drawn, and the edges are
+    written over the buckets, so a block of walks holds one (B, n) integer
+    array.  The sums are edge counts times the increments, as in
+    ``batch_centered_sums``.
+    """
     alg = graph.algebra
     a_n = float(scaling(n))
-    d1 = alg.layer_dims[0]
     wbar = _centered_increments(graph, phi, rho)
     points = np.empty((samples, alg.dim))
-    sums = np.empty((samples, d1))
+    sums = np.empty((samples, alg.layer_dims[0]))
 
     def job(shard):
-        for block, edges in _edge_batches(graph, n, shard, seed, chunk, index_offset):
-            # np.take gathers rows several times faster than fancy indexing here;
-            # einsum sums steps in order, like sample_path's prefix sums
-            bar = np.einsum("bkd->bd", np.take(wbar, edges, axis=0))
-            end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(block), dtype=np.int64)
+        for lo in range(0, len(shard), _BLOCK_ROWS):
+            block = shard[lo : lo + _BLOCK_ROWS]
+            buckets = np.empty((len(block), n), dtype=np.int64)
+            for row, s in enumerate(block):
+                buckets[row] = _buckets(graph, sample_stream(seed, s).random(n))
+            edges = _select_edges(graph, buckets)
+            # np.take gathers rows several times faster than fancy indexing here
             decks = fold(alg, np.take(graph.voltages, edges, axis=0))
+            end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(block), dtype=np.int64)
+            # last, because counting offsets the edges in place
+            bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
             xi = bch_product(alg, decks, phi.positions[end_vertex])
             points[block] = _scaled_points(graph, xi, bar, n, rho, a_n)
             sums[block] = bar
 
     _run_sharded(samples, workers, job)
     return points, sums
+
+
+def clt_covariance_oracle(
+    graph: VoltageGraph,
+    phi: Realization,
+    rho: np.ndarray,
+    n_steps: int,
+    samples: int,
+    seed: int,
+    workers: int = 1,
+    index_offset: int = 0,
+):
+    """Monte Carlo estimate of (1/N) E[centered-sum outer product] with standard errors.
+
+    Consistent for the covariance form as N grows; the centered per-sample sums
+    come from ``batch_centered_sums`` (per-sample streams), so the result is
+    reproducible independently of the worker count.
+    """
+    sums = batch_centered_sums(graph, phi, rho, n_steps, samples, seed,
+                               workers=workers, index_offset=index_offset)
+    prods = np.einsum("si,sj->sij", sums, sums) / float(n_steps)
+    est = prods.mean(axis=0)
+    se = prods.std(axis=0, ddof=1) / np.sqrt(samples)
+    return est, se
 
 
 def endpoints_csv_rows(points: np.ndarray, sums: np.ndarray, n: int):
@@ -375,7 +398,6 @@ def trajectory_scan(
     stream_index: int,
     sup_scaling: ScalingSequence | None = None,
     sup_range: tuple[int, int] | None = None,
-    chunk: int = 1 << 20,
 ):
     """One long trajectory; centered group points at checkpoints, optional sup statistic.
 
@@ -405,8 +427,8 @@ def trajectory_scan(
     vertex = 0
 
     while pos < n_max:
-        m = int(min(chunk, n_max - pos))
-        edges = _select_edges(graph, _draw_buckets(graph, stream, m)[None, :], vertex)[0]
+        m = int(min(_SCAN_STEPS, n_max - pos))
+        edges = _select_edges(graph, _buckets(graph, stream.random(m))[None, :], vertex)[0]
         vertex = int(graph.terminus[edges[-1]])
         bar_cum = bar + np.cumsum(np.take(wbar, edges, axis=0), axis=0)
 

@@ -5,12 +5,11 @@ lines and timings.  Every tolerance is pinned here; the statistical clauses
 use fixed seeds and are deterministic.
 """
 
-import json
 import time
 
 import numpy as np
 
-from nilwalk.albanese import albanese_pipeline, clt_covariance_oracle
+from nilwalk.albanese import albanese_pipeline
 from nilwalk.algebra import (
     bch_product,
     dilate_vector,
@@ -33,6 +32,7 @@ from nilwalk.graph import (
     zd_lattice,
 )
 from nilwalk.rates import QuadraticForms, _optimize_endpoint_rate, alpha_star
+from nilwalk.walk import clt_covariance_oracle
 
 from conftest import grid_sup_conjugate, heisenberg_matrix_product_log
 
@@ -116,7 +116,7 @@ def test_criterion_4_clt_covariance():
     details = []
     for g in (zd_lattice(2), z1_biased(0.75), heisenberg_cayley()):
         meas, rho, phi0, data = albanese_pipeline(g)
-        est, se = clt_covariance_oracle(g, meas, phi0, n_steps=10_000, samples=10_000, seed=7)
+        est, se = clt_covariance_oracle(g, phi0, rho, n_steps=10_000, samples=10_000, seed=7)
         dev = np.abs(est - data.sigma) / np.maximum(se, 1e-15)
         details.append(float(dev.max()))
         ok &= bool(np.all(dev <= 3.0))

@@ -5,7 +5,6 @@ from nilwalk.albanese import (
     albanese_matrix,
     albanese_pipeline,
     asymptotic_direction,
-    clt_covariance_oracle,
     first_layer_form,
     harmonicity_residual,
     modified_harmonic_realization,
@@ -24,6 +23,7 @@ from nilwalk.graph import (
     z1_subdivided,
     zd_lattice,
 )
+from nilwalk.walk import clt_covariance_oracle
 
 ALL_PRESETS = {
     "zd_lattice(1)": zd_lattice(1),
@@ -242,7 +242,7 @@ def test_oracle_single_step_closed_form():
     meas = invariant_measure(g)
     rho = asymptotic_direction(g, meas)
     phi0 = modified_harmonic_realization(g, meas, rho)
-    est, se = clt_covariance_oracle(g, meas, phi0, n_steps=1, samples=64, seed=3)
+    est, se = clt_covariance_oracle(g, phi0, rho, n_steps=1, samples=64, seed=3)
     assert np.array_equal(est, [[1.0]])  # every single step has squared length 1
     assert np.array_equal(se, [[0.0]])
 
@@ -250,7 +250,7 @@ def test_oracle_single_step_closed_form():
 def test_oracle_matches_sigma_on_all_presets():
     for name, g in ALL_PRESETS.items():
         meas, rho, phi0, data = albanese_pipeline(g)
-        est, se = clt_covariance_oracle(g, meas, phi0, n_steps=10_000, samples=2000, seed=11)
+        est, se = clt_covariance_oracle(g, phi0, rho, n_steps=10_000, samples=2000, seed=11)
         bound = 3.0 * np.maximum(se, 1e-6)
         assert np.all(np.abs(est - data.sigma) <= bound), name
 

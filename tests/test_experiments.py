@@ -176,11 +176,15 @@ def test_schema_error_pointers(tmp_path):
     assert err.value.pointer == "/algebra/layer_dims/0"
 
 
-def test_missing_inverse_edge_is_involution_violation():
+def test_missing_inverse_edge_is_involution_violation(tmp_path):
     doc = graph_to_dict(zd_lattice(1))
     doc["edges"][1]["inv"] = 1  # self-paired
     with pytest.raises(InvolutionViolation):
         graph_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvolutionViolation):
+        load_graph(make_config(graph={"file": str(path)}))
 
 
 def test_bad_bracket_table_raises_algebra_error():
@@ -288,7 +292,7 @@ def test_mdp_exact_vs_mc_agreement(tmp_path):
     meas, rho, phi0, data = albanese_pipeline(g)
     n, a_n = 100, 100 ** 0.75
     exact = math.exp(ExactLatticeDistribution.from_graph(g).log_tail_probability(n, a_n))
-    sums = batch_centered_sums(g, phi0, rho, n, samples=1_000_000, seed=12, chunk=8192)
+    sums = batch_centered_sums(g, phi0, rho, n, samples=1_000_000, seed=12)
     hits = np.abs(sums[:, 0]) >= a_n - 1e-9
     est = float(hits.mean())
     se = math.sqrt(est * (1.0 - est) / len(hits))

@@ -10,8 +10,8 @@ import pytest
 import nilwalk
 from nilwalk.albanese import albanese_pipeline
 from nilwalk.algebra import StratifiedAlgebra, _fold, abelian_algebra, dilate_vector, fold
-from nilwalk.errors import DimensionMismatch, NonIncreasingTimes
-from nilwalk.graph import heisenberg_cayley, zd_lattice
+from nilwalk.errors import NonIncreasingTimes
+from nilwalk.graph import zd_lattice
 from nilwalk.rates import (
     _defect_jacobian,
     _optimize_endpoint_rate,

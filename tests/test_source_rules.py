@@ -61,3 +61,25 @@ def test_every_export_is_reached():
         reached.update(re.findall(r"[A-Za-z_]\w*", text))
     unreached = sorted(set(nilwalk.__all__) - reached)
     assert unreached == [], f"exported but reached by nothing: {unreached}"
+
+
+def test_no_unused_imports():
+    # every name a module imports is referenced in it; the package's
+    # __init__.py is exempt, because its imports are the exports
+    root = Path(nilwalk.__file__).resolve().parents[2]
+    files = [p for p in Path(nilwalk.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((root / "tests").glob("*.py"))
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == [], f"imported but never used: {sorted(unused)}"

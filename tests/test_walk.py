@@ -9,7 +9,6 @@ from nilwalk.graph import (
     VoltageGraph,
     heisenberg_cayley,
     hexagonal,
-    invariant_measure,
     validate,
     z1_biased,
     z1_subdivided,
@@ -218,7 +217,7 @@ def test_batch_mean_near_zero_for_symmetric():
     assert np.all(np.abs(sums.mean(axis=0)) <= 3.5 * se)
 
 
-def test_batch_worker_count_invariance():
+def test_batch_worker_count_invariance(monkeypatch):
     # the last two graphs have non-dyadic centered increments, so their sums
     # are rounded and would show a reduction that depends on the block size
     for g in (zd_lattice(2), hexagonal(), unipotent_cayley(4), uneven_three_vertex(),
@@ -228,9 +227,11 @@ def test_batch_worker_count_invariance():
         eight = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=8)
         assert np.array_equal(one, eight)
         p1, s1 = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29, workers=1)
-        for workers, chunk in ((2, 256), (8, 256), (1, 7)):
-            p, s = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29,
-                                   workers=workers, chunk=chunk)
+        for workers, rows in ((2, 256), (8, 256), (1, 7)):
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_BLOCK_ROWS", rows)
+                p, s = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29,
+                                       workers=workers)
             assert np.array_equal(p1, p) and np.array_equal(s1, s)
 
 
@@ -328,8 +329,9 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(walk, "sample_stream", lambda seed, index: _FixedStream(rows[index]))
+            m.setattr(walk, "_BLOCK_ROWS", 4)
             n = len(rows[0])
-            sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0, chunk=4)
+            sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0)
             for i, (_, edges) in enumerate(replays):
                 assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
             assert np.array_equal(sample_path(g, phi0, rho, n, seed=0).edges, replays[0][1])
@@ -387,15 +389,17 @@ def test_trajectory_scan_matches_sample_path():
             assert np.abs(points[c] - centered).max() <= 1e-10
 
 
-def test_trajectory_scan_chunk_invariance():
+def test_trajectory_scan_chunk_invariance(monkeypatch):
     # with an odd chunk, chunks of the bipartite two-vertex quotients start at either vertex
     cps = [50, 400, 1500]
     kw = dict(seed=43, stream_index=2, sup_scaling=lil_scaling(), sup_range=(100, 1500))
     for g in (heisenberg_cayley(), hexagonal(), z1_subdivided()):
         meas, rho, phi0 = pipeline(g)
-        p_big, s_big = trajectory_scan(g, phi0, rho, cps, chunk=1 << 20, **kw)
+        p_big, s_big = trajectory_scan(g, phi0, rho, cps, **kw)
         for chunk in (7, 64):
-            p_small, s_small = trajectory_scan(g, phi0, rho, cps, chunk=chunk, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_SCAN_STEPS", chunk)
+                p_small, s_small = trajectory_scan(g, phi0, rho, cps, **kw)
             assert np.abs(p_small - p_big).max() <= 1e-10
             assert abs(s_small - s_big) <= 1e-12
 
@@ -408,7 +412,7 @@ def test_row_norms_match_numpy_norm_bit_for_bit():
             assert np.array_equal(walk._row_norms(part), np.linalg.norm(part, axis=1)), d
 
 
-def test_trajectory_scan_sup_matches_replay():
+def test_trajectory_scan_sup_matches_replay(monkeypatch):
     # the sup over every step in range, replayed from sample_path's prefix sums
     scaling = lil_scaling()
     for g in (heisenberg_cayley(), zd_lattice(1), hexagonal()):
@@ -419,8 +423,10 @@ def test_trajectory_scan_sup_matches_replay():
             mask = (ns >= lo) & (ns <= hi)
             want = float((np.linalg.norm(prefix[1:][mask], axis=1) / scaling(ns[mask])).max())
             for chunk in (1 << 20, 64, 7):
-                _, sup = trajectory_scan(g, phi0, rho, [1500], seed=53, stream_index=0, chunk=chunk,
-                                         sup_scaling=scaling, sup_range=(lo, hi))
+                with monkeypatch.context() as m:
+                    m.setattr(walk, "_SCAN_STEPS", chunk)
+                    _, sup = trajectory_scan(g, phi0, rho, [1500], seed=53, stream_index=0,
+                                             sup_scaling=scaling, sup_range=(lo, hi))
                 if chunk == 1 << 20:
                     assert sup == want
                 else:  # later chunks add their sums to a carried total
