@@ -40,9 +40,11 @@ from .algebra import bch_product, dilate_vector, fold
 from .errors import PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
-# Walks per batched block, and steps per block of a long trajectory.
+# Walks per batched block, steps per block of a long trajectory, and steps
+# per block of the sup statistic's screen.
 _BLOCK_ROWS = 256
 _SCAN_STEPS = 1 << 20
+_SUP_BLOCK = 4096
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
@@ -389,6 +391,29 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _screened_sup(x: np.ndarray, first: int, scaling: ScalingSequence, sup: float) -> float:
+    """``max(sup, max_k ||x[k]|| / scaling(first + k))``, the same float as the unscreened max.
+
+    The steps are cut into blocks of ``_SUP_BLOCK``.  The scaling is
+    nondecreasing, so no ratio in a block exceeds its largest norm over the
+    scaling at its first step; the ``1 + 1e-9`` slack covers the rounding of
+    the computed scaling and of the division.  Blocks are visited in order of
+    decreasing bound, and the scan stops at the first bound below the running
+    max: a max of floats does not depend on the order of its terms.
+    """
+    norms = _row_norms(x)
+    starts = np.arange(0, len(norms), _SUP_BLOCK)
+    bounds = np.maximum.reduceat(norms, starts) / scaling(first + starts) * (1 + 1e-9)
+    for b in np.argsort(-bounds, kind="stable"):
+        if bounds[b] < sup:
+            break
+        lo = int(starts[b])
+        block = norms[lo : lo + _SUP_BLOCK]
+        ratios = block / scaling(np.arange(first + lo, first + lo + len(block)))
+        sup = max(sup, float(ratios.max()))
+    return sup
+
+
 def trajectory_scan(
     graph: VoltageGraph,
     phi: Realization,
@@ -404,8 +429,14 @@ def trajectory_scan(
     Returns ``(points, sup)`` where ``points[c]`` holds the log coordinates of
     the centered endpoint at step ``checkpoints[c]`` (not yet dilated) and
     ``sup`` is ``max over n in sup_range of ||centered first-layer sum at n|| /
-    sup_scaling(n)``, evaluated at every step in range (None if not requested).
+    sup_scaling(n)``, the exact max over every step in range (None if not
+    requested).  ``sup_scaling`` must be nondecreasing: it is evaluated only in
+    blocks of steps whose bound, the block's largest norm over the scaling at
+    its first step, reaches the running max.  ``sup_scaling`` and
+    ``sup_range`` are given together or not at all.
     """
+    if (sup_scaling is None) != (sup_range is None):
+        raise ValueError("sup_scaling and sup_range must be given together")
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     if len(checkpoints) == 0 or np.any(np.diff(checkpoints) <= 0) or checkpoints[0] <= 0:
@@ -435,9 +466,7 @@ def trajectory_scan(
         # the chunk's steps inside sup_range are the steps first..last
         first, last = max(lo, pos + 1), min(hi, pos + m)
         if first <= last:
-            ns = np.arange(first, last + 1)
-            stats = _row_norms(bar_cum[first - pos - 1 : last - pos]) / sup_scaling(ns)
-            sup = max(sup, float(stats.max()))
+            sup = _screened_sup(bar_cum[first - pos - 1 : last - pos], first, sup_scaling, sup)
 
         # the deck is needed only at checkpoints and at the chunk end: fold the
         # segments between them and chain the segment products

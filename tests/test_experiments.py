@@ -145,7 +145,6 @@ def _random_graphs_round_trip(g):
 
 
 def test_round_trip_gives_identical_analysis(tmp_path):
-    from nilwalk.albanese import albanese_pipeline
     from nilwalk.graph import hexagonal
 
     g = hexagonal()
@@ -284,7 +283,6 @@ def test_run_mdp_exact_and_mc(tmp_path):
 def test_mdp_exact_vs_mc_agreement(tmp_path):
     # z1 SRW at n = 100: the exact tail sits within 3 standard errors of the
     # Monte Carlo estimate with 10^6 samples
-    from nilwalk.albanese import albanese_pipeline
     from nilwalk.lattice import ExactLatticeDistribution
     from nilwalk.walk import batch_centered_sums
 

@@ -63,23 +63,46 @@ def test_every_export_is_reached():
     assert unreached == [], f"exported but reached by nothing: {unreached}"
 
 
-def test_no_unused_imports():
-    # every name a module imports is referenced in it; the package's
-    # __init__.py is exempt, because its imports are the exports
+def _checked_sources():
+    # the package's modules except __init__.py, whose imports are the
+    # exports, and the test modules
     root = Path(nilwalk.__file__).resolve().parents[2]
     files = [p for p in Path(nilwalk.__file__).parent.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((root / "tests").glob("*.py"))
+    return files + sorted((root / "tests").glob("*.py"))
+
+
+def _bound_names(node):
+    # the names an import statement binds; none for any other node
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def test_no_unused_imports():
+    # every name a module imports is referenced in it
     unused = []
-    for path in files:
+    for path in _checked_sources():
         tree = ast.parse(path.read_text(), filename=str(path))
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                for alias in node.names:
-                    imported[alias.asname or alias.name] = node.lineno
+        imported = {name: node.lineno for node in ast.walk(tree) for name in _bound_names(node)}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == [], f"imported but never used: {sorted(unused)}"
+
+
+def test_no_import_repeated_in_a_function():
+    # a function does not import again a name its module imports at module level
+    repeated = []
+    for path in _checked_sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {name for node in tree.body for name in _bound_names(node)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                repeated += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for node in ast.walk(func)
+                    for name in _bound_names(node)
+                    if name in top
+                ]
+    assert repeated == [], f"imported again inside a function: {sorted(repeated)}"

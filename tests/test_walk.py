@@ -433,6 +433,47 @@ def test_trajectory_scan_sup_matches_replay(monkeypatch):
                     assert abs(sup - want) <= 1e-12
 
 
+def test_trajectory_scan_sup_screen_is_exact(monkeypatch):
+    # the block screen returns the unscreened max bit for bit, for any block
+    # size, with both ends of the range inside a block
+    n, lo, hi = 200_000, 37, 199_993
+    ns = np.arange(1, n + 1)
+    mask = (ns >= lo) & (ns <= hi)
+    cases = {
+        "Z": (zd_lattice(1), lil_scaling()),
+        "Heisenberg": (heisenberg_cayley(), lil_scaling()),
+        "hexagonal": (hexagonal(), lil_scaling()),
+        "Z biased": (z1_biased(0.75), power_scaling(0.75)),
+    }
+    kw = dict(seed=59, stream_index=0, sup_range=(lo, hi))
+    for name, (g, scaling) in cases.items():
+        meas, rho, phi0 = pipeline(g)
+        prefix = sample_path(g, phi0, rho, n, seed=59).prefix
+        want = float((walk._row_norms(prefix[1:][mask]) / scaling(ns[mask])).max())
+        for block in (1, 7, 64, 4096):
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_SUP_BLOCK", block)
+                _, sup = trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **kw)
+            assert sup == want, (name, block)
+        if name == "Heisenberg":
+            # chunk ends inside blocks; later chunks add their sums to a carried total
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_SCAN_STEPS", 1000)
+                _, sup = trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **kw)
+            assert abs(sup - want) <= 1e-12
+            with pytest.raises(ScalingDomain):
+                trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **{**kw, "sup_range": (15, n)})
+
+
+def test_trajectory_scan_sup_arguments_go_together():
+    g = zd_lattice(1)
+    meas, rho, phi0 = pipeline(g)
+    with pytest.raises(ValueError, match="sup_scaling and sup_range"):
+        trajectory_scan(g, phi0, rho, [100], seed=1, stream_index=0, sup_range=(20, 100))
+    with pytest.raises(ValueError, match="sup_scaling and sup_range"):
+        trajectory_scan(g, phi0, rho, [100], seed=1, stream_index=0, sup_scaling=lil_scaling())
+
+
 def test_trajectory_scan_sup_statistic_biased():
     g = z1_biased(0.75)
     meas, rho, phi0 = pipeline(g)
