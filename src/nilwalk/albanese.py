@@ -65,7 +65,9 @@ def asymptotic_direction(graph: VoltageGraph, meas: InvariantMeasure) -> np.ndar
     """Drift vector rho: the m_tilde-weighted sum of first-layer voltage logs.
 
     The realization-dependent terms of w(e) cancel by stationarity, so the sum
-    over voltages alone already gives the realization-independent value.
+    over voltages alone already gives the realization-independent value.  It
+    is the voltages' image of the homological direction, the 1-cycle
+    sum_e m_tilde(e) e.
     """
     return np.einsum("e,ei->i", meas.m_tilde, graph.first_layer_voltages())
 

@@ -76,6 +76,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise SchemaError(f"/{name}", "must be an integer")
         if self.n_grid and (
             any(int(n) != n or n < 0 for n in self.n_grid)
             or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:]))
@@ -118,6 +121,7 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+_INT_FIELDS = ("samples", "trajectories", "seed", "workers", "rate_knots", "rate_restarts")
 
 
 def _freeze(v):
@@ -201,23 +205,6 @@ def ingest_graph(path) -> VoltageGraph:
     """Load and fully validate a voltage-graph JSON document."""
     with open(path) as fh:
         return graph_from_dict(json.load(fh))
-
-
-def graph_to_dict(graph: VoltageGraph) -> dict:
-    return {
-        "algebra": algebra_to_spec(graph.algebra),
-        "vertices": int(graph.num_vertices),
-        "edges": [
-            {
-                "o": int(graph.origin[e]),
-                "t": int(graph.terminus[e]),
-                "inv": int(graph.inverse[e]),
-                "p": float(graph.prob[e]),
-                "voltage": [float(x) for x in graph.voltages[e]],
-            }
-            for e in range(graph.num_edges)
-        ],
-    }
 
 
 def load_graph(config: ExperimentConfig) -> VoltageGraph:

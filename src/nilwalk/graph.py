@@ -9,8 +9,8 @@ voltages.
 
 The derived objects of interest are edge-indexed, which is why an oriented
 edge list (rather than an adjacency matrix) is the primary representation:
-the stationary vertex measure ``m``, the edge measure ``m_tilde(e) =
-p(e) m(o(e))`` and the homological direction (an antisymmetric 1-chain).
+the stationary vertex measure ``m`` and the edge measure ``m_tilde(e) =
+p(e) m(o(e))``.
 """
 
 from __future__ import annotations
@@ -197,33 +197,6 @@ def invariant_measure(graph: VoltageGraph) -> InvariantMeasure:
     if residual > 1e-12:
         raise SingularSystem(f"stationary residual {residual} too large")
     return InvariantMeasure(m=m, m_tilde=graph.prob * m[graph.origin])
-
-
-# ---------------------------------------------------------------------------
-# Homology
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OneChain:
-    """Real 1-chain as an antisymmetric function on oriented edges."""
-
-    coeff: np.ndarray  # (E,), coeff[inverse(e)] = -coeff[e]
-
-    def boundary(self, graph: VoltageGraph) -> np.ndarray:
-        """Net flux per vertex: sum over e of coeff(e) (t(e) - o(e))."""
-        flux = np.zeros(graph.num_vertices)
-        np.add.at(flux, graph.terminus, self.coeff)
-        np.add.at(flux, graph.origin, -self.coeff)
-        return flux
-
-
-def homological_direction(graph: VoltageGraph, meas: InvariantMeasure) -> OneChain:
-    """The cycle sum of m_tilde(e) e, antisymmetrized over edge reversal.
-
-    Its boundary vanishes by stationarity, and it is the zero chain exactly
-    when the walk is m-symmetric.
-    """
-    return OneChain(coeff=meas.m_tilde - meas.m_tilde[graph.inverse])
 
 
 # ---------------------------------------------------------------------------

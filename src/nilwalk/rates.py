@@ -1,4 +1,4 @@
-"""Rate functionals on paths and group endpoints, and the iterated-logarithm ball.
+"""Rate functionals on paths and group endpoints.
 
 The path functional is the time integral of the conjugate quadratic form of
 the covariance matrix, evaluated exactly on piecewise-linear paths.  Rates
@@ -7,10 +7,11 @@ automorphisms and to which the rescaled walk converges: the endpoint rate at
 g in G_inf is the infimum of the path functional over first-layer paths whose
 development (ordered product of segment exponentials under the graded law,
 ``limit_product``) reaches g.  On step <= 2, and on any graded table, the
-graded law is the group law itself.  ``minimize_endpoint_rate`` takes one of
-two routes, and reports which one in ``RateBound.method``:
+graded law is the group law itself.  ``minimize_endpoint_rate`` is the one
+entry point to the endpoint rate.  It takes one of two routes, and reports
+which one in ``RateBound.method``:
 
-- ``"closed_form"`` (``exact_rate``): on a step-1 group the rate is
+- ``"closed_form"`` (``_exact_rate``): on a step-1 group the rate is
   alpha_star(g); on a group with layers (2, 1) and a nonzero bracket (the
   Heisenberg type) it is half the squared sub-Riemannian distance, which
   Dido's isoperimetric problem gives through one scalar root find (Gaveau
@@ -129,25 +130,13 @@ def alpha_star(forms: QuadraticForms, lam) -> float:
 
 
 def path_rate(forms: QuadraticForms, path: PiecewisePath) -> float:
-    """Integral of alpha_star along the path derivative; exact on PL paths."""
+    """Integral of alpha_star along the path derivative; exact on PL paths.
+
+    Through knots at times t_1 < ... < t_K = 1 it is the finite-dimensional
+    marginal rate of the knot values.
+    """
     dt = path.dt
     vel = path.increments / dt[:, None]
-    vals = 0.5 * np.einsum("ki,ij,kj->k", vel, forms.sigma_inv, vel)
-    return float(np.dot(dt, vals))
-
-
-def finite_dim_rate(forms: QuadraticForms, times, lams) -> float:
-    """Finite-dimensional marginal rate at strictly increasing times in (0, 1]."""
-    times = np.asarray(times, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    if times.ndim != 1 or lams.shape != (len(times), forms.dim):
-        raise DimensionMismatch("times and marginal values have inconsistent shapes")
-    if len(times) == 0 or times[0] <= 0 or times[-1] > 1 or np.any(np.diff(times) <= 0):
-        raise NonIncreasingTimes("times must be strictly increasing in (0, 1]")
-    t = np.concatenate([[0.0], times])
-    lam = np.vstack([np.zeros(forms.dim), lams])
-    dt = np.diff(t)
-    vel = np.diff(lam, axis=0) / dt[:, None]
     vals = 0.5 * np.einsum("ki,ij,kj->k", vel, forms.sigma_inv, vel)
     return float(np.dot(dt, vals))
 
@@ -156,20 +145,13 @@ def finite_dim_rate(forms: QuadraticForms, times, lams) -> float:
 # Development map
 # ---------------------------------------------------------------------------
 
-def _check_path(alg: StratifiedAlgebra, path: PiecewisePath) -> None:
-    _require_supported_step(alg)
-    if path.values.shape[1] != alg.layer_dims[0]:
-        raise DimensionMismatch("path values must live in the first layer")
+def _develop(alg: StratifiedAlgebra, increments: np.ndarray) -> np.ndarray:
+    """Endpoint of the left-invariant ODE on the limit group driven by a PL path.
 
-
-def develop(alg: StratifiedAlgebra, path: PiecewisePath) -> np.ndarray:
-    """Endpoint of the left-invariant ODE on the limit group driven by the path.
-
-    For a PL path the solution is the exact ordered product (graded law) of
-    segment exponentials, so it depends only on the knot increments.
+    The solution is the exact ordered product (graded law) of the segment
+    exponentials, so it depends only on the knot ``increments`` (K, d1).
     """
-    _check_path(alg, path)
-    return _fold(alg, alg.graded_bracket_entries, alg.embed_first_layer(path.increments))
+    return _fold(alg, alg.graded_bracket_entries, alg.embed_first_layer(increments))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +180,7 @@ class RateBound:
     increments: np.ndarray | None = None  # best path's knot increments
 
 
-def exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g) -> float | None:
+def _exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g: np.ndarray) -> float | None:
     """The endpoint rate at ``g`` in closed form, or None where there is none.
 
     Step 1: alpha_star(g).  Layers (2, 1) with [X_1, X_2] = c X_3, c != 0
@@ -212,16 +194,8 @@ def exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g) -> float | None
     is a circular arc (Dido's problem) whose central angle phi in (0, 2 pi)
     solves (phi - sin phi) / (8 sin^2(phi/2)) = |A| / r^2, r = |u_1|, and the
     rate is r^2 phi^2 / (8 sin^2(phi/2)): r^2 / 2 when A = 0, 2 pi |A| when
-    r = 0.
+    r = 0.  The arguments are the ones ``minimize_endpoint_rate`` has checked.
     """
-    g = alg.check_vector(g)
-    if forms.dim != alg.layer_dims[0]:
-        raise DimensionMismatch("quadratic forms do not match the first layer")
-    return _exact_rate(alg, forms, g)
-
-
-def _exact_rate(alg: StratifiedAlgebra, forms: QuadraticForms, g: np.ndarray) -> float | None:
-    """``exact_rate`` on checked arguments."""
     if alg.step == 1:
         return alpha_star(forms, g)
     if alg.layer_dims != (2, 1) or not alg.graded_bracket_entries:
@@ -328,7 +302,7 @@ def minimize_endpoint_rate(
 ) -> RateBound:
     """The endpoint rate at a limit-group element (log coordinates), or an upper bound.
 
-    Where ``exact_rate`` has a closed form, that value is returned with
+    Where ``_exact_rate`` has a closed form, that value is returned with
     ``method="closed_form"``.  Elsewhere the optimizer runs (``method=
     "optimizer"``): one SLSQP solve per start, of at most ``_MAXITER``
     iterations, minimizing the path energy subject to the endpoint equality
@@ -375,14 +349,11 @@ def _optimize_endpoint_rate(
     v1 = target[:d1]
     sinv = forms.sigma_inv
 
-    def fold(incr):
-        return _fold(alg, alg.graded_bracket_entries, alg.embed_first_layer(incr))
-
     def rate(flat):
         incr = flat.reshape(k, d1)
         return 0.5 * k * float(np.einsum("ki,ij,kj->", incr, sinv, incr)), (k * incr @ sinv).ravel()
 
-    cons = {"type": "eq", "fun": lambda f: fold(f.reshape(k, d1)) - target}
+    cons = {"type": "eq", "fun": lambda f: _develop(alg, f.reshape(k, d1)) - target}
     if alg.step <= 2:
         cons["jac"] = lambda f: _defect_jacobian(alg, f.reshape(k, d1))
 
@@ -411,7 +382,7 @@ def _optimize_endpoint_rate(
             # certify the reported path itself: the same knots feed the
             # violation, the value, and a later path_from_increments replay
             path = path_from_increments(incr)
-            viol = float(np.linalg.norm(fold(path.increments) - target))
+            viol = float(np.linalg.norm(_develop(alg, path.increments) - target))
             val = path_rate(forms, path)
             if viol <= _FEASIBILITY_TOL:
                 if val < best_val:
@@ -425,21 +396,3 @@ def _optimize_endpoint_rate(
     return RateBound(value=best_val, constraint_violation=best_viol, knots=k,
                      restarts_used=len(starts), feasible=True, method="optimizer",
                      increments=best_incr)
-
-
-def endpoint_rate(alg, forms, target, knots: int = 8, restarts: int = 8, seed: int = 0) -> float:
-    """Upper bound on the endpoint rate; +inf when no feasible path was found."""
-    return minimize_endpoint_rate(alg, forms, target, knots, restarts, seed).value
-
-
-def lil_ball_contains(alg, forms, g, level: float = 1.0, tol: float = 1e-6, **kwargs) -> bool:
-    """Membership test for the sublevel set {endpoint rate <= level}.
-
-    Where ``exact_rate`` has a closed form (step 1, and layers (2, 1) with a
-    nonzero bracket) the answer is exact up to ``tol``.  Elsewhere it uses the
-    optimizer's upper bound, so a True answer is certified up to ``tol``
-    while a False answer may be a false negative if the bound is loose.
-    """
-    if level <= 0:
-        raise ValueError("level must be positive")
-    return endpoint_rate(alg, forms, g, **kwargs) <= level + tol

@@ -155,12 +155,10 @@ def _edge_counts(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class WalkPath:
     graph: VoltageGraph
-    realization: Realization
     rho: np.ndarray
     vertices: np.ndarray    # (n+1,)
     edges: np.ndarray       # (n,)
     increments: np.ndarray  # (n, d1) centered first-layer increments
-    deck: np.ndarray        # (dim,) final deck element, log coordinates
     xi: np.ndarray          # (dim,) realized endpoint deck * position(v_n)
 
     @property
@@ -189,24 +187,15 @@ def sample_path(
     if n < 0:
         raise ValueError("n must be nonnegative")
     edges = _select_edges(graph, _buckets(graph, sample_stream(seed, 0).random(n))[None, :])[0]
-    return _assemble_path(graph, phi, rho, edges)
-
-
-def _assemble_path(graph, phi, rho, edges) -> WalkPath:
-    alg = graph.algebra
     vertices = np.concatenate([[0], graph.terminus[edges]])
-    wbar = _centered_increments(graph, phi, rho)
-    deck = fold(alg, graph.voltages[edges])
-    xi = bch_product(alg, deck, phi.positions[vertices[-1]])
+    deck = fold(graph.algebra, graph.voltages[edges])
     return WalkPath(
         graph=graph,
-        realization=phi,
         rho=np.asarray(rho, dtype=float),
         vertices=vertices,
         edges=edges,
-        increments=wbar[edges],
-        deck=deck,
-        xi=xi,
+        increments=_centered_increments(graph, phi, rho)[edges],
+        xi=bch_product(graph.algebra, deck, phi.positions[vertices[-1]]),
     )
 
 

@@ -3,6 +3,7 @@
 The oracles here deliberately avoid the library's own code paths: group
 products are checked against unipotent matrix arithmetic, quadratic-form
 conjugates against grid suprema, and walk distributions against closed forms.
+The graph JSON writer is the reference that the reader's round-trip tests use.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from nilwalk.algebra import StratifiedAlgebra, heisenberg_algebra
+from nilwalk.experiments import algebra_to_spec
 from nilwalk.graph import VoltageGraph
 
 
@@ -86,6 +88,28 @@ def unipotent_log(n: int, u: np.ndarray) -> np.ndarray:
 def heisenberg_matrix_product_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log(exp(a) exp(b)) computed by 3x3 unipotent matrix multiplication."""
     return unipotent_log(3, unipotent_exp(3, a) @ unipotent_exp(3, b))
+
+
+# ---------------------------------------------------------------------------
+# Graph JSON writer
+# ---------------------------------------------------------------------------
+
+def graph_to_dict(graph: VoltageGraph) -> dict:
+    """The graph as a document of the JSON schema that ``graph_from_dict`` reads."""
+    return {
+        "algebra": algebra_to_spec(graph.algebra),
+        "vertices": int(graph.num_vertices),
+        "edges": [
+            {
+                "o": int(graph.origin[e]),
+                "t": int(graph.terminus[e]),
+                "inv": int(graph.inverse[e]),
+                "p": float(graph.prob[e]),
+                "voltage": [float(x) for x in graph.voltages[e]],
+            }
+            for e in range(graph.num_edges)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from nilwalk.errors import (
 from nilwalk.experiments import (
     ExperimentConfig,
     graph_from_dict,
-    graph_to_dict,
     ingest_graph,
     load_graph,
     run_albanese,
@@ -33,6 +32,8 @@ from nilwalk.experiments import (
     write_json,
 )
 from nilwalk.graph import VoltageGraph, zd_lattice
+
+from conftest import graph_to_dict
 
 
 def make_config(**kw):
@@ -60,6 +61,13 @@ def test_config_validates_grid_and_counts():
         make_config(samples=0)
     with pytest.raises(SchemaError, match="mdp_mode"):
         make_config(mdp_mode="magic")
+    # a float seed would be truncated by the stream key and run as another
+    # seed under a different hash; a float count fails deep inside a runner
+    for field, value in (("seed", 1.7), ("samples", 50.5), ("trajectories", 2.0), ("workers", True),
+                         ("rate_knots", "8"), ("rate_restarts", None)):
+        with pytest.raises(SchemaError) as exc:
+            make_config(**{field: value})
+        assert exc.value.pointer == f"/{field}"
 
 
 def test_config_hash_stable_and_sensitive(tmp_path):

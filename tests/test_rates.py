@@ -14,15 +14,12 @@ from nilwalk.errors import NonIncreasingTimes
 from nilwalk.graph import zd_lattice
 from nilwalk.rates import (
     _defect_jacobian,
+    _develop,
+    _exact_rate,
     _optimize_endpoint_rate,
     PiecewisePath,
     QuadraticForms,
     alpha_star,
-    develop,
-    endpoint_rate,
-    exact_rate,
-    finite_dim_rate,
-    lil_ball_contains,
     minimize_endpoint_rate,
     path_from_increments,
     path_rate,
@@ -32,7 +29,6 @@ from conftest import grid_sup_conjugate, heisenberg_matrix_product_log, step3_fi
 
 
 HALF_I2 = QuadraticForms.from_sigma(0.5 * np.eye(2))
-UNIT_1D = QuadraticForms.from_sigma(np.eye(1))
 
 
 def _refined(path):
@@ -117,27 +113,11 @@ def test_path_rate_invariant_under_refinement():
     assert abs(path_rate(HALF_I2, path) - path_rate(HALF_I2, _refined(path))) <= 1e-13
 
 
-def test_finite_dim_rate_single_time():
-    v = np.array([0.3, -1.1])
-    assert abs(finite_dim_rate(HALF_I2, [1.0], [v]) - alpha_star(HALF_I2, v)) <= 1e-14
-
-
-def test_finite_dim_rate_equals_path_rate():
-    assert finite_dim_rate(HALF_I2, [0.5, 1.0], [[1.0, 0.0], [1.0, 0.0]]) == 2.0
-    rng = np.random.default_rng(71)
-    times = np.array([0.2, 0.5, 0.7, 1.0])
-    lams = rng.normal(size=(4, 2))
-    path = PiecewisePath(times=np.concatenate([[0.0], times]), values=np.vstack([np.zeros(2), lams]))
-    assert finite_dim_rate(HALF_I2, times, lams) == path_rate(HALF_I2, path)
-
-
-def test_finite_dim_rate_rejects_bad_times():
-    with pytest.raises(NonIncreasingTimes):
-        finite_dim_rate(HALF_I2, [0.5, 0.5], [[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(NonIncreasingTimes):
-        finite_dim_rate(HALF_I2, [0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(NonIncreasingTimes):
-        finite_dim_rate(HALF_I2, [0.5, 1.5], [[1.0, 0.0], [1.0, 0.0]])
+def test_piecewise_path_rejects_bad_times():
+    # a repeated knot time, a first segment of zero length, and a last knot past 1
+    for times in ([0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.5, 1.5]):
+        with pytest.raises(NonIncreasingTimes):
+            PiecewisePath(times=times, values=[[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -147,37 +127,38 @@ def test_finite_dim_rate_rejects_bad_times():
 def test_develop_abelian_is_endpoint():
     alg = abelian_algebra(2)
     path = PiecewisePath(times=[0.0, 0.3, 1.0], values=[[0.0, 0.0], [1.0, 2.0], [0.5, -1.0]])
-    assert np.array_equal(develop(alg, path), [0.5, -1.0])
+    assert np.array_equal(_develop(alg, path.increments), [0.5, -1.0])
 
 
 def test_develop_heisenberg_against_matrix_oracle(heisenberg):
     path = PiecewisePath(times=[0.0, 0.5, 1.0], values=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    got = develop(heisenberg, path)
+    got = _develop(heisenberg, path.increments)
     want = heisenberg_matrix_product_log(np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0]))
     assert np.abs(got - want).max() <= 1e-14
     assert np.allclose(got, [1.0, 1.0, 0.5], atol=1e-15)
     reverse = PiecewisePath(times=[0.0, 0.5, 1.0], values=[[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert np.allclose(develop(heisenberg, reverse), [1.0, 1.0, -0.5], atol=1e-15)
+    assert np.allclose(_develop(heisenberg, reverse.increments), [1.0, 1.0, -0.5], atol=1e-15)
 
 
 def test_develop_depends_only_on_increments(heisenberg):
+    # the same geometric path, each segment split at an uneven fraction,
+    # develops onto the same endpoint
     incr = np.array([[0.5, 0.25], [-0.75, 1.0], [0.25, 0.5]])
-    a = path_from_increments(incr)
-    b = PiecewisePath(times=[0.0, 0.1, 0.2, 1.0], values=a.values)
-    assert np.array_equal(develop(heisenberg, a), develop(heisenberg, b))
+    split = np.stack([0.3 * incr, 0.7 * incr], axis=1).reshape(-1, 2)
+    assert np.abs(_develop(heisenberg, incr) - _develop(heisenberg, split)).max() <= 1e-15
 
 
 def test_develop_increment_local_under_refinement(heisenberg):
     dyadic = PiecewisePath(times=[0.0, 0.5, 1.0], values=[[0.0, 0.0], [1.0, 0.5], [0.25, 1.0]])
-    assert np.array_equal(develop(heisenberg, dyadic), develop(heisenberg, _refined(dyadic)))
+    assert np.array_equal(_develop(heisenberg, dyadic.increments), _develop(heisenberg, _refined(dyadic).increments))
     rng = np.random.default_rng(73)
     path = path_from_increments(rng.normal(size=(4, 2)))
-    assert np.abs(develop(heisenberg, path) - develop(heisenberg, _refined(path))).max() <= 1e-14
+    assert np.abs(_develop(heisenberg, path.increments) - _develop(heisenberg, _refined(path).increments)).max() <= 1e-14
 
 
 def test_develop_first_layer_is_endpoint(heisenberg):
     path = path_from_increments(np.random.default_rng(89).normal(size=(5, 2)))
-    assert np.abs(develop(heisenberg, path)[:2] - path.endpoint()).max() <= 1e-14
+    assert np.abs(_develop(heisenberg, path.increments)[:2] - path.endpoint()).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +213,7 @@ def test_rate_certificate_describes_the_reported_path(heisenberg):
         b = _optimize_endpoint_rate(alg, forms, target, knots=knots, restarts=restarts, seed=11)
         assert b.feasible
         path = path_from_increments(b.increments)
-        assert b.constraint_violation == float(np.linalg.norm(develop(alg, path) - target))
+        assert b.constraint_violation == float(np.linalg.norm(_develop(alg, path.increments) - target))
         assert b.value == path_rate(forms, path)
 
 
@@ -253,7 +234,6 @@ def test_limit_rate_equals_endpoint_rate_step2(heisenberg):
     gammas = heisenberg.embed_first_layer(b.increments)
     assert b.feasible and np.array_equal(fold(heisenberg, gammas), _fold(heisenberg, heisenberg.graded_bracket_entries, gammas))
     assert np.linalg.norm(fold(heisenberg, gammas) - target) <= 1e-8
-    assert endpoint_rate(heisenberg, HALF_I2, target) == minimize_endpoint_rate(heisenberg, HALF_I2, target).value
 
 
 def test_default_rate_lives_on_the_limit_group():
@@ -263,7 +243,7 @@ def test_default_rate_lives_on_the_limit_group():
     target = np.array([0.5, -0.25, 0.2, 0.1])
     b = minimize_endpoint_rate(alg, QuadraticForms.from_sigma(np.eye(2)), target, knots=4, restarts=3, seed=11)
     assert b.feasible
-    assert np.linalg.norm(develop(alg, path_from_increments(b.increments)) - target) <= 1e-8
+    assert np.linalg.norm(_develop(alg, b.increments) - target) <= 1e-8
 
 
 def test_endpoint_rate_step3_fd_path():
@@ -273,7 +253,7 @@ def test_endpoint_rate_step3_fd_path():
     target = np.zeros(4)
     target[:2] = v
     # horizontal target reached by the straight path; FD gradients (step 3)
-    got = endpoint_rate(alg, forms, target, knots=4, restarts=2, seed=19)
+    got = minimize_endpoint_rate(alg, forms, target, knots=4, restarts=2, seed=19).value
     assert abs(got - alpha_star(forms, v)) <= 1e-3
 
 
@@ -290,7 +270,7 @@ def test_endpoint_rate_infeasible_returns_inf():
 
 def test_endpoint_rate_rejects_too_few_knots(heisenberg):
     with pytest.raises(ValueError, match="knots"):
-        endpoint_rate(heisenberg, HALF_I2, np.zeros(3), knots=1)
+        minimize_endpoint_rate(heisenberg, HALF_I2, np.zeros(3), knots=1)
 
 
 # layers (3, 1) with [X_1, X_2] = X_4 and [X_1, X_3] = -0.7 X_4: step 2 with
@@ -331,7 +311,7 @@ def test_optimizer_starts_a_vertical_target_off_the_zero_path(heisenberg):
     # stationary point of the constrained problem; one restart must still
     # reach the target
     target = np.array([0.0, 0.0, 0.5])
-    exact = exact_rate(heisenberg, HALF_I2, target)
+    exact = _exact_rate(heisenberg, HALF_I2, target)
     for knots in (32, 8):
         bound = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=knots, restarts=1, seed=7)
         assert bound.feasible and bound.restarts_used == 1
@@ -363,7 +343,7 @@ def test_exact_rate_step1_is_alpha_star():
     forms = QuadraticForms.from_sigma(np.array([[0.75, 0.2], [0.2, 0.5]]))
     alg = abelian_algebra(2)
     v = np.array([0.7, -1.1])
-    assert exact_rate(alg, forms, v) == alpha_star(forms, v)
+    assert _exact_rate(alg, forms, v) == alpha_star(forms, v)
     bound = minimize_endpoint_rate(alg, forms, v)
     assert (bound.value, bound.method, bound.feasible) == (alpha_star(forms, v), "closed_form", True)
     assert bound.constraint_violation == 0.0 and bound.increments is None and bound.restarts_used == 0
@@ -374,7 +354,7 @@ def test_optimizer_bound_versus_exact_heisenberg(heisenberg):
     # and K=32 narrows the gap below 0.5%
     targets = ([1.0, 0.0, 0.2], [0.5, -0.3, 0.4], [0.2, 0.1, 1.0], [0.0, 0.0, 0.5])
     for target in map(np.array, targets):
-        exact = exact_rate(heisenberg, HALF_I2, target)
+        exact = _exact_rate(heisenberg, HALF_I2, target)
         b8 = _optimize_endpoint_rate(heisenberg, HALF_I2, target, knots=8, restarts=6, seed=7)
         assert b8.feasible and b8.method == "optimizer"
         assert exact - 1e-9 <= b8.value <= 1.06 * exact
@@ -409,8 +389,8 @@ def test_exact_rate_matches_sampled_arc():
         for sign in (1.0, -1.0):
             path, target, arc_rate = _arc_target(chol, 2.5, phi, radius, 0.7, sign, knots=4096)
             assert abs(target[2]) > 0.0 and np.sign(target[2]) == sign
-            assert np.abs(develop(HEIS_C, path) - target).max() <= 1e-6
-            exact = exact_rate(HEIS_C, SKEW, target)
+            assert np.abs(_develop(HEIS_C, path.increments) - target).max() <= 1e-6
+            exact = _exact_rate(HEIS_C, SKEW, target)
             assert abs(exact - arc_rate) <= 1e-12 * arc_rate
             assert abs(path_rate(SKEW, path) - exact) <= 1e-6 * exact
 
@@ -420,31 +400,31 @@ def test_exact_rate_homogeneity():
     for _ in range(20):
         g = rng.normal(size=3) * rng.uniform(0.01, 3.0, size=3)
         lam = rng.uniform(0.05, 20.0)
-        base = exact_rate(HEIS_C, SKEW, g)
-        scaled = exact_rate(HEIS_C, SKEW, dilate_vector(HEIS_C, lam, g))
+        base = _exact_rate(HEIS_C, SKEW, g)
+        scaled = _exact_rate(HEIS_C, SKEW, dilate_vector(HEIS_C, lam, g))
         assert abs(scaled - lam**2 * base) <= 1e-12 * lam**2 * base
 
 
 def test_exact_rate_continuity_at_the_ends():
     v = np.array([0.6, -0.2])
     horizontal = alpha_star(SKEW, v)
-    assert exact_rate(HEIS_C, SKEW, np.append(v, 0.0)) == horizontal
+    assert _exact_rate(HEIS_C, SKEW, np.append(v, 0.0)) == horizontal
     for z in (1e-3, 1e-6, 1e-9, 1e-13):
         for s in (1.0, -1.0):
-            got = exact_rate(HEIS_C, SKEW, np.append(v, s * z))
+            got = _exact_rate(HEIS_C, SKEW, np.append(v, s * z))
             assert 0.0 <= got - horizontal <= 10.0 * z  # grows like z^2, bounded by the linear term
     det_l = math.sqrt(np.linalg.det(SKEW.sigma))
     z = 0.4
     vertical = 2.0 * math.pi * z / (2.5 * det_l)
-    assert abs(exact_rate(HEIS_C, SKEW, [0.0, 0.0, z]) - vertical) <= 1e-15 * vertical
+    assert abs(_exact_rate(HEIS_C, SKEW, [0.0, 0.0, z]) - vertical) <= 1e-15 * vertical
     for r in (1e-3, 1e-6, 1e-9, 1e-13):
-        got = exact_rate(HEIS_C, SKEW, [r, -r, z])
+        got = _exact_rate(HEIS_C, SKEW, [r, -r, z])
         assert 0.0 <= vertical - got <= 10.0 * r  # the arc shortens linearly in r
     # the two branches of the root find meet at the half circle, 8 |A| = pi r^2
     r2 = 2.0 * alpha_star(SKEW, v)
     half_circle = math.pi * r2 / 8.0 * 2.5 * det_l
-    below = exact_rate(HEIS_C, SKEW, np.append(v, half_circle * (1.0 - 1e-12)))
-    above = exact_rate(HEIS_C, SKEW, np.append(v, half_circle * (1.0 + 1e-12)))
+    below = _exact_rate(HEIS_C, SKEW, np.append(v, half_circle * (1.0 - 1e-12)))
+    above = _exact_rate(HEIS_C, SKEW, np.append(v, half_circle * (1.0 + 1e-12)))
     assert abs(above - below) <= 1e-10 and abs(below - math.pi**2 * r2 / 8.0) <= 1e-10
 
 
@@ -464,7 +444,7 @@ def test_exact_rate_falls_back_to_the_optimizer():
     unit = QuadraticForms.from_sigma(np.eye(2))
     flat = StratifiedAlgebra((2, 1))  # layers (2, 1), zero bracket
     for alg, target in ((step3_filtered_algebra(), [0.5, -0.25, 0.2, 0.1]), (flat, [0.5, -0.25, 0.0])):
-        assert exact_rate(alg, unit, target) is None
+        assert _exact_rate(alg, unit, target) is None
         bound = minimize_endpoint_rate(alg, unit, target, knots=4, restarts=2, seed=3)
         assert bound.method == "optimizer" and bound.increments is not None
 
@@ -480,28 +460,3 @@ def test_closed_form_route_does_not_import_scipy():
     )
     src = str(Path(nilwalk.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
-
-
-# ---------------------------------------------------------------------------
-# Iterated-logarithm ball membership
-# ---------------------------------------------------------------------------
-
-def test_lil_ball_identity(heisenberg):
-    assert lil_ball_contains(heisenberg, HALF_I2, np.zeros(3), level=1.0, knots=4, restarts=2)
-
-
-def test_lil_ball_boundary_abelian():
-    alg = abelian_algebra(1)
-    forms = UNIT_1D
-    inside = np.array([math.sqrt(2.0)])
-    outside = np.array([2.0])
-    assert lil_ball_contains(alg, forms, inside, level=1.0, tol=1e-6, knots=4, restarts=2)
-    assert not lil_ball_contains(alg, forms, outside, level=1.0, tol=1e-6, knots=4, restarts=2)
-
-
-def test_lil_ball_level_argument(heisenberg):
-    g = np.array([1.0, 0.0, 0.0])  # rate 1.0
-    assert lil_ball_contains(heisenberg, HALF_I2, g, level=1.0, knots=4, restarts=4)
-    assert not lil_ball_contains(heisenberg, HALF_I2, g, level=0.5, knots=4, restarts=4)
-    with pytest.raises(ValueError):
-        lil_ball_contains(heisenberg, HALF_I2, g, level=0.0)
