@@ -6,12 +6,17 @@ import json
 
 import click
 
+from .errors import GraphInvariantViolation, InvalidAlgebra, OracleUnavailable, SchemaError
 from .experiments import RUNNERS, ExperimentConfig, _jsonable
 
 
 def _run(name: str, config: str, out: str, seed, workers) -> None:
-    cfg = ExperimentConfig.from_file(config).override(seed=seed, workers=workers)
-    metrics = RUNNERS[name](cfg, out)
+    try:
+        cfg = ExperimentConfig.from_file(config).override(seed=seed, workers=workers)
+        metrics = RUNNERS[name](cfg, out)
+    except (SchemaError, GraphInvariantViolation, InvalidAlgebra, OracleUnavailable) as exc:
+        # an input error is reported in one line; a numerical fault keeps its traceback
+        raise click.ClickException(str(exc)) from exc
     click.echo(json.dumps(_jsonable({"experiment": name, "out": str(out), "metrics": metrics}),
                           sort_keys=True, allow_nan=False, default=str))
 

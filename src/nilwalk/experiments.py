@@ -61,11 +61,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise SchemaError("", "config must be a JSON object")
+        _expect(isinstance(raw, dict), "", "config must be a JSON object")
         unknown = set(raw) - _CONFIG_FIELDS
-        if unknown:
-            raise SchemaError(f"/{sorted(unknown)[0]}", "unknown config field")
+        _expect(not unknown, f"/{min(unknown, default='')}", "unknown config field")
         cfg = cls(**{k: _freeze(v) for k, v in raw.items()})
         cfg.validate()
         return cfg
@@ -77,25 +75,24 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for name in _INT_FIELDS:
-            if not _is_int(getattr(self, name)):
-                raise SchemaError(f"/{name}", "must be an integer")
-        if self.n_grid and (
-            any(int(n) != n or n < 0 for n in self.n_grid)
-            or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:]))
-        ):
-            raise SchemaError("/n_grid", "must be a strictly increasing list of nonnegative integers")
-        if self.samples < 1:
-            raise SchemaError("/samples", "must be >= 1")
-        if self.trajectories < 1:
-            raise SchemaError("/trajectories", "must be >= 1")
-        if any(d <= 0 for d in self.delta):
-            raise SchemaError("/delta", "thresholds must be positive")
-        if self.seed < 0:
-            raise SchemaError("/seed", "must be nonnegative")
-        if self.workers < 1:
-            raise SchemaError("/workers", "must be >= 1")
-        if self.mdp_mode not in ("auto", "exact", "mc"):
-            raise SchemaError("/mdp_mode", "must be one of auto, exact, mc")
+            _expect(_is_int(getattr(self, name)), f"/{name}", "must be an integer")
+        _expect(isinstance(self.n_grid, (list, tuple))
+                and all(_is_finite(n) and n >= 0 and int(n) == n for n in self.n_grid)
+                and all(a < b for a, b in zip(self.n_grid, self.n_grid[1:])),
+                "/n_grid", "must be a strictly increasing list of nonnegative integers")
+        _expect(self.samples >= 1, "/samples", "must be >= 1")
+        _expect(self.trajectories >= 1, "/trajectories", "must be >= 1")
+        _expect(isinstance(self.delta, (list, tuple)) and len(self.delta) > 0
+                and all(_is_finite(d) and d > 0 for d in self.delta),
+                "/delta", "must be a non-empty list of finite positive numbers")
+        _expect(isinstance(self.lln_quantiles, (list, tuple))
+                and all(_is_finite(q) and 0 <= q <= 1 for q in self.lln_quantiles),
+                "/lln_quantiles", "must be a list of numbers in [0, 1]")
+        for name in ("containment_level", "containment_tol"):
+            _expect(_is_finite(getattr(self, name)), f"/{name}", "must be a finite number")
+        _expect(self.seed >= 0, "/seed", "must be nonnegative")
+        _expect(self.workers >= 1, "/workers", "must be >= 1")
+        _expect(self.mdp_mode in ("auto", "exact", "mc"), "/mdp_mode", "must be one of auto, exact, mc")
 
     def override(self, seed=None, workers=None) -> "ExperimentConfig":
         cfg = self
@@ -147,6 +144,10 @@ def _is_int(x) -> bool:
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return _is_num(x) and math.isfinite(x)
 
 
 def algebra_from_spec(spec, pointer: str = "/algebra") -> StratifiedAlgebra:
@@ -449,25 +450,19 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
     bounds = []
     d1 = alg.layer_dims[0]
 
-    def traj_job(t):
-        points_raw, sup = trajectory_scan(
-            graph, phi0, rho, checkpoints, config.seed, t,
-            sup_scaling=scaling, sup_range=sup_range,
-        )
-        out = []
-        for c, n in enumerate(checkpoints):
-            b_n = float(scaling(n))
-            pt = dilate_vector(alg, 1.0 / b_n, points_raw[c])
-            bound = minimize_endpoint_rate(alg, forms, pt, knots=config.rate_knots,
-                                           restarts=config.rate_restarts, seed=config.seed)
-            out.append((n, pt, bound))
-        return sup, out
-
     results = [None] * config.trajectories
 
-    def job(shard):
-        for t in shard:
-            results[t] = traj_job(t)
+    def job(block):
+        for t in block:
+            points_raw, sup = trajectory_scan(graph, phi0, rho, checkpoints, config.seed, t,
+                                              sup_scaling=scaling, sup_range=sup_range)
+            recs = []
+            for n, raw in zip(checkpoints, points_raw):
+                pt = dilate_vector(alg, 1.0 / float(scaling(n)), raw)
+                bound = minimize_endpoint_rate(alg, forms, pt, knots=config.rate_knots,
+                                               restarts=config.rate_restarts, seed=config.seed)
+                recs.append((n, pt, bound))
+            results[t] = sup, recs
 
     _run_sharded(config.trajectories, config.workers, job)
 

@@ -22,8 +22,11 @@ base vertex 0.
 
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
-single pass.  Results are therefore bitwise reproducible for any worker count
-or block size, and batch sample 0 replays ``sample_path`` exactly.
+single pass.  ``sample_path`` and the batched engines draw through one seam,
+``_uniforms``, one row of n uniforms per sample; ``trajectory_scan`` draws its
+chunks from one continuing stream.  Results are therefore bitwise
+reproducible for any worker count or block size, and batch sample 0 replays
+``sample_path`` exactly.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .algebra import bch_product, dilate_vector, fold
 from .errors import PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
-# Walks per batched block, steps per block of a long trajectory, and steps
-# per block of the sup statistic's screen.
+# Walks per block of ``_run_sharded``, steps per block of a long trajectory,
+# and steps per block of the sup statistic's screen.
 _BLOCK_ROWS = 256
 _SCAN_STEPS = 1 << 20
 _SUP_BLOCK = 4096
@@ -53,6 +56,11 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
         raise ValueError("seed and sample index must be nonnegative")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
+    """The first n uniforms of stream (seed, index): the one draw of a sample path or batch row."""
+    return sample_stream(seed, index).random(n)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +194,7 @@ def sample_path(
     """Sample an n-step trajectory from the base vertex 0 (stream (seed, 0))."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    edges = _select_edges(graph, _buckets(graph, sample_stream(seed, 0).random(n))[None, :])[0]
+    edges = _select_edges(graph, _buckets(graph, _uniforms(seed, 0, n))[None, :])[0]
     vertices = np.concatenate([[0], graph.terminus[edges]])
     deck = fold(graph.algebra, graph.voltages[edges])
     return WalkPath(
@@ -199,30 +207,27 @@ def sample_path(
     )
 
 
-def _pin_first_layer(alg, points: np.ndarray, pinned: np.ndarray) -> np.ndarray:
-    """Overwrite the first layer of ``points`` (any leading axes) by ``pinned``.
+def _scaled_points(graph: VoltageGraph, xi: np.ndarray, xi_bar: np.ndarray, n: int, rho,
+                   a_n: float) -> np.ndarray:
+    """tau_{1/a_n}(phi(xi exp(-n rho))) over leading axes, first layer pinned to ``xi_bar / a_n``.
 
-    The two agree mathematically; pinning makes the identity with the
-    centered increment sum exact in floating point.  A disagreement
+    The two first layers agree mathematically; pinning makes the identity
+    with the centered increment sum exact in floating point.  A disagreement
     beyond rounding means the realization or the centering is inconsistent.
+    At ``a_n = 1.0`` the point is the undilated centered endpoint, bit for bit.
     """
+    alg = graph.algebra
     d1 = alg.layer_dims[0]
-    if not np.allclose(points[..., :d1], pinned, rtol=1e-6, atol=1e-6):
-        gap = float(np.max(np.abs(points[..., :d1] - pinned)))
+    centered = bch_product(alg, xi, alg.embed_first_layer(-float(n) * np.asarray(rho, dtype=float)))
+    pt = dilate_vector(alg, 1.0 / a_n, centered)
+    pinned = xi_bar / a_n
+    if not np.allclose(pt[..., :d1], pinned, rtol=1e-6, atol=1e-6):
+        gap = float(np.max(np.abs(pt[..., :d1] - pinned)))
         raise PinnedLayerMismatch(
             f"group-product first layer differs from the centered increment sum by {gap:.3g}"
         )
-    points[..., :d1] = pinned
-    return points
-
-
-def _scaled_points(graph: VoltageGraph, xi: np.ndarray, xi_bar: np.ndarray, n: int, rho,
-                   a_n: float) -> np.ndarray:
-    """tau_{1/a_n}(phi(xi exp(-n rho))) over leading axes, first layer pinned to the increment sums."""
-    alg = graph.algebra
-    centered = bch_product(alg, xi, alg.embed_first_layer(-float(n) * np.asarray(rho, dtype=float)))
-    pt = dilate_vector(alg, 1.0 / a_n, centered)
-    return _pin_first_layer(alg, pt, xi_bar / a_n)
+    pt[..., :d1] = pinned
+    return pt
 
 
 def scaled_endpoint(path: WalkPath, scaling: ScalingSequence) -> np.ndarray:
@@ -242,15 +247,18 @@ def _shards(total: int, workers: int) -> list[range]:
 
 
 def _run_sharded(total: int, workers: int, job: Callable) -> None:
+    """Call ``job(block)`` on each block of at most ``_BLOCK_ROWS`` indices of each worker's shard."""
+    def run(shard):
+        for lo in range(0, len(shard), _BLOCK_ROWS):
+            job(shard[lo : lo + _BLOCK_ROWS])
+
     shards = _shards(total, workers)
     if len(shards) <= 1:
         for shard in shards:
-            job(shard)
+            run(shard)
         return
     with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        futures = [pool.submit(job, shard) for shard in shards]
-        for f in futures:
-            f.result()
+        list(pool.map(run, shards))
 
 
 def batch_centered_sums(
@@ -270,13 +278,11 @@ def batch_centered_sums(
     wbar = _centered_increments(graph, phi, rho)
     out = np.empty((samples, d1))
 
-    def job(shard):
-        for lo in range(0, len(shard), _BLOCK_ROWS):
-            block = shard[lo : lo + _BLOCK_ROWS]
-            u = np.empty((len(block), n))
-            for row, s in enumerate(block):
-                u[row] = sample_stream(seed, s + index_offset).random(n)
-            out[block] = np.einsum("be,ed->bd", _edge_counts(graph, u), wbar)
+    def job(block):
+        u = np.empty((len(block), n))
+        for row, s in enumerate(block):
+            u[row] = _uniforms(seed, s + index_offset, n)
+        out[block] = np.einsum("be,ed->bd", _edge_counts(graph, u), wbar)
 
     _run_sharded(samples, workers, job)
     return out
@@ -305,21 +311,19 @@ def batch_endpoints(
     points = np.empty((samples, alg.dim))
     sums = np.empty((samples, alg.layer_dims[0]))
 
-    def job(shard):
-        for lo in range(0, len(shard), _BLOCK_ROWS):
-            block = shard[lo : lo + _BLOCK_ROWS]
-            buckets = np.empty((len(block), n), dtype=np.int64)
-            for row, s in enumerate(block):
-                buckets[row] = _buckets(graph, sample_stream(seed, s).random(n))
-            edges = _select_edges(graph, buckets)
-            # np.take gathers rows several times faster than fancy indexing here
-            decks = fold(alg, np.take(graph.voltages, edges, axis=0))
-            end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(block), dtype=np.int64)
-            # last, because counting offsets the edges in place
-            bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
-            xi = bch_product(alg, decks, phi.positions[end_vertex])
-            points[block] = _scaled_points(graph, xi, bar, n, rho, a_n)
-            sums[block] = bar
+    def job(block):
+        buckets = np.empty((len(block), n), dtype=np.int64)
+        for row, s in enumerate(block):
+            buckets[row] = _buckets(graph, _uniforms(seed, s, n))
+        edges = _select_edges(graph, buckets)
+        # np.take gathers rows several times faster than fancy indexing here
+        decks = fold(alg, np.take(graph.voltages, edges, axis=0))
+        end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(block), dtype=np.int64)
+        # last, because counting offsets the edges in place
+        bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
+        xi = bch_product(alg, decks, phi.positions[end_vertex])
+        points[block] = _scaled_points(graph, xi, bar, n, rho, a_n)
+        sums[block] = bar
 
     _run_sharded(samples, workers, job)
     return points, sums
@@ -410,38 +414,33 @@ def trajectory_scan(
     checkpoints,
     seed: int,
     stream_index: int,
-    sup_scaling: ScalingSequence | None = None,
-    sup_range: tuple[int, int] | None = None,
+    sup_scaling: ScalingSequence,
+    sup_range: tuple[int, int],
 ):
-    """One long trajectory; centered group points at checkpoints, optional sup statistic.
+    """One long trajectory; centered group points at checkpoints and the sup statistic.
 
     Returns ``(points, sup)`` where ``points[c]`` holds the log coordinates of
     the centered endpoint at step ``checkpoints[c]`` (not yet dilated) and
     ``sup`` is ``max over n in sup_range of ||centered first-layer sum at n|| /
-    sup_scaling(n)``, the exact max over every step in range (None if not
-    requested).  ``sup_scaling`` must be nondecreasing: it is evaluated only in
-    blocks of steps whose bound, the block's largest norm over the scaling at
-    its first step, reaches the running max.  ``sup_scaling`` and
-    ``sup_range`` are given together or not at all.
+    sup_scaling(n)``, the exact max over every step in range.  ``sup_scaling``
+    must be nondecreasing: it is evaluated only in blocks of steps whose bound,
+    the block's largest norm over the scaling at its first step, reaches the
+    running max.
     """
-    if (sup_scaling is None) != (sup_range is None):
-        raise ValueError("sup_scaling and sup_range must be given together")
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     if len(checkpoints) == 0 or np.any(np.diff(checkpoints) <= 0) or checkpoints[0] <= 0:
         raise ValueError("checkpoints must be strictly increasing positive integers")
-    d1 = alg.layer_dims[0]
     n_max = int(checkpoints[-1])
     wbar = _centered_increments(graph, phi, rho)
-    rho = np.asarray(rho, dtype=float)
 
     stream = sample_stream(seed, stream_index)
     points = np.empty((len(checkpoints), alg.dim))
     sup = -np.inf
-    lo, hi = sup_range if sup_range is not None else (0, -1)
+    lo, hi = sup_range
 
     deck = alg.zero()
-    bar = np.zeros(d1)
+    bar = np.zeros(alg.layer_dims[0])
     pos = 0
     cp_next = 0
     vertex = 0
@@ -467,12 +466,11 @@ def trajectory_scan(
             deck = bch_product(alg, deck, fold(alg, gam[folded:j]))
             folded = j
             xi = bch_product(alg, deck, phi.positions[graph.terminus[edges[j - 1]]])
-            centered = bch_product(alg, xi, alg.embed_first_layer(-float(cp_n) * rho))
-            points[cp_next] = _pin_first_layer(alg, centered, bar_cum[j - 1])
+            points[cp_next] = _scaled_points(graph, xi, bar_cum[j - 1], cp_n, rho, 1.0)
             cp_next += 1
         deck = bch_product(alg, deck, fold(alg, gam[folded:]))
 
         bar = bar_cum[-1].copy()
         pos += m
 
-    return points, (None if sup_range is None else sup)
+    return points, sup

@@ -15,10 +15,12 @@ from nilwalk.errors import (
     InvalidAlgebra,
     InvolutionViolation,
     OracleUnavailable,
+    PinnedLayerMismatch,
     SchemaError,
     SingularSigma,
 )
 from nilwalk.experiments import (
+    RUNNERS,
     ExperimentConfig,
     graph_from_dict,
     ingest_graph,
@@ -64,7 +66,16 @@ def test_config_validates_grid_and_counts():
     # a float seed would be truncated by the stream key and run as another
     # seed under a different hash; a float count fails deep inside a runner
     for field, value in (("seed", 1.7), ("samples", 50.5), ("trajectories", 2.0), ("workers", True),
-                         ("rate_knots", "8"), ("rate_restarts", None)):
+                         ("rate_knots", "8"), ("rate_restarts", None),
+                         # float fields fail here, not after a runner has walked every
+                         # grid point; json.load accepts NaN, and bools are not numbers
+                         ("delta", ["x"]), ("delta", 1.0), ("delta", [math.nan]), ("delta", []),
+                         ("delta", [1.0, -2.0]), ("delta", [True]), ("lln_quantiles", [1.5]),
+                         ("lln_quantiles", [0.5, math.nan]), ("lln_quantiles", 0.5),
+                         ("containment_level", "a"), ("containment_level", math.inf),
+                         ("containment_tol", None), ("containment_tol", False),
+                         ("n_grid", ["x"]), ("n_grid", [math.nan]), ("n_grid", [math.inf]),
+                         ("n_grid", 5), ("n_grid", [64.5])):
         with pytest.raises(SchemaError) as exc:
             make_config(**{field: value})
         assert exc.value.pointer == f"/{field}"
@@ -459,6 +470,37 @@ def test_cli_seed_override_changes_hash(tmp_path):
     ha = json.loads((tmp_path / "a" / "lln_summary.json").read_text())["config_hash"]
     hb = json.loads((tmp_path / "b" / "lln_summary.json").read_text())["config_hash"]
     assert ha != hb
+
+
+def test_cli_reports_input_errors_in_one_line(tmp_path, monkeypatch):
+    runner = CliRunner()
+
+    def invoke(name, **cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_grid": [64], "samples": 16, **cfg}))
+        return runner.invoke(cli_main, [name, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+    z1 = {"preset": "zd_lattice", "params": {"d": 1}}
+    result = invoke("lln", graph=z1, seed=1.7)
+    assert (result.exit_code, result.output) == (1, "Error: /seed: must be an integer\n")
+    # a graph file that breaks an invariant, and an exact oracle the graph does not admit
+    bad = graph_to_dict(zd_lattice(1))
+    bad["edges"][0]["p"] = 0.25
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    for name, cfg, message in (
+        ("lln", {"graph": {"file": str(tmp_path / "bad.json")}}, "Error: "),
+        ("mdp", {"graph": {"preset": "heisenberg_cayley"}, "mdp_mode": "exact",
+                 "scaling": {"kind": "power", "theta": 0.75}}, "Error: exact oracle requires"),
+    ):
+        result = invoke(name, **cfg)
+        assert result.exit_code == 1 and result.output.startswith(message), result.output
+        assert result.output.count("\n") == 1, result.output
+    # a numerical fault is not the input's: it keeps its traceback
+    def fault(config, out):
+        raise PinnedLayerMismatch("first layers differ")
+
+    monkeypatch.setitem(RUNNERS, "lln", fault)
+    assert isinstance(invoke("lln", graph=z1).exception, PinnedLayerMismatch)
 
 
 def test_cli_lists_all_subcommands():

@@ -110,3 +110,19 @@ def test_no_import_repeated_in_a_function():
                     if name in top
                 ]
     assert repeated == [], f"imported again inside a function: {sorted(repeated)}"
+
+
+def test_only_the_draw_seam_and_the_scan_open_streams():
+    # sample_path and the batched engines draw every row through walk._uniforms,
+    # and trajectory_scan draws from its one continuing stream, so a faster
+    # stream replaces one function; nested jobs count as their enclosing function
+    path = Path(nilwalk.__file__).parent / "walk.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = [
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sample_stream" for node in ast.walk(top))
+    ]
+    assert callers == ["_uniforms", "trajectory_scan"], callers

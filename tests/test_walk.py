@@ -206,7 +206,8 @@ def test_pinned_first_layer_mismatch_raises():
     with pytest.raises(PinnedLayerMismatch):
         scaled_endpoint(sample_path(g, shifted, rho, 64, seed=1), scaling)
     with pytest.raises(PinnedLayerMismatch):
-        trajectory_scan(g, shifted, rho, [64], seed=1, stream_index=0)
+        trajectory_scan(g, shifted, rho, [64], seed=1, stream_index=0,
+                        sup_scaling=lil_scaling(), sup_range=(16, 64))
 
 
 def test_batch_mean_near_zero_for_symmetric():
@@ -279,17 +280,6 @@ def _replay_vertices_edges(graph, u):
     return np.array(vertices), np.array(edges, dtype=np.int64)
 
 
-class _FixedStream:
-    """Stands in for a sample stream: hands out a fixed sequence of uniforms."""
-
-    def __init__(self, u):
-        self.u, self.pos = u, 0
-
-    def random(self, n):
-        self.pos += n
-        return self.u[self.pos - n : self.pos]
-
-
 def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
     # graphs with their cumulative out-probability totals, where they are pinned
     cases = [
@@ -327,14 +317,20 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
         seen = {(x, v) for row, (vs, _) in zip(rows, replays) for x, v in zip(row, vs)}
         assert len(seen) == len(boundary) * g.num_vertices
 
+        # every engine that draws through the seam takes these rows as its uniforms
         with monkeypatch.context() as m:
-            m.setattr(walk, "sample_stream", lambda seed, index: _FixedStream(rows[index]))
+            m.setattr(walk, "_uniforms", lambda seed, index, n: rows[index][:n])
             m.setattr(walk, "_BLOCK_ROWS", 4)
-            n = len(rows[0])
+            n, scaling = len(rows[0]), power_scaling(0.75)
             sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0)
+            points, end_sums = batch_endpoints(g, phi0, rho, scaling, n, samples=len(rows), seed=0)
             for i, (_, edges) in enumerate(replays):
-                assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
-            assert np.array_equal(sample_path(g, phi0, rho, n, seed=0).edges, replays[0][1])
+                want = wbar[edges].sum(axis=0)
+                assert np.abs(sums[i] - want).max() <= 1e-12
+                assert np.abs(end_sums[i] - want).max() <= 1e-12
+            path = sample_path(g, phi0, rho, n, seed=0)
+            assert np.array_equal(path.edges, replays[0][1])
+            assert np.abs(points[0] - scaled_endpoint(path, scaling)).max() <= 1e-12
 
 
 def test_batch_centered_sums_memory():
@@ -380,7 +376,8 @@ def test_trajectory_scan_matches_sample_path():
     for g in (heisenberg_cayley(), zd_lattice(1), hexagonal(), z1_subdivided()):
         meas, rho, phi0 = pipeline(g)
         checkpoints = [100, 500, 2000]
-        points, _ = trajectory_scan(g, phi0, rho, checkpoints, seed=41, stream_index=0)
+        points, _ = trajectory_scan(g, phi0, rho, checkpoints, seed=41, stream_index=0,
+                                    sup_scaling=lil_scaling(), sup_range=(16, checkpoints[-1]))
         for c, n in enumerate(checkpoints):
             path = sample_path(g, phi0, rho, n, seed=41)
             centered = bch_product(
@@ -463,15 +460,6 @@ def test_trajectory_scan_sup_screen_is_exact(monkeypatch):
             assert abs(sup - want) <= 1e-12
             with pytest.raises(ScalingDomain):
                 trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **{**kw, "sup_range": (15, n)})
-
-
-def test_trajectory_scan_sup_arguments_go_together():
-    g = zd_lattice(1)
-    meas, rho, phi0 = pipeline(g)
-    with pytest.raises(ValueError, match="sup_scaling and sup_range"):
-        trajectory_scan(g, phi0, rho, [100], seed=1, stream_index=0, sup_range=(20, 100))
-    with pytest.raises(ValueError, match="sup_scaling and sup_range"):
-        trajectory_scan(g, phi0, rho, [100], seed=1, stream_index=0, sup_scaling=lil_scaling())
 
 
 def test_trajectory_scan_sup_statistic_biased():
