@@ -12,8 +12,10 @@ equals the asymptotic direction rho.  The quadratic form on harmonic
     Sigma_ij = sum_e m_tilde(e) w_i(e) w_j(e) - rho_i rho_j,
 
 whose inverse is the Gram matrix of the flat metric entering the rate
-functions.  Higher-layer position coordinates are set to zero: every
-quantity computed downstream reads only first-layer projections.
+functions.  Vertex positions are plain (V, d1) arrays of first-layer
+coordinates phi_1(v): every quantity computed downstream reads only
+first-layer projections, and a walk lifts a position to the group with zero
+higher layers (``StratifiedAlgebra.embed_first_layer``).
 """
 
 from __future__ import annotations
@@ -22,42 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSigma, SingularSystem
-from .graph import InvariantMeasure, VoltageGraph
+from .errors import DimensionMismatch, SingularSigma, SingularSystem
+from .graph import InvariantMeasure, VoltageGraph, invariant_measure
 
 _PD_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Realization:
-    """Positions of the fundamental-domain vertex lifts, base vertex at the identity."""
-
-    graph: VoltageGraph
-    positions: np.ndarray  # (V, dim) log coordinates
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        expected = (self.graph.num_vertices, self.graph.algebra.dim)
-        if self.positions.shape != expected:
-            raise ValueError(f"positions must have shape {expected}, got {self.positions.shape}")
-
-    @property
-    def first_layer(self) -> np.ndarray:
-        return self.positions[:, : self.graph.algebra.layer_dims[0]]
-
-
-def realization_from_first_layer(graph: VoltageGraph, phi1: np.ndarray) -> Realization:
-    """Embed per-vertex first-layer coordinates as positions with zero higher layers."""
+def first_layer_form(graph: VoltageGraph, phi1: np.ndarray) -> np.ndarray:
+    """Per-edge first-layer increments w(e) of positions ``phi1`` (V, d1); antisymmetric under reversal."""
     phi1 = np.asarray(phi1, dtype=float)
-    positions = np.zeros((graph.num_vertices, graph.algebra.dim))
-    positions[:, : graph.algebra.layer_dims[0]] = phi1
-    return Realization(graph=graph, positions=positions)
-
-
-def first_layer_form(graph: VoltageGraph, realization: Realization) -> np.ndarray:
-    """Per-edge first-layer increments w(e); antisymmetric under edge reversal."""
-    phi1 = realization.first_layer
+    expected = (graph.num_vertices, graph.algebra.layer_dims[0])
+    if phi1.shape != expected:
+        raise DimensionMismatch(f"first-layer positions must have shape {expected}, got {phi1.shape}")
     return graph.first_layer_voltages() + phi1[graph.terminus] - phi1[graph.origin]
 
 
@@ -72,21 +51,17 @@ def asymptotic_direction(graph: VoltageGraph, meas: InvariantMeasure) -> np.ndar
     return np.einsum("e,ei->i", meas.m_tilde, graph.first_layer_voltages())
 
 
-def harmonicity_residual(graph: VoltageGraph, realization: Realization, rho: np.ndarray) -> float:
+def harmonicity_residual(graph: VoltageGraph, phi1: np.ndarray, rho: np.ndarray) -> float:
     """Max over vertices of || sum_e p(e) w(e) - rho ||."""
-    w = first_layer_form(graph, realization)
+    w = first_layer_form(graph, phi1)
     d1 = graph.algebra.layer_dims[0]
     mean = np.zeros((graph.num_vertices, d1))
     np.add.at(mean, graph.origin, graph.prob[:, None] * w)
     return float(np.linalg.norm(mean - rho[None, :], axis=1).max())
 
 
-def modified_harmonic_realization(
-    graph: VoltageGraph,
-    meas: InvariantMeasure,
-    rho: np.ndarray,
-) -> Realization:
-    """Solve the per-vertex mean-increment equations for the vertex positions.
+def modified_harmonic_realization(graph: VoltageGraph, rho: np.ndarray) -> np.ndarray:
+    """Solve the per-vertex mean-increment equations for the vertex positions: (V, d1).
 
     Unknowns are the first-layer coordinates phi_1(v); the kernel of the
     system is the constants and is removed by pinning phi_1(0) = 0, the
@@ -105,11 +80,10 @@ def modified_harmonic_realization(
         phi1 = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"harmonic solve failed: {exc}") from exc
-    realization = realization_from_first_layer(graph, phi1)
-    residual = harmonicity_residual(graph, realization, rho)
+    residual = harmonicity_residual(graph, phi1, rho)
     if residual > _RESIDUAL_TOL:
         raise SingularSystem(f"harmonicity residual {residual} exceeds {_RESIDUAL_TOL}")
-    return realization
+    return phi1
 
 
 @dataclass(frozen=True)
@@ -117,7 +91,7 @@ class AlbaneseData:
     rho: np.ndarray        # (d1,) asymptotic direction
     sigma: np.ndarray      # (d1, d1) covariance form
     sigma_inv: np.ndarray  # (d1, d1) Gram matrix of the flat metric
-    harmonic: Realization
+    harmonic: np.ndarray   # (V, d1) first-layer vertex positions
     residual: float        # harmonicity defect of the realization
 
     def to_json_dict(self) -> dict:
@@ -126,14 +100,14 @@ class AlbaneseData:
             "sigma": self.sigma.tolist(),
             "sigma_inv": self.sigma_inv.tolist(),
             "residual": self.residual,
-            "positions_first_layer": self.harmonic.first_layer.tolist(),
+            "positions_first_layer": self.harmonic.tolist(),
         }
 
 
 def albanese_matrix(
     graph: VoltageGraph,
     meas: InvariantMeasure,
-    phi0: Realization,
+    phi0: np.ndarray,
     rho: np.ndarray,
 ) -> AlbaneseData:
     """Covariance form of the modified-harmonic 1-form components, and its inverse."""
@@ -151,10 +125,8 @@ def albanese_matrix(
 
 def albanese_pipeline(graph: VoltageGraph):
     """Convenience: measure, direction, harmonic realization, Albanese data."""
-    from .graph import invariant_measure
-
     meas = invariant_measure(graph)
     rho = asymptotic_direction(graph, meas)
-    phi0 = modified_harmonic_realization(graph, meas, rho)
+    phi0 = modified_harmonic_realization(graph, rho)
     data = albanese_matrix(graph, meas, phi0, rho)
     return meas, rho, phi0, data

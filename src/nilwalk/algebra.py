@@ -141,10 +141,6 @@ class StratifiedAlgebra:
         out[..., :d1] = v
         return out
 
-    def bracket(self, z1, z2) -> np.ndarray:
-        """[z1, z2] through the structure constants, over any leading axes."""
-        return _br(self.bracket_entries, self.check_points(z1), self.check_points(z2))
-
     def __repr__(self) -> str:
         return f"StratifiedAlgebra(layer_dims={self.layer_dims})"
 

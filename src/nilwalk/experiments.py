@@ -21,7 +21,7 @@ import numpy as np
 from .albanese import albanese_pipeline
 from .algebra import StratifiedAlgebra, dilate_vector
 from .errors import OracleUnavailable, SchemaError
-from .graph import PRESETS, VoltageGraph, validate
+from .graph import PRESETS, VoltageGraph
 from .lattice import ExactLatticeDistribution, gaussian_tail_exponent, mdp_rate
 from .rates import QuadraticForms, minimize_endpoint_rate
 from .walk import (
@@ -150,7 +150,8 @@ def _is_finite(x) -> bool:
     return _is_num(x) and math.isfinite(x)
 
 
-def algebra_from_spec(spec, pointer: str = "/algebra") -> StratifiedAlgebra:
+def algebra_from_spec(spec) -> StratifiedAlgebra:
+    pointer = "/algebra"
     _expect(isinstance(spec, dict), pointer, "must be an object")
     dims = spec.get("layer_dims")
     _expect(isinstance(dims, (list, tuple)) and len(dims) > 0, f"{pointer}/layer_dims",
@@ -162,8 +163,8 @@ def algebra_from_spec(spec, pointer: str = "/algebra") -> StratifiedAlgebra:
     for i, entry in enumerate(brackets):
         _expect(isinstance(entry, (list, tuple)) and len(entry) == 4,
                 f"{pointer}/brackets/{i}", "must be an [i, j, k, value] quadruple")
-        _expect(all(_is_int(x) for x in entry[:3]) and _is_num(entry[3]),
-                f"{pointer}/brackets/{i}", "indices must be integers and value a number")
+        _expect(all(_is_int(x) for x in entry[:3]) and _is_finite(entry[3]),
+                f"{pointer}/brackets/{i}", "indices must be integers and value a finite number")
     return StratifiedAlgebra(tuple(dims), [tuple(e) for e in brackets])
 
 
@@ -177,7 +178,7 @@ def algebra_to_spec(alg: StratifiedAlgebra) -> dict:
 
 def graph_from_dict(doc: dict) -> VoltageGraph:
     _expect(isinstance(doc, dict), "", "graph document must be an object")
-    alg = algebra_from_spec(doc.get("algebra"), "/algebra")
+    alg = algebra_from_spec(doc.get("algebra"))
     nv = doc.get("vertices")
     _expect(_is_int(nv) and nv > 0, "/vertices", "must be a positive integer")
     edges = doc.get("edges")
@@ -187,23 +188,21 @@ def graph_from_dict(doc: dict) -> VoltageGraph:
         _expect(isinstance(e, dict), f"/edges/{i}", "must be an object")
         for key in ("o", "t", "inv"):
             _expect(_is_int(e.get(key)), f"/edges/{i}/{key}", "must be an integer")
-        _expect(_is_num(e.get("p")), f"/edges/{i}/p", "must be a number")
+        _expect(_is_finite(e.get("p")), f"/edges/{i}/p", "must be a finite number")
         v = e.get("voltage")
-        _expect(isinstance(v, (list, tuple)) and len(v) == alg.dim and all(_is_num(x) for x in v),
-                f"/edges/{i}/voltage", f"must be a list of {alg.dim} numbers")
+        _expect(isinstance(v, (list, tuple)) and len(v) == alg.dim and all(_is_finite(x) for x in v),
+                f"/edges/{i}/voltage", f"must be a list of {alg.dim} finite numbers")
         _expect(0 <= e["inv"] < len(edges), f"/edges/{i}/inv", "edge index out of range")
         origin.append(e["o"])
         terminus.append(e["t"])
         inverse.append(e["inv"])
         prob.append(e["p"])
         volts.append([float(x) for x in v])
-    graph = VoltageGraph(alg, nv, origin, terminus, inverse, prob, np.array(volts))
-    validate(graph)
-    return graph
+    return VoltageGraph(alg, nv, origin, terminus, inverse, prob, np.array(volts))
 
 
 def ingest_graph(path) -> VoltageGraph:
-    """Load and fully validate a voltage-graph JSON document."""
+    """Load a voltage-graph JSON document; the graph checks its invariants when built."""
     with open(path) as fh:
         return graph_from_dict(json.load(fh))
 
@@ -216,9 +215,10 @@ def load_graph(config: ExperimentConfig) -> VoltageGraph:
         _expect(name in PRESETS, "/graph/preset", f"unknown preset {name!r}")
         params = spec.get("params", {})
         _expect(isinstance(params, dict), "/graph/params", "must be an object")
-        graph = PRESETS[name](**params)
-        validate(graph)
-        return graph
+        try:
+            return PRESETS[name](**params)
+        except TypeError as exc:
+            raise SchemaError("/graph/params", str(exc)) from exc
     if "file" in spec:
         return ingest_graph(spec["file"])
     raise SchemaError("/graph", "must contain 'preset' or 'file'")
@@ -289,15 +289,15 @@ def _jsonable(obj):
 
 def _prepare(config: ExperimentConfig):
     graph = load_graph(config)
-    meas, rho, phi0, data = albanese_pipeline(graph)
-    return graph, meas, rho, phi0, data
+    return graph, albanese_pipeline(graph)[3]
 
 
 def run_albanese(config: ExperimentConfig, out_dir) -> dict:
     """Invariant-measure pipeline outputs as JSON."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph, meas, rho, phi0, data = _prepare(config)
+    graph = load_graph(config)
+    meas, _, _, data = albanese_pipeline(graph)
     doc = {
         "algebra": algebra_to_spec(graph.algebra),
         "m": meas.m.tolist(),
@@ -305,7 +305,7 @@ def run_albanese(config: ExperimentConfig, out_dir) -> dict:
     }
     write_json(out_dir / "albanese.json", doc)
     metrics = {
-        "rho": rho.tolist(),
+        "rho": data.rho.tolist(),
         "sigma": data.sigma.tolist(),
         "residual": float(data.residual),
     }
@@ -317,14 +317,14 @@ def run_lln(config: ExperimentConfig, out_dir) -> dict:
     """Quantiles of the normalized drift error over the n grid."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph, meas, rho, phi0, data = _prepare(config)
+    graph, data = _prepare(config)
     qs = list(config.lln_quantiles)
     header = ["n"] + [f"err_q{int(round(100 * q)):02d}" for q in qs]
     rows = []
     medians = {}
     for gi, n in enumerate(config.n_grid):
         sums = batch_centered_sums(
-            graph, phi0, rho, int(n), config.samples, config.seed,
+            graph, data.harmonic, data.rho, int(n), config.samples, config.seed,
             workers=config.workers, index_offset=gi * config.samples,
         )
         err = np.linalg.norm(sums, axis=1) / float(n)
@@ -341,7 +341,7 @@ def run_clt(config: ExperimentConfig, out_dir) -> dict:
     """Monte Carlo covariance versus the exact matrix over the n grid."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph, meas, rho, phi0, data = _prepare(config)
+    graph, data = _prepare(config)
     d1 = graph.algebra.layer_dims[0]
     names = [f"{i}_{j}" for i in range(d1) for j in range(d1)]
     header = ["n"] + [f"est_{s}" for s in names] + [f"se_{s}" for s in names] + [f"ref_{s}" for s in names]
@@ -349,7 +349,7 @@ def run_clt(config: ExperimentConfig, out_dir) -> dict:
     max_dev = 0.0
     for gi, n in enumerate(config.n_grid):
         est, se = clt_covariance_oracle(
-            graph, phi0, rho, int(n), config.samples, config.seed,
+            graph, data.harmonic, data.rho, int(n), config.samples, config.seed,
             workers=config.workers, index_offset=gi * config.samples,
         )
         rows.append([int(n)] + list(est.ravel()) + list(se.ravel()) + list(data.sigma.ravel()))
@@ -364,7 +364,7 @@ def run_mdp(config: ExperimentConfig, out_dir) -> dict:
     """Normalized log tail probabilities against the moderate-deviation prediction."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph, meas, rho, phi0, data = _prepare(config)
+    graph, data = _prepare(config)
     scaling = scaling_from_config(config)
     oracle = None
     if config.mdp_mode in ("auto", "exact"):
@@ -384,7 +384,7 @@ def run_mdp(config: ExperimentConfig, out_dir) -> dict:
             mode = "exact"
         else:
             sums = batch_centered_sums(
-                graph, phi0, rho, int(n), config.samples, config.seed,
+                graph, data.harmonic, data.rho, int(n), config.samples, config.seed,
                 workers=config.workers, index_offset=gi * config.samples,
             )
             norms = np.linalg.norm(sums, axis=1)
@@ -421,7 +421,7 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph, meas, rho, phi0, data = _prepare(config)
+    graph, data = _prepare(config)
     alg = graph.algebra
     scaling = scaling_from_config(config)
     if scaling.kind != "lil":
@@ -454,8 +454,8 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
 
     def job(block):
         for t in block:
-            points_raw, sup = trajectory_scan(graph, phi0, rho, checkpoints, config.seed, t,
-                                              sup_scaling=scaling, sup_range=sup_range)
+            points_raw, sup = trajectory_scan(graph, data.harmonic, data.rho, checkpoints, config.seed,
+                                              t, sup_scaling=scaling, sup_range=sup_range)
             recs = []
             for n, raw in zip(checkpoints, points_raw):
                 pt = dilate_vector(alg, 1.0 / float(scaling(n)), raw)
@@ -504,11 +504,11 @@ def run_rate(config: ExperimentConfig, out_dir) -> dict:
     if config.albanese_file is not None:
         with open(config.albanese_file) as fh:
             doc = json.load(fh)
-        alg = algebra_from_spec(doc.get("algebra"), "/algebra")
+        alg = algebra_from_spec(doc.get("algebra"))
         _expect("sigma" in doc and "sigma_inv" in doc, "/sigma", "Albanese JSON must carry sigma and sigma_inv")
         forms = QuadraticForms(np.array(doc["sigma"]), np.array(doc["sigma_inv"]))
     else:
-        graph, meas, rho, phi0, data = _prepare(config)
+        graph, data = _prepare(config)
         alg = graph.algebra
         forms = QuadraticForms.from_albanese(data)
     target = np.asarray(config.target, dtype=float)

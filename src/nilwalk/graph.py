@@ -11,6 +11,12 @@ The derived objects of interest are edge-indexed, which is why an oriented
 edge list (rather than an adjacency matrix) is the primary representation:
 the stationary vertex measure ``m`` and the edge measure ``m_tilde(e) =
 p(e) m(o(e))``.
+
+A graph checks itself when it is built: the constructor raises a named
+``GraphInvariantViolation`` on the first broken invariant (vertex ranges,
+positive out-probabilities summing to 1 at each vertex, a fixpoint-free
+reversal involution carrying inverse voltages, strong connectivity), so every
+``VoltageGraph`` object is a valid quotient graph.
 """
 
 from __future__ import annotations
@@ -51,6 +57,58 @@ class VoltageGraph:
         shapes = (self.terminus.shape, self.inverse.shape, self.prob.shape)
         if any(s != (e,) for s in shapes) or self.voltages.shape != (e, self.algebra.dim):
             raise DimensionMismatch("edge arrays have inconsistent shapes")
+
+        # the first broken invariant raises its named error; every comparison fails on NaN
+        nv = self.num_vertices
+        if np.any(self.origin < 0) or np.any(self.origin >= nv):
+            raise InvolutionViolation("edge origin out of vertex range")
+        if np.any(self.terminus < 0) or np.any(self.terminus >= nv):
+            raise InvolutionViolation("edge terminus out of vertex range")
+
+        bad = np.nonzero(~(self.prob > 0))[0]
+        if bad.size:
+            raise StochasticityViolation(
+                f"edge {bad[0]}: transition probability {float(self.prob[bad[0]])} is not positive"
+            )
+        sums = np.zeros(nv)
+        np.add.at(sums, self.origin, self.prob)
+        bad = np.nonzero(~(np.abs(sums - 1.0) <= 1e-12))[0]
+        if bad.size:
+            raise StochasticityViolation(f"vertex {bad[0]}: out-probabilities sum to {float(sums[bad[0]])}")
+
+        inv = self.inverse
+        if np.any(inv < 0) or np.any(inv >= e):
+            raise InvolutionViolation("inverse index out of range")
+        if np.any(inv == np.arange(e)):
+            k = int(np.nonzero(inv == np.arange(e))[0][0])
+            raise InvolutionViolation(f"edge {k} is its own inverse")
+        if np.any(inv[inv] != np.arange(e)):
+            k = int(np.nonzero(inv[inv] != np.arange(e))[0][0])
+            raise InvolutionViolation(f"edge {k}: reversal is not an involution")
+        if np.any(self.origin[inv] != self.terminus) or np.any(self.terminus[inv] != self.origin):
+            k = int(np.nonzero((self.origin[inv] != self.terminus) | (self.terminus[inv] != self.origin))[0][0])
+            raise InvolutionViolation(f"edge {k}: reversed edge does not swap origin and terminus")
+
+        defect = np.abs(self.voltages[inv] + self.voltages).max(axis=1)
+        bad = np.nonzero(~(defect <= 1e-12))[0]
+        if bad.size:
+            raise VoltageInverseViolation(f"edge {bad[0]}: reversed voltage is not the group inverse")
+
+        for direction in ("forward", "backward"):
+            heads = self.terminus if direction == "forward" else self.origin
+            tails = self.origin if direction == "forward" else self.terminus
+            seen = np.zeros(nv, dtype=bool)
+            seen[0] = True
+            stack = [0]
+            while stack:
+                v = stack.pop()
+                for t in heads[tails == v]:
+                    if not seen[t]:
+                        seen[t] = True
+                        stack.append(int(t))
+            if not seen.all():
+                missing = int(np.nonzero(~seen)[0][0])
+                raise NotStronglyConnected(f"vertex {missing} unreachable ({direction} direction)")
 
     @property
     def num_edges(self) -> int:
@@ -109,62 +167,6 @@ class VoltageGraph:
 
 
 # ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate(graph: VoltageGraph) -> None:
-    """Check all voltage-graph invariants; raise a named error on the first failure."""
-    if np.any(graph.origin < 0) or np.any(graph.origin >= graph.num_vertices):
-        raise InvolutionViolation("edge origin out of vertex range")
-    if np.any(graph.terminus < 0) or np.any(graph.terminus >= graph.num_vertices):
-        raise InvolutionViolation("edge terminus out of vertex range")
-
-    bad = np.nonzero(graph.prob <= 0)[0]
-    if bad.size:
-        raise StochasticityViolation(f"edge {bad[0]}: transition probability {graph.prob[bad[0]]} is not positive")
-    sums = np.zeros(graph.num_vertices)
-    np.add.at(sums, graph.origin, graph.prob)
-    bad = np.nonzero(np.abs(sums - 1.0) > 1e-12)[0]
-    if bad.size:
-        raise StochasticityViolation(f"vertex {bad[0]}: out-probabilities sum to {sums[bad[0]]!r}")
-
-    inv = graph.inverse
-    e = graph.num_edges
-    if np.any(inv < 0) or np.any(inv >= e):
-        raise InvolutionViolation("inverse index out of range")
-    if np.any(inv == np.arange(e)):
-        k = int(np.nonzero(inv == np.arange(e))[0][0])
-        raise InvolutionViolation(f"edge {k} is its own inverse")
-    if np.any(inv[inv] != np.arange(e)):
-        k = int(np.nonzero(inv[inv] != np.arange(e))[0][0])
-        raise InvolutionViolation(f"edge {k}: reversal is not an involution")
-    if np.any(graph.origin[inv] != graph.terminus) or np.any(graph.terminus[inv] != graph.origin):
-        k = int(np.nonzero((graph.origin[inv] != graph.terminus) | (graph.terminus[inv] != graph.origin))[0][0])
-        raise InvolutionViolation(f"edge {k}: reversed edge does not swap origin and terminus")
-
-    defect = np.abs(graph.voltages[inv] + graph.voltages).max(axis=1)
-    bad = np.nonzero(defect > 1e-12)[0]
-    if bad.size:
-        raise VoltageInverseViolation(f"edge {bad[0]}: reversed voltage is not the group inverse")
-
-    for direction in ("forward", "backward"):
-        heads = graph.terminus if direction == "forward" else graph.origin
-        tails = graph.origin if direction == "forward" else graph.terminus
-        seen = np.zeros(graph.num_vertices, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for t in heads[tails == v]:
-                if not seen[t]:
-                    seen[t] = True
-                    stack.append(int(t))
-        if not seen.all():
-            missing = int(np.nonzero(~seen)[0][0])
-            raise NotStronglyConnected(f"vertex {missing} unreachable ({direction} direction)")
-
-
-# ---------------------------------------------------------------------------
 # Invariant measure
 # ---------------------------------------------------------------------------
 
@@ -215,9 +217,7 @@ def zd_lattice(d: int) -> VoltageGraph:
 
 
 def z1_biased(q: float) -> VoltageGraph:
-    """Walk on Z stepping +1 with probability q and -1 with probability 1 - q."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+    """Walk on Z stepping +1 with probability q and -1 with probability 1 - q, for 0 < q < 1."""
     return VoltageGraph.from_pairs(abelian_algebra(1), 1, [(0, 0, q, 1.0 - q, [1.0])])
 
 

@@ -70,8 +70,6 @@ class PiecewisePath:
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def endpoint(self) -> np.ndarray:
-        return self.values[-1]
 
 def path_from_increments(increments: np.ndarray) -> PiecewisePath:
     increments = np.asarray(increments, dtype=float)

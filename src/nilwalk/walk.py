@@ -2,9 +2,12 @@
 
 State on the cover is a (quotient vertex, deck element) pair: traversing an
 edge multiplies the running deck element by the edge voltage, and the realized
-position is deck * position(vertex).  The first-layer statistics are tracked
-through the per-edge increment table of the supplied realization, so centered
-sums and scaled endpoints share one source of truth.
+position is deck * position(vertex).  Every engine takes the vertex positions
+``phi`` as the (V, d1) first-layer array of ``modified_harmonic_realization``
+and lifts ``phi[v]`` to the group with zero higher layers
+(``embed_first_layer``).  The first-layer statistics are tracked through the
+per-edge increment table of ``phi``, so centered sums and scaled endpoints
+share one source of truth.
 Every group fold (the deck element of a path, of a batch of paths, or of a
 trajectory segment) goes through ``algebra.fold``.
 
@@ -17,8 +20,8 @@ out-edge if none does).  On a one-vertex graph this is one vectorized look-up; o
 over steps carries the current vertex of every row of a block at once.
 Every batched first-layer sum reduces each row to edge counts times the
 increments; a sum-only walk on one vertex counts the uniforms at or above
-each cut, with no per-step array.  Every walk starts at the realization's
-base vertex 0.
+each cut, with no per-step array.  Every walk starts at the base vertex 0,
+where ``phi`` is pinned to zero.
 
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
@@ -38,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .albanese import Realization, first_layer_form
+from .albanese import first_layer_form
 from .algebra import bch_product, dilate_vector, fold
 from .errors import PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
@@ -103,7 +106,7 @@ def lil_scaling() -> ScalingSequence:
 # Edge selection
 # ---------------------------------------------------------------------------
 
-def _centered_increments(graph: VoltageGraph, phi: Realization, rho: np.ndarray) -> np.ndarray:
+def _centered_increments(graph: VoltageGraph, phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return first_layer_form(graph, phi) - np.asarray(rho, dtype=float)[None, :]
 
 
@@ -186,7 +189,7 @@ class WalkPath:
 
 def sample_path(
     graph: VoltageGraph,
-    phi: Realization,
+    phi: np.ndarray,
     rho: np.ndarray,
     n: int,
     seed: int,
@@ -203,7 +206,7 @@ def sample_path(
         vertices=vertices,
         edges=edges,
         increments=_centered_increments(graph, phi, rho)[edges],
-        xi=bch_product(graph.algebra, deck, phi.positions[vertices[-1]]),
+        xi=bch_product(graph.algebra, deck, graph.algebra.embed_first_layer(phi[vertices[-1]])),
     )
 
 
@@ -263,7 +266,7 @@ def _run_sharded(total: int, workers: int, job: Callable) -> None:
 
 def batch_centered_sums(
     graph: VoltageGraph,
-    phi: Realization,
+    phi: np.ndarray,
     rho: np.ndarray,
     n: int,
     samples: int,
@@ -290,7 +293,7 @@ def batch_centered_sums(
 
 def batch_endpoints(
     graph: VoltageGraph,
-    phi: Realization,
+    phi: np.ndarray,
     rho: np.ndarray,
     scaling: ScalingSequence,
     n: int,
@@ -321,7 +324,7 @@ def batch_endpoints(
         end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(block), dtype=np.int64)
         # last, because counting offsets the edges in place
         bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
-        xi = bch_product(alg, decks, phi.positions[end_vertex])
+        xi = bch_product(alg, decks, alg.embed_first_layer(phi[end_vertex]))
         points[block] = _scaled_points(graph, xi, bar, n, rho, a_n)
         sums[block] = bar
 
@@ -331,7 +334,7 @@ def batch_endpoints(
 
 def clt_covariance_oracle(
     graph: VoltageGraph,
-    phi: Realization,
+    phi: np.ndarray,
     rho: np.ndarray,
     n_steps: int,
     samples: int,
@@ -409,7 +412,7 @@ def _screened_sup(x: np.ndarray, first: int, scaling: ScalingSequence, sup: floa
 
 def trajectory_scan(
     graph: VoltageGraph,
-    phi: Realization,
+    phi: np.ndarray,
     rho: np.ndarray,
     checkpoints,
     seed: int,
@@ -465,7 +468,7 @@ def trajectory_scan(
             j = cp_n - pos
             deck = bch_product(alg, deck, fold(alg, gam[folded:j]))
             folded = j
-            xi = bch_product(alg, deck, phi.positions[graph.terminus[edges[j - 1]]])
+            xi = bch_product(alg, deck, alg.embed_first_layer(phi[graph.terminus[edges[j - 1]]]))
             points[cp_next] = _scaled_points(graph, xi, bar_cum[j - 1], cp_n, rho, 1.0)
             cp_next += 1
         deck = bch_product(alg, deck, fold(alg, gam[folded:]))

@@ -8,16 +8,14 @@ from nilwalk.albanese import (
     first_layer_form,
     harmonicity_residual,
     modified_harmonic_realization,
-    realization_from_first_layer,
 )
 from nilwalk.algebra import abelian_algebra
-from nilwalk.errors import SingularSigma
+from nilwalk.errors import DimensionMismatch, SingularSigma
 from nilwalk.graph import (
     VoltageGraph,
     heisenberg_cayley,
     hexagonal,
     invariant_measure,
-    validate,
     z1_biased,
     z1_subdivided,
     zd_lattice,
@@ -69,7 +67,6 @@ def test_direction_biased_z2():
         (0, 0, 0.25, 0.25, [0.0, 1.0]),
     ]
     g = VoltageGraph.from_pairs(abelian_algebra(2), 1, pairs)
-    validate(g)
     rho = asymptotic_direction(g, invariant_measure(g))
     assert np.allclose(rho, [0.3, 0.0], atol=1e-15)
 
@@ -79,9 +76,7 @@ def test_direction_realization_independent():
     for g in (hexagonal(), z1_subdivided()):
         meas = invariant_measure(g)
         rho = asymptotic_direction(g, meas)
-        phi = realization_from_first_layer(
-            g, rng.normal(size=(g.num_vertices, g.algebra.layer_dims[0]))
-        )
+        phi = rng.normal(size=(g.num_vertices, g.algebra.layer_dims[0]))
         w = first_layer_form(g, phi)
         rho_via_form = np.einsum("e,ei->i", meas.m_tilde, w)
         assert np.abs(rho_via_form - rho).max() <= 1e-12
@@ -94,9 +89,7 @@ def test_direction_realization_independent():
 def test_form_antisymmetry_and_cycle_holonomy():
     rng = np.random.default_rng(29)
     for name, g in ALL_PRESETS.items():
-        phi = realization_from_first_layer(
-            g, rng.normal(size=(g.num_vertices, g.algebra.layer_dims[0]))
-        )
+        phi = rng.normal(size=(g.num_vertices, g.algebra.layer_dims[0]))
         w = first_layer_form(g, phi)
         assert np.abs(w[g.inverse] + w).max() <= 1e-13
         # the cycle sum sees only the voltage holonomy, not the realization
@@ -111,7 +104,7 @@ def test_form_antisymmetry_and_cycle_holonomy():
 
 def test_hexagonal_cycle_holonomy_by_hand():
     g = hexagonal()
-    phi0 = modified_harmonic_realization(g, invariant_measure(g), np.zeros(2))
+    phi0 = modified_harmonic_realization(g, np.zeros(2))
     w = first_layer_form(g, phi0)
     # pair 0 (voltage (1,0)) closes each cycle: the first runs out on pair 1 and
     # back on pair 0, i.e. holonomy (0,1) - (1,0) = (-1, 1)
@@ -128,23 +121,26 @@ def test_single_vertex_positions_are_zero():
     for g in (zd_lattice(2), z1_biased(0.6), heisenberg_cayley()):
         meas = invariant_measure(g)
         rho = asymptotic_direction(g, meas)
-        phi0 = modified_harmonic_realization(g, meas, rho)
-        assert np.array_equal(phi0.positions, np.zeros_like(phi0.positions))
+        phi0 = modified_harmonic_realization(g, rho)
+        assert np.array_equal(phi0, np.zeros((1, g.algebra.layer_dims[0])))
 
 
 def test_subdivided_line_positions():
     g = z1_subdivided()
     meas = invariant_measure(g)
     rho = asymptotic_direction(g, meas)
-    phi0 = modified_harmonic_realization(g, meas, rho)
-    assert np.allclose(phi0.first_layer, [[0.0], [0.5]], atol=1e-14)
+    phi0 = modified_harmonic_realization(g, rho)
+    assert np.allclose(phi0, [[0.0], [0.5]], atol=1e-14)
+    # positions are (V, d1): the (V,) column would broadcast silently
+    with pytest.raises(DimensionMismatch, match=r"\(2, 1\)"):
+        first_layer_form(g, phi0[:, 0])
 
 
 def test_harmonicity_residual_all_presets():
     for name, g in ALL_PRESETS.items():
         meas = invariant_measure(g)
         rho = asymptotic_direction(g, meas)
-        phi0 = modified_harmonic_realization(g, meas, rho)
+        phi0 = modified_harmonic_realization(g, rho)
         assert harmonicity_residual(g, phi0, rho) <= 1e-10, name
 
 
@@ -195,8 +191,8 @@ def test_sigma_gauge_invariance():
     g = z1_subdivided()
     meas = invariant_measure(g)
     rho = asymptotic_direction(g, meas)
-    phi0 = modified_harmonic_realization(g, meas, rho)
-    shifted = realization_from_first_layer(g, phi0.first_layer + 2.0)  # dyadic shift, exact
+    phi0 = modified_harmonic_realization(g, rho)
+    shifted = phi0 + 2.0  # dyadic shift, exact
     w0 = first_layer_form(g, phi0)
     w_shift = first_layer_form(g, shifted)
     assert np.array_equal(w0, w_shift)
@@ -213,10 +209,9 @@ def test_sigma_invariant_under_relabeling():
         g.algebra, g.num_vertices, perm[g.origin], perm[g.terminus],
         g.inverse, g.prob, g.voltages,
     )
-    validate(relabeled)
     meas2 = invariant_measure(relabeled)
     rho2 = asymptotic_direction(relabeled, meas2)
-    phi2 = modified_harmonic_realization(relabeled, meas2, rho2)
+    phi2 = modified_harmonic_realization(relabeled, rho2)
     data2 = albanese_matrix(relabeled, meas2, phi2, rho2)
     assert np.abs(data2.sigma - data.sigma).max() <= 1e-12
 
@@ -224,10 +219,9 @@ def test_sigma_invariant_under_relabeling():
 def test_singular_sigma_when_voltages_do_not_span():
     # one loop pair inside a rank-2 layer: the form cannot be positive definite
     g = VoltageGraph.from_pairs(abelian_algebra(2), 1, [(0, 0, 0.5, 0.5, [1.0, 0.0])])
-    validate(g)
     meas = invariant_measure(g)
     rho = asymptotic_direction(g, meas)
-    phi0 = modified_harmonic_realization(g, meas, rho)
+    phi0 = modified_harmonic_realization(g, rho)
     with pytest.raises(SingularSigma):
         albanese_matrix(g, meas, phi0, rho)
 
@@ -241,7 +235,7 @@ def test_oracle_single_step_closed_form():
     meas, rho, phi0, data = (None, None, None, None)
     meas = invariant_measure(g)
     rho = asymptotic_direction(g, meas)
-    phi0 = modified_harmonic_realization(g, meas, rho)
+    phi0 = modified_harmonic_realization(g, rho)
     est, se = clt_covariance_oracle(g, phi0, rho, n_steps=1, samples=64, seed=3)
     assert np.array_equal(est, [[1.0]])  # every single step has squared length 1
     assert np.array_equal(se, [[0.0]])

@@ -18,6 +18,7 @@ from nilwalk.errors import (
     PinnedLayerMismatch,
     SchemaError,
     SingularSigma,
+    StochasticityViolation,
 )
 from nilwalk.experiments import (
     RUNNERS,
@@ -33,7 +34,7 @@ from nilwalk.experiments import (
     run_rate,
     write_json,
 )
-from nilwalk.graph import VoltageGraph, zd_lattice
+from nilwalk.graph import VoltageGraph, heisenberg_cayley, zd_lattice
 
 from conftest import graph_to_dict
 
@@ -138,10 +139,13 @@ def _voltage_graphs(draw):
     coord = st.floats(-2.0, 2.0, allow_subnormal=False)
     volts = [draw(st.lists(coord, min_size=alg.dim, max_size=alg.dim)) for _ in pairs]
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2 * len(pairs), max_size=2 * len(pairs))))
-    g = VoltageGraph.from_pairs(alg, nv, [(o, t, 1.0, 1.0, v) for (o, t), v in zip(pairs, volts)])
+    origin = np.array([x for pair in pairs for x in pair])  # from_pairs' edges 2i: o -> t, 2i + 1: t -> o
     out_sums = np.zeros(nv)
-    np.add.at(out_sums, g.origin, weights)
-    return VoltageGraph(alg, nv, g.origin, g.terminus, g.inverse, weights / out_sums[g.origin], g.voltages)
+    np.add.at(out_sums, origin, weights)
+    p = weights / out_sums[origin]
+    return VoltageGraph.from_pairs(
+        alg, nv, [(o, t, p[2 * i], p[2 * i + 1], v) for i, ((o, t), v) in enumerate(zip(pairs, volts))]
+    )
 
 
 def _sigma_or_singular(graph):
@@ -193,6 +197,22 @@ def test_schema_error_pointers(tmp_path):
         ingest_graph(path)
     assert err.value.pointer == "/algebra/layer_dims/0"
 
+    # a non-finite number fails at its field, before the graph is built
+    heis = graph_to_dict(heisenberg_cayley())
+    for edit, pointer in (
+        (lambda d: d["edges"][0].update(p=math.nan), "/edges/0/p"),
+        (lambda d: d["edges"][1].update(p=math.inf), "/edges/1/p"),
+        (lambda d: d["edges"][0].update(voltage=[1.0, math.nan, 0.0]), "/edges/0/voltage"),
+        (lambda d: d["edges"][2].update(voltage=[0.0, -math.inf, 0.0]), "/edges/2/voltage"),
+        (lambda d: d["algebra"]["brackets"][1].__setitem__(3, math.nan), "/algebra/brackets/1"),
+    ):
+        bad = json.loads(json.dumps(heis))
+        edit(bad)
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SchemaError) as err:
+            ingest_graph(path)
+        assert err.value.pointer == pointer
+
 
 def test_missing_inverse_edge_is_involution_violation(tmp_path):
     doc = graph_to_dict(zd_lattice(1))
@@ -217,6 +237,13 @@ def test_preset_errors():
         load_graph(make_config(graph={"preset": "nope"}))
     with pytest.raises(SchemaError, match="/graph"):
         load_graph(make_config(graph={}))
+    # keywords the preset rejects, and a q that gives a non-positive probability
+    for params in ({"d": 2}, {"q": 0.5}, {}):
+        with pytest.raises(SchemaError) as err:
+            load_graph(make_config(graph={"preset": "hexagonal" if params else "zd_lattice", "params": params}))
+        assert err.value.pointer == "/graph/params"
+    with pytest.raises(StochasticityViolation, match="^edge 1: transition probability -0.5 is not positive$"):
+        load_graph(make_config(graph={"preset": "z1_biased", "params": {"q": 1.5}}))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +514,16 @@ def test_cli_reports_input_errors_in_one_line(tmp_path, monkeypatch):
     bad = graph_to_dict(zd_lattice(1))
     bad["edges"][0]["p"] = 0.25
     (tmp_path / "bad.json").write_text(json.dumps(bad))
+    nan_p = graph_to_dict(zd_lattice(1))
+    nan_p["edges"][0]["p"] = math.nan
+    (tmp_path / "nan.json").write_text(json.dumps(nan_p))
     for name, cfg, message in (
-        ("lln", {"graph": {"file": str(tmp_path / "bad.json")}}, "Error: "),
+        ("lln", {"graph": {"file": str(tmp_path / "bad.json")}},
+         "Error: vertex 0: out-probabilities sum to 0.75\n"),
+        ("lln", {"graph": {"file": str(tmp_path / "nan.json")}}, "Error: /edges/0/p: must be a finite number\n"),
+        ("lln", {"graph": {"preset": "hexagonal", "params": {"d": 2}}}, "Error: /graph/params: "),
+        ("lln", {"graph": {"preset": "z1_biased", "params": {"q": 1.5}}},
+         "Error: edge 1: transition probability -0.5 is not positive\n"),
         ("mdp", {"graph": {"preset": "heisenberg_cayley"}, "mdp_mode": "exact",
                  "scaling": {"kind": "power", "theta": 0.75}}, "Error: exact oracle requires"),
     ):

@@ -15,7 +15,6 @@ from nilwalk.graph import (
     heisenberg_cayley,
     hexagonal,
     invariant_measure,
-    validate,
     z1_biased,
     z1_subdivided,
     zd_lattice,
@@ -38,17 +37,22 @@ def all_presets():
 # ---------------------------------------------------------------------------
 
 def test_presets_validate():
+    # each preset was checked when built, and its arrays pass the checks again
     for g in all_presets():
-        validate(g)
+        VoltageGraph(g.algebra, g.num_vertices, g.origin, g.terminus, g.inverse, g.prob, g.voltages)
 
 
 def test_stochasticity_violation():
-    g = VoltageGraph.from_pairs(abelian_algebra(1), 1, [(0, 0, 0.45, 0.45, [1.0])])
-    with pytest.raises(StochasticityViolation, match="vertex 0"):
-        validate(g)
-    g = VoltageGraph.from_pairs(abelian_algebra(1), 1, [(0, 0, 1.0, -0.0, [1.0])])
+    with pytest.raises(StochasticityViolation, match="^vertex 0: out-probabilities sum to 0.9$"):
+        VoltageGraph.from_pairs(abelian_algebra(1), 1, [(0, 0, 0.45, 0.45, [1.0])])
     with pytest.raises(StochasticityViolation):
-        validate(g)
+        VoltageGraph.from_pairs(abelian_algebra(1), 1, [(0, 0, 1.0, -0.0, [1.0])])
+    # NaN fails every comparison, so it must fail the check, not slip past it
+    with pytest.raises(StochasticityViolation, match="^edge 0: transition probability nan"):
+        VoltageGraph.from_pairs(abelian_algebra(1), 1, [(0, 0, np.nan, 1.0, [1.0])])
+    for q in (0.0, 1.0, 1.5, np.nan):
+        with pytest.raises(StochasticityViolation, match="is not positive"):
+            z1_biased(q)
 
 
 def test_not_strongly_connected():
@@ -57,29 +61,26 @@ def test_not_strongly_connected():
         (0, 0, 0.5, 0.5, [1.0]),
         (1, 1, 0.5, 0.5, [1.0]),
     ]
-    g = VoltageGraph.from_pairs(abelian_algebra(1), 2, pairs)
     with pytest.raises(NotStronglyConnected, match="vertex 1"):
-        validate(g)
+        VoltageGraph.from_pairs(abelian_algebra(1), 2, pairs)
 
 
 def test_involution_violation():
     base = zd_lattice(1)
-    g = VoltageGraph(
-        base.algebra, 1, base.origin, base.terminus,
-        np.array([0, 1]),  # self-paired edges
-        base.prob, base.voltages,
-    )
     with pytest.raises(InvolutionViolation):
-        validate(g)
+        VoltageGraph(
+            base.algebra, 1, base.origin, base.terminus,
+            np.array([0, 1]),  # self-paired edges
+            base.prob, base.voltages,
+        )
 
 
 def test_voltage_inverse_violation():
     base = zd_lattice(1)
     volts = base.voltages.copy()
     volts[1] = [2.0]  # should be -1
-    g = VoltageGraph(base.algebra, 1, base.origin, base.terminus, base.inverse, base.prob, volts)
     with pytest.raises(VoltageInverseViolation, match="edge"):
-        validate(g)
+        VoltageGraph(base.algebra, 1, base.origin, base.terminus, base.inverse, base.prob, volts)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,6 @@ def test_two_vertex_asymmetric_measure():
         (0, 1, 0.5, 1.0, [0.0]),
     ]
     g = VoltageGraph.from_pairs(abelian_algebra(1), 2, pairs)
-    validate(g)
     meas = invariant_measure(g)
     assert np.allclose(meas.m, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
@@ -118,7 +118,6 @@ def test_periodic_star_measure_beyond_512_vertices():
     pairs = [(0, 1, 1.0 / (leaves + 1), 0.5, [1.0])]
     pairs += [(0, j, 1.0 / (leaves + 1), 0.5 if j == 1 else 1.0, [0.0]) for j in range(1, leaves + 1)]
     g = VoltageGraph.from_pairs(abelian_algebra(1), leaves + 1, pairs)
-    validate(g)
     meas = invariant_measure(g)
     want = np.full(leaves + 1, 0.5 / (leaves + 1))
     want[0], want[1] = 0.5, 1.0 / (leaves + 1)
@@ -144,7 +143,6 @@ def test_measure_permutation_equivariance():
         g.algebra, g.num_vertices,
         perm[g.origin], perm[g.terminus], g.inverse, g.prob, g.voltages,
     )
-    validate(relabeled)
     meas2 = invariant_measure(relabeled)
     assert np.abs(meas2.m[perm] - meas.m).max() <= 1e-14
 

@@ -96,7 +96,7 @@ def test_jensen_bound_random_paths():
         times = np.concatenate([[0.0], times, [1.0]])
         values = np.vstack([np.zeros(2), rng.normal(size=(k, 2))])
         path = PiecewisePath(times=times, values=values)
-        assert path_rate(HALF_I2, path) >= alpha_star(HALF_I2, path.endpoint()) - 1e-10
+        assert path_rate(HALF_I2, path) >= alpha_star(HALF_I2, path.values[-1]) - 1e-10
 
 
 def test_jensen_equality_iff_single_segment():
@@ -158,7 +158,7 @@ def test_develop_increment_local_under_refinement(heisenberg):
 
 def test_develop_first_layer_is_endpoint(heisenberg):
     path = path_from_increments(np.random.default_rng(89).normal(size=(5, 2)))
-    assert np.abs(_develop(heisenberg, path.increments)[:2] - path.endpoint()).max() <= 1e-14
+    assert np.abs(_develop(heisenberg, path.increments)[:2] - path.values[-1]).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,20 @@ def test_only_the_draw_seam_and_the_scan_open_streams():
                 and node.func.id == "sample_stream" for node in ast.walk(top))
     ]
     assert callers == ["_uniforms", "trajectory_scan"], callers
+
+
+def test_no_unused_parameters():
+    # every parameter of every function (self and cls aside) is read in its
+    # body, nested functions included: a parameter nothing reads is a knob
+    # that does nothing
+    unused = []
+    for path in sorted(Path(nilwalk.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = func.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(func, "name", "lambda")
+            unused += [f"{path.name} {name}({p})" for p in params if p not in read and p not in ("self", "cls")]
+    assert unused == [], f"parameters never read: {unused}"

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import nilwalk.walk as walk
-from nilwalk.albanese import Realization, albanese_pipeline, first_layer_form
+from nilwalk.albanese import albanese_pipeline, first_layer_form
 from nilwalk.algebra import abelian_algebra, bch_product
 from nilwalk.errors import PinnedLayerMismatch, ScalingDomain
 from nilwalk.graph import (
     VoltageGraph,
     heisenberg_cayley,
     hexagonal,
-    validate,
     z1_biased,
     z1_subdivided,
     zd_lattice,
@@ -118,7 +117,7 @@ def test_deck_fold_dual_route():
         acc = g.algebra.zero()
         for e in path.edges:
             acc = bch_product(g.algebra, acc, g.voltages[e])
-        xi = bch_product(g.algebra, acc, phi0.positions[path.vertices[-1]])
+        xi = bch_product(g.algebra, acc, g.algebra.embed_first_layer(phi0[path.vertices[-1]]))
         assert np.abs(xi - path.xi).max() <= 1e-12
 
 
@@ -199,7 +198,7 @@ def test_pinned_first_layer_mismatch_raises():
     # between the group route and the centered increment sums
     g = heisenberg_cayley()
     meas, rho, phi0 = pipeline(g)
-    shifted = Realization(graph=g, positions=phi0.positions + np.array([5.0, 0.0, 0.0]))
+    shifted = phi0 + np.array([5.0, 0.0])
     scaling = power_scaling(0.75)
     with pytest.raises(PinnedLayerMismatch):
         batch_endpoints(g, shifted, rho, scaling, 64, samples=2, seed=1)
@@ -292,7 +291,6 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
     ]
     assert [len(g.step_table[0]) for g, _ in cases] == [4, 3, 1, 3, 5, 19]
     for g, totals in cases:
-        validate(g)
         meas, rho, phi0 = pipeline(g)
         wbar = first_layer_form(g, phi0) - rho[None, :]
         sums = batch_centered_sums(g, phi0, rho, 150, samples=5, seed=31)
