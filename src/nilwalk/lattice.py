@@ -14,8 +14,13 @@ from the step support itself:
 
 Their binomial log pmfs use Loader's saddle-point form (C. Loader, "Fast and
 accurate computation of binomial probabilities", 2000), and the tail is a
-logsumexp over the tail region, so it neither underflows nor costs more than
-O(n).  Every other kernel falls back to one dynamic-programming convolution
+logsumexp over a window of the tail region, so it never underflows.  The
+window holds the sites from each tail boundary outward, and it is cut once
+the mass left out is provably below 2^-60 of the run's first term: past the
+mode the binomial's term ratio falls (log-concavity), so the terms after k
+sum to at most P(K = k) r_k / (1 - r_k).  A two-point tail costs
+O(n / radius) sites, the four-step tail O(radius), never O(n).  Every other
+kernel falls back to one dynamic-programming convolution
 of the integer step distribution, the same in either dimension: the law lives
 on a box that grows by the kernel width at each step.  In dimension 2 the
 workload grows like n * (2n+1)^2, so it runs only under a size budget.  The
@@ -34,6 +39,8 @@ from .graph import VoltageGraph
 
 _GRID_BUDGET = 4e8  # n * cells * kernel size for the naive 2-d DP
 _LOG_2PI = math.log(2.0 * math.pi)
+_CERTIFICATE = 60.0 * math.log(2.0)  # a cut run leaves out at most 2^-60 of its first term
+_RUN_BLOCK = 256  # sites in a run's first block; later blocks double
 # stirlerr(m) = log m! - log(sqrt(2 pi m) (m / e)^m) for m <= 15, where the
 # Stirling series below is not yet accurate to rounding
 _STIRLERR_TABLE = np.array(
@@ -53,29 +60,92 @@ def _stirlerr(m: np.ndarray) -> np.ndarray:
 def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     """x log(x / mean) + mean - x, by its series in v = (x - mean) / (x + mean) near x = mean."""
     d = x - mean
-    v = d / (x + mean)
+    near = np.abs(d) < 0.1 * (x + mean)
+    out = np.empty_like(d)
+    xn, dn = x[near], d[near]
+    v = dn / (xn + mean)
     v2 = v * v
-    near = d * v
-    term = 2.0 * x * v
+    series = dn * v
+    term = 2.0 * xn * v
     for j in range(1, 10):  # |v| < 0.1 on the near branch: 9 terms reach rounding
         term = term * v2
-        near = near + term / (2 * j + 1)
-    far = x * np.log(x / mean) + mean - x
-    return np.where(np.abs(d) < 0.1 * (x + mean), near, far)
+        series = series + term / (2 * j + 1)
+    out[near] = series
+    xf = x[~near]
+    out[~near] = xf * np.log(xf / mean) + mean - xf
+    return out
 
 
-def _log_binom_pmf(n: int, p: float) -> np.ndarray:
-    """log P(K = k) for K ~ Bin(n, p), k = 0..n, in Loader's saddle-point form."""
-    out = np.empty(n + 1)
-    out[0] = n * math.log1p(-p)
-    out[n] = n * math.log(p)
-    if n >= 2:
-        k = np.arange(1, n)
+def _log_binom_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """log P(K = k) for K ~ Bin(n, p) and k = lo..hi - 1, in Loader's saddle-point form."""
+    out = np.empty(hi - lo)
+    if lo == 0 < hi:
+        out[0] = n * math.log1p(-p)
+    if hi == n + 1 > lo:
+        out[-1] = n * math.log(p)
+    k = np.arange(max(lo, 1), min(hi, n))
+    if len(k):
         x = k.astype(float)
         lc = (_stirlerr(np.array(n)) - _stirlerr(k) - _stirlerr(n - k)
               - _bd0(x, n * p) - _bd0(n - x, n * (1.0 - p)))
-        out[1:n] = lc - 0.5 * (_LOG_2PI + np.log(x) + np.log1p(-x / n))
+        out[k[0] - lo:k[-1] + 1 - lo] = lc - 0.5 * (_LOG_2PI + np.log(x) + np.log1p(-x / n))
     return out
+
+
+def _log_pmf_run(n: int, p: float, first: int, last: int, step: int) -> np.ndarray:
+    """log P(K = k) for k = first, first + step, ... towards last, cut where the rest is negligible.
+
+    The run moves away from the mode (step = +1 or -1).  The binomial is
+    log-concave: the ratio r_k of the next term to P(K = k) falls along the
+    run, so the terms after k sum to at most P(K = k) r_k / (1 - r_k) once
+    r_k < 1.  The run stops at the first k where that bound is below
+    2^-60 P(K = first): about 42 n p q / |first - n p| sites far from the
+    mode.  It is evaluated in doubling blocks, so it costs at most about
+    twice its length.
+    """
+    length = max((last - first) * step + 1, 0)
+    q = 1.0 - p
+    runs = []
+    done, block = 0, _RUN_BLOCK
+    while done < length:
+        k = first + step * np.arange(done, min(done + block, length))
+        log_pmf = _log_binom_pmf(n, p, int(k.min()), int(k.max()) + 1)[::step]
+        if not runs:
+            head = log_pmf[0]
+        ratio = (n - k) * p / ((k + 1) * q) if step > 0 else k * q / ((n - k + 1) * p)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the bound holds only where r < 1
+            rest = log_pmf + np.log(ratio) - np.log1p(-ratio)
+        cut = np.flatnonzero((ratio < 1.0) & (rest <= head - _CERTIFICATE))
+        if len(cut):
+            runs.append(log_pmf[:cut[0] + 1])
+            break
+        runs.append(log_pmf)
+        done += len(k)
+        block *= 2
+    return np.concatenate(runs) if runs else np.empty(0)
+
+
+def _log_pmf_window(n: int, p: float, lo: int, hi: int, keep_lo: int, keep_hi: int):
+    """(k0, log P(K = k) for k = k0, k0 + 1, ...) over the certified window of lo..hi.
+
+    Every site of keep_lo..keep_hi - 1 (clipped to lo..hi) is kept; from
+    there one run moves down to lo and one up to hi, both away from the mode.
+    """
+    keep_lo = min(max(keep_lo, lo), hi + 1)
+    keep_hi = min(max(keep_hi, keep_lo), hi + 1)
+    down = _log_pmf_run(n, p, keep_lo - 1, lo, -1)[::-1]
+    up = _log_pmf_run(n, p, keep_hi, hi, 1)
+    return keep_lo - len(down), np.concatenate([down, _log_binom_pmf(n, p, keep_lo, keep_hi), up])
+
+
+def _first(holds, n: int, guess: float) -> int:
+    """Smallest k in 0..n + 1 where the monotone predicate holds (n + 1 if none), from a guess."""
+    k = math.ceil(min(max(guess, 0.0), n + 1.0))
+    while k > 0 and holds(k - 1):
+        k -= 1
+    while k <= n and not holds(k):
+        k += 1
+    return k
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -163,23 +233,57 @@ class ExactLatticeDistribution:
         have = {tuple(s) for s in self.steps}
         return have == want and np.abs(self.probs - 0.25).max() <= 1e-12
 
+    def _log_tail_two_point(self, n: int, radius: float, a: int, b: int, p: float) -> float:
+        """log P(|a n + (b - a) K - n mean| >= radius) with K ~ Bin(n, p).
+
+        The tail is K <= k_lo and K >= k_hi; each side is the certified window
+        of its sites, with runs away from the mode, so the cost is
+        O(n / radius) sites (every site from the boundary to the mode when the
+        mode lies inside the tail).
+        """
+        center = n * float(self.mean_step[0])
+        thr = radius - 1e-9
+
+        def site(k: int) -> float:  # the distance of site k from the mean, as the mask rounds it
+            return float(a * n + (b - a) * k) - center
+
+        at_mean = (center - a * n) / (b - a)
+        k_lo = _first(lambda k: site(k) > -thr, n, at_mean - thr / (b - a)) - 1
+        k_hi = _first(lambda k: site(k) >= thr, n, at_mean + thr / (b - a))
+        mode = math.floor((n + 1) * p)
+        sides = [(0, k_lo), (k_hi, n)] if thr > 0 else [(0, n)]
+        return _logsumexp(np.concatenate(
+            [_log_pmf_window(n, p, lo, hi, mode, mode)[1] for lo, hi in sides]))
+
     def _log_tail_uniform_axes(self, n: int, radius: float) -> float:
         """log P(||(X, Y)||_2 >= radius) via two independent +-1 walks U, V.
 
         With U = X + Y and V = X - Y the four uniform axis steps become
         independent uniform +-1 steps in U and V, and X^2 + Y^2 =
         (U^2 + V^2) / 2, so the event is U^2 + V^2 >= 2 radius^2.  U and V
-        both take the values 2k - n with K ~ Bin(n, 1/2).
+        both take the values 2k - n with K ~ Bin(n, 1/2).  Every U site with
+        |u| < sqrt(2) radius contributes about as much as the others and is
+        kept; beyond them the event is certain, so the U tails are certified
+        runs.  The table of log P(V >= s) keeps every site from s = 0 to the
+        largest threshold, then runs on up.  The cost is O(radius) sites.
         """
-        log_pmf = _log_binom_pmf(n, 0.5)
-        sites = 2.0 * np.arange(n + 1) - n
-        # log P(V >= sites[i]), and -inf past the last site
-        log_upper = np.append(np.logaddexp.accumulate(log_pmf[::-1])[::-1], -np.inf)
+        w = math.sqrt(2.0) * radius
+        inner_lo = _first(lambda i: 2 * i - n > -w, n, (n - w) / 2)
+        inner_hi = _first(lambda i: 2 * i - n >= w, n, (n + w) / 2)
+        i0, log_pmf = _log_pmf_window(n, 0.5, 0, n, inner_lo, inner_hi)
+        sites = 2.0 * np.arange(i0, i0 + len(log_pmf)) - n
         thresholds = np.sqrt(np.clip(2.0 * radius * radius - sites**2, 0.0, None))
+        # log P(V >= 2j - n) for j from j0 (the first site >= 0) up, and -inf past the window
+        j0 = (n + 1) // 2
+        reach = float(thresholds.max()) - 1e-9
+        top = _first(lambda j: 2 * j - n >= reach, n, (n + reach) / 2)
+        _, log_v = _log_pmf_window(n, 0.5, j0, n, j0, top)
+        log_upper = np.append(np.logaddexp.accumulate(log_v[::-1])[::-1], -np.inf)
         # P(|V| >= t) = 2 P(V >= t) for t > 0 by symmetry, with a tolerance
         # guard; integer sites are never within 1e-9 of a misrounded threshold
-        # at these magnitudes
-        first = np.searchsorted(sites, thresholds - 1e-9, side="left")
+        # at these magnitudes.  Every threshold's first site lies in j0..top.
+        v_sites = 2.0 * np.arange(j0, j0 + len(log_v)) - n
+        first = np.searchsorted(v_sites, thresholds - 1e-9, side="left")
         log_survival = np.where(thresholds <= 1e-9, 0.0, math.log(2.0) + log_upper[first])
         return _logsumexp(log_pmf + log_survival)
 
@@ -194,16 +298,14 @@ class ExactLatticeDistribution:
             raise ValueError("n must be nonnegative")
         if radius <= 0:
             return 0.0
-        center = n * self.mean_step
         two_point = self._two_point_support()
         if two_point is not None:
-            a, b, p = two_point
-            sites = a * n + (b - a) * np.arange(n + 1) - center[0]
-            log_tail = _logsumexp(_log_binom_pmf(n, p)[np.abs(sites) >= radius - 1e-9])
+            log_tail = self._log_tail_two_point(n, radius, *two_point)
         elif self._is_uniform_axes():
             log_tail = self._log_tail_uniform_axes(n, radius)
         else:
             offset, law = self.distribution(n)
+            center = n * self.mean_step
             axes = np.ix_(*(offset[i] + np.arange(m) - center[i] for i, m in enumerate(law.shape)))
             rr = sum(x * x for x in axes)
             tail = float(law[rr >= max(radius - 1e-9, 0.0) ** 2].sum())

@@ -110,7 +110,7 @@ def test_hexagonal_cycle_holonomy_by_hand():
     # back on pair 0, i.e. holonomy (0,1) - (1,0) = (-1, 1)
     cycles = np.array(CYCLES["hexagonal"], dtype=float)
     holonomies = {tuple(0.5 * np.einsum("e,ei->i", c, w)) for c in cycles}
-    assert holonomies == {(-1.0, 1.0), (-2.0, -1.0)} or len(holonomies) == 2
+    assert holonomies == {(-1.0, 1.0), (-2.0, -1.0)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import binom
 
 import nilwalk
 from nilwalk.errors import OracleUnavailable
 from nilwalk.graph import heisenberg_cayley, hexagonal, z1_biased, zd_lattice
-from nilwalk.lattice import ExactLatticeDistribution, gaussian_tail_exponent, mdp_rate
+from nilwalk.lattice import (ExactLatticeDistribution, _log_binom_pmf, _log_pmf_run,
+                             gaussian_tail_exponent, mdp_rate)
 
 
 def test_from_graph_accepts_abelian_single_vertex():
@@ -287,6 +290,62 @@ def test_closed_form_finite_far_past_underflow():
         assert math.isfinite(rate) and abs(rate - limit) <= 0.01 * abs(limit), rate
         assert elapsed < 1.0, elapsed
         assert math.exp(oracle.log_tail_probability(n, delta * a_n)) == 0.0
+
+
+def test_windowed_tails_match_exact_integer_sums():
+    # the window's corners: the mode inside the tail (radius below one site
+    # spacing), a radius beyond the support, an on-site radius, and tails whose
+    # window ends at k = 0 or k = n
+    for quarters in (2, 3, 1):
+        oracle = ExactLatticeDistribution.from_graph(z1_biased(quarters / 4))
+        for n in (10, 11, 1000, 1001):
+            # the sites k = 0 and k = n lie 2 n q and 2 n (1 - q) from the mean
+            near, far = n * min(quarters, 4 - quarters) / 2, n * max(quarters, 4 - quarters) / 2
+            for radius in (0.3, 0.5, 1.0, 1.5, 2.0, near - 2.0, near, far - 2.0, far, far + 0.5,
+                           2.0 * n):
+                want = _exact_log_tail_1d(n, quarters, radius)
+                _assert_log_close(oracle.log_tail_probability(n, radius), want)
+    oracle = ExactLatticeDistribution.from_graph(zd_lattice(2))
+    for n in (10, 11, 1000, 1001):
+        for radius in (0.3, 0.5, 1.0, 1.5, n - 1.5, n - 0.5, float(n), n + 0.5):
+            _assert_log_close(oracle.log_tail_probability(n, radius), _exact_log_tail_z2(n, radius))
+
+
+@pytest.mark.parametrize("n", [10_000, 1_000_000])
+def test_window_certificate_holds(n):
+    # a run keeps every term up to its cut; the mass past the cut, summed from
+    # the full-support pmf, is at most 2^-60 of the run's first term (so of
+    # the mass kept)
+    a_n = n**0.75
+    for p in (0.5, 0.75, 0.25):
+        full = _log_binom_pmf(n, p, 0, n + 1)
+        mode = math.floor((n + 1) * p)
+        for distance in (0.0, 0.25 * a_n, 0.5 * a_n, a_n):
+            for step in (1, -1):
+                first = mode + step * math.ceil(distance) - (step < 0)
+                run = _log_pmf_run(n, p, first, n if step > 0 else 0, step)
+                assert np.array_equal(run, full[first::step][:len(run)])
+                left_out = full[first + len(run):] if step > 0 else full[:first - len(run) + 1]
+                assert 0 < len(left_out) and len(run) < 20 * math.sqrt(n)
+                assert logsumexp(left_out) <= run[0] - 60.0 * math.log(2.0)
+
+
+def test_closed_form_at_1e8():
+    n, delta = 100_000_000, 2.0
+    a_n = n**0.75
+    for g, limit, tolerance in ((zd_lattice(1), -2.0, 0.01), (zd_lattice(2), -4.0, 0.01),
+                                (z1_biased(0.75), -8.0 / 3.0, 0.15)):
+        oracle = ExactLatticeDistribution.from_graph(g)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        rate = mdp_rate(n, a_n, oracle.log_tail_probability(n, delta * a_n))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert math.isfinite(rate) and abs(rate - limit) <= tolerance * abs(limit), rate
+        assert elapsed < 5.0, elapsed
+        if g.algebra.dim == 1:
+            assert peak < 1e6, peak  # no array of n sites is built
 
 
 def test_exact_oracle_does_not_import_scipy():
