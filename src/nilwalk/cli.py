@@ -6,7 +6,7 @@ import json
 
 import click
 
-from .errors import GraphInvariantViolation, InvalidAlgebra, OracleUnavailable, SchemaError
+from .errors import InputError
 from .experiments import RUNNERS, ExperimentConfig, _jsonable
 
 
@@ -14,7 +14,7 @@ def _run(name: str, config: str, out: str, seed, workers) -> None:
     try:
         cfg = ExperimentConfig.from_file(config).override(seed=seed, workers=workers)
         metrics = RUNNERS[name](cfg, out)
-    except (SchemaError, GraphInvariantViolation, InvalidAlgebra, OracleUnavailable) as exc:
+    except InputError as exc:
         # an input error is reported in one line; a numerical fault keeps its traceback
         raise click.ClickException(str(exc)) from exc
     click.echo(json.dumps(_jsonable({"experiment": name, "out": str(out), "metrics": metrics}),

@@ -1,31 +1,37 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: an ``InputError`` is the caller's,
+and the CLI reports it in one line; a ``RuntimeError`` subclass is a numerical
+fault, and keeps its traceback."""
 
 
 class NilwalkError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(NilwalkError, ValueError):
+    """The caller's input is invalid; the message says which and why."""
+
+
 # -- algebra -----------------------------------------------------------------
 
-class InvalidAlgebra(NilwalkError, ValueError):
+class InvalidAlgebra(InputError):
     """Structure constants violate antisymmetry, Jacobi, or the filtration."""
 
 
-class DimensionMismatch(NilwalkError, ValueError):
+class DimensionMismatch(InputError):
     """Vector length does not match the algebra (or two operands disagree)."""
 
 
-class UnsupportedStep(NilwalkError, ValueError):
+class UnsupportedStep(InputError):
     """Group products are implemented only for step <= 4."""
 
 
-class NegativeEps(NilwalkError, ValueError):
+class NegativeEps(InputError):
     """Dilation parameters must be nonnegative."""
 
 
 # -- quotient graph ----------------------------------------------------------
 
-class GraphInvariantViolation(NilwalkError, ValueError):
+class GraphInvariantViolation(InputError):
     """Base class for voltage-graph validation failures."""
 
 
@@ -49,13 +55,13 @@ class SingularSystem(NilwalkError, RuntimeError):
     """A linear solve that should be regular (stationarity, harmonicity) failed."""
 
 
-class SingularSigma(NilwalkError, RuntimeError):
+class SingularSigma(InputError):
     """The quadratic form is singular: first-layer voltages do not span."""
 
 
 # -- walker ------------------------------------------------------------------
 
-class ScalingDomain(NilwalkError, ValueError):
+class ScalingDomain(InputError):
     """The step count lies outside the scaling sequence's domain."""
 
 
@@ -66,17 +72,17 @@ class PinnedLayerMismatch(NilwalkError, RuntimeError):
 
 # -- rate functions ----------------------------------------------------------
 
-class NonIncreasingTimes(NilwalkError, ValueError):
+class NonIncreasingTimes(InputError):
     """Evaluation times must be strictly increasing in (0, 1]."""
 
 
 # -- experiments -------------------------------------------------------------
 
-class OracleUnavailable(NilwalkError, ValueError):
+class OracleUnavailable(InputError):
     """Exact enumeration is not applicable to this graph/size."""
 
 
-class SchemaError(NilwalkError, ValueError):
+class SchemaError(InputError):
     """A JSON document does not match the expected schema.
 
     Carries a JSON-pointer-style location of the offending field.

@@ -41,6 +41,8 @@ from .walk import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's settings; a bad field raises ``SchemaError`` when it is built."""
+
     graph: dict | None = None
     scaling: dict | None = None
     n_grid: tuple = ()
@@ -64,24 +66,22 @@ class ExperimentConfig:
         _expect(isinstance(raw, dict), "", "config must be a JSON object")
         unknown = set(raw) - _CONFIG_FIELDS
         _expect(not unknown, f"/{min(unknown, default='')}", "unknown config field")
-        cfg = cls(**{k: _freeze(v) for k, v in raw.items()})
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def validate(self) -> None:
-        for name in _INT_FIELDS:
-            _expect(_is_int(getattr(self, name)), f"/{name}", "must be an integer")
+    def __post_init__(self):
+        for name, least in _INT_FIELDS.items():
+            value = getattr(self, name)
+            _expect(_is_int(value), f"/{name}", "must be an integer")
+            _expect(value >= least, f"/{name}", f"must be >= {least}")
         _expect(isinstance(self.n_grid, (list, tuple))
-                and all(_is_finite(n) and n >= 0 and int(n) == n for n in self.n_grid)
+                and all(_is_finite(n) and n >= 1 and int(n) == n for n in self.n_grid)
                 and all(a < b for a, b in zip(self.n_grid, self.n_grid[1:])),
-                "/n_grid", "must be a strictly increasing list of nonnegative integers")
-        _expect(self.samples >= 1, "/samples", "must be >= 1")
-        _expect(self.trajectories >= 1, "/trajectories", "must be >= 1")
+                "/n_grid", "must be a strictly increasing list of positive integers")
         _expect(isinstance(self.delta, (list, tuple)) and len(self.delta) > 0
                 and all(_is_finite(d) and d > 0 for d in self.delta),
                 "/delta", "must be a non-empty list of finite positive numbers")
@@ -90,18 +90,10 @@ class ExperimentConfig:
                 "/lln_quantiles", "must be a list of numbers in [0, 1]")
         for name in ("containment_level", "containment_tol"):
             _expect(_is_finite(getattr(self, name)), f"/{name}", "must be a finite number")
-        _expect(self.seed >= 0, "/seed", "must be nonnegative")
-        _expect(self.workers >= 1, "/workers", "must be >= 1")
         _expect(self.mdp_mode in ("auto", "exact", "mc"), "/mdp_mode", "must be one of auto, exact, mc")
 
     def override(self, seed=None, workers=None) -> "ExperimentConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=int(seed))
-        if workers is not None:
-            cfg = replace(cfg, workers=int(workers))
-        cfg.validate()
-        return cfg
+        return replace(self, **{k: v for k, v in (("seed", seed), ("workers", workers)) if v is not None})
 
     def canonical_dict(self) -> dict:
         """The fields that differ from their defaults, as plain JSON.
@@ -118,15 +110,7 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
-_INT_FIELDS = ("samples", "trajectories", "seed", "workers", "rate_knots", "rate_restarts")
-
-
-def _freeze(v):
-    if isinstance(v, list):
-        return tuple(_freeze(x) for x in v)
-    if isinstance(v, dict):
-        return {k: _freeze(x) for k, x in v.items()}
-    return v
+_INT_FIELDS = {"samples": 1, "trajectories": 1, "workers": 1, "rate_knots": 1, "rate_restarts": 1, "seed": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +132,10 @@ def _is_num(x) -> bool:
 
 def _is_finite(x) -> bool:
     return _is_num(x) and math.isfinite(x)
+
+
+def _is_finite_vector(x, length: int) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == length and all(_is_finite(v) for v in x)
 
 
 def algebra_from_spec(spec) -> StratifiedAlgebra:
@@ -190,8 +178,8 @@ def graph_from_dict(doc: dict) -> VoltageGraph:
             _expect(_is_int(e.get(key)), f"/edges/{i}/{key}", "must be an integer")
         _expect(_is_finite(e.get("p")), f"/edges/{i}/p", "must be a finite number")
         v = e.get("voltage")
-        _expect(isinstance(v, (list, tuple)) and len(v) == alg.dim and all(_is_finite(x) for x in v),
-                f"/edges/{i}/voltage", f"must be a list of {alg.dim} finite numbers")
+        _expect(_is_finite_vector(v, alg.dim), f"/edges/{i}/voltage",
+                f"must be a list of {alg.dim} finite numbers")
         _expect(0 <= e["inv"] < len(edges), f"/edges/{i}/inv", "edge index out of range")
         origin.append(e["o"])
         terminus.append(e["t"])
@@ -424,8 +412,7 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
     graph, data = _prepare(config)
     alg = graph.algebra
     scaling = scaling_from_config(config)
-    if scaling.kind != "lil":
-        raise SchemaError("/scaling/kind", "the iterated-logarithm runner requires the 'lil' scaling")
+    _expect(scaling.kind == "lil", "/scaling/kind", "the iterated-logarithm runner requires the 'lil' scaling")
     checkpoints = [int(n) for n in config.n_grid]
     _expect(len(checkpoints) > 0 and checkpoints[0] >= scaling.domain_min,
             "/n_grid", f"grid must start at or above {scaling.domain_min}")
@@ -500,17 +487,22 @@ def run_rate(config: ExperimentConfig, out_dir) -> dict:
     """Endpoint-rate bound at a target point from Albanese data."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _expect(config.target is not None, "/target", "rate runs need target coordinates")
     if config.albanese_file is not None:
         with open(config.albanese_file) as fh:
             doc = json.load(fh)
         alg = algebra_from_spec(doc.get("algebra"))
-        _expect("sigma" in doc and "sigma_inv" in doc, "/sigma", "Albanese JSON must carry sigma and sigma_inv")
+        d1 = alg.layer_dims[0]
+        for key in ("sigma", "sigma_inv"):
+            rows = doc.get(key)
+            _expect(isinstance(rows, list) and len(rows) == d1 and all(_is_finite_vector(r, d1) for r in rows),
+                    f"/{key}", f"Albanese JSON must carry {key} as a {d1}x{d1} list of finite numbers")
         forms = QuadraticForms(np.array(doc["sigma"]), np.array(doc["sigma_inv"]))
     else:
         graph, data = _prepare(config)
         alg = graph.algebra
         forms = QuadraticForms.from_albanese(data)
+    _expect(_is_finite_vector(config.target, alg.dim), "/target",
+            f"rate runs need target coordinates: a list of {alg.dim} finite numbers")
     target = np.asarray(config.target, dtype=float)
     bound = minimize_endpoint_rate(alg, forms, target, knots=config.rate_knots,
                                    restarts=config.rate_restarts, seed=config.seed)

@@ -34,13 +34,14 @@ import math
 
 import numpy as np
 
-from .errors import OracleUnavailable
+from .errors import InputError, OracleUnavailable
 from .graph import VoltageGraph
 
 _GRID_BUDGET = 4e8  # n * cells * kernel size for the naive 2-d DP
 _LOG_2PI = math.log(2.0 * math.pi)
 _CERTIFICATE = 60.0 * math.log(2.0)  # a cut run leaves out at most 2^-60 of its first term
 _RUN_BLOCK = 256  # sites in a run's first block; later blocks double
+_PMF_BLOCK = 2**16  # a log pmf is filled in blocks of this many sites, so _bd0's temporaries stay bounded
 # stirlerr(m) = log m! - log(sqrt(2 pi m) (m / e)^m) for m <= 15, where the
 # Stirling series below is not yet accurate to rounding
 _STIRLERR_TABLE = np.array(
@@ -83,8 +84,8 @@ def _log_binom_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
         out[0] = n * math.log1p(-p)
     if hi == n + 1 > lo:
         out[-1] = n * math.log(p)
-    k = np.arange(max(lo, 1), min(hi, n))
-    if len(k):
+    for start in range(max(lo, 1), min(hi, n), _PMF_BLOCK):
+        k = np.arange(start, min(start + _PMF_BLOCK, hi, n))
         x = k.astype(float)
         lc = (_stirlerr(np.array(n)) - _stirlerr(k) - _stirlerr(n - k)
               - _bd0(x, n * p) - _bd0(n - x, n * (1.0 - p)))
@@ -196,7 +197,7 @@ class ExactLatticeDistribution:
         each step in list order.  The offset is the (dim,) array n * lo.
         """
         if n < 0:
-            raise ValueError("n must be nonnegative")
+            raise InputError("n must be nonnegative")
         lo = self.steps.min(axis=0)
         width = self.steps.max(axis=0) - lo
         if self.dim == 2:
@@ -295,7 +296,7 @@ class ExactLatticeDistribution:
         -inf once the tail underflows.
         """
         if n < 0:
-            raise ValueError("n must be nonnegative")
+            raise InputError("n must be nonnegative")
         if radius <= 0:
             return 0.0
         two_point = self._two_point_support()

@@ -32,7 +32,7 @@ import numpy as np
 
 from .albanese import AlbaneseData
 from .algebra import StratifiedAlgebra, _fold, _require_supported_step
-from .errors import DimensionMismatch, NonIncreasingTimes
+from .errors import DimensionMismatch, InputError, NonIncreasingTimes
 
 _MIN_KNOTS = {1: 1, 2: 2, 3: 4, 4: 8}
 # the optimizer route (see minimize_endpoint_rate)
@@ -60,7 +60,7 @@ class PiecewisePath:
         if self.times[0] != 0.0 or self.times[-1] != 1.0 or np.any(np.diff(self.times) <= 0):
             raise NonIncreasingTimes("knot times must increase strictly from 0 to 1")
         if np.any(self.values[0] != 0.0):
-            raise ValueError("paths must start at the origin")
+            raise InputError("paths must start at the origin")
 
     @property
     def increments(self) -> np.ndarray:
@@ -92,9 +92,9 @@ class QuadraticForms:
         if self.sigma.shape != (d, d) or self.sigma_inv.shape != (d, d):
             raise DimensionMismatch("sigma and sigma_inv must be square of equal size")
         if np.abs(self.sigma - self.sigma.T).max() > 1e-12:
-            raise ValueError("sigma must be symmetric")
+            raise InputError("sigma must be symmetric")
         if np.abs(self.sigma @ self.sigma_inv - np.eye(d)).max() > 1e-10:
-            raise ValueError("sigma_inv is not the inverse of sigma")
+            raise InputError("sigma_inv is not the inverse of sigma")
 
     @classmethod
     def from_albanese(cls, data: AlbaneseData) -> "QuadraticForms":
@@ -321,9 +321,9 @@ def minimize_endpoint_rate(
     if forms.dim != alg.layer_dims[0]:
         raise DimensionMismatch("quadratic forms do not match the first layer")
     if knots < _MIN_KNOTS[alg.step]:
-        raise ValueError(f"step {alg.step} requires at least {_MIN_KNOTS[alg.step]} knots")
+        raise InputError(f"step {alg.step} requires at least {_MIN_KNOTS[alg.step]} knots")
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise InputError("restarts must be >= 1")
     exact = _exact_rate(alg, forms, target)
     if exact is not None:
         return RateBound(value=exact, constraint_violation=0.0, knots=0, restarts_used=0,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .albanese import first_layer_form
 from .algebra import bch_product, dilate_vector, fold
-from .errors import PinnedLayerMismatch, ScalingDomain
+from .errors import InputError, PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
 # Walks per block of ``_run_sharded``, steps per block of a long trajectory,
@@ -56,7 +56,7 @@ _SUP_BLOCK = 4096
 def sample_stream(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream: Philox keyed by (seed, sample index)."""
     if seed < 0 or index < 0:
-        raise ValueError("seed and sample index must be nonnegative")
+        raise InputError("seed and sample index must be nonnegative")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -89,7 +89,7 @@ class ScalingSequence:
 def power_scaling(theta: float) -> ScalingSequence:
     """a_n = n**theta with theta in the open window (1/2, 1)."""
     if not 0.5 < theta < 1.0:
-        raise ValueError(f"theta must lie in (1/2, 1), got {theta}")
+        raise InputError(f"theta must lie in (1/2, 1), got {theta}")
     return ScalingSequence(kind="power", evaluate=lambda n: n**theta, domain_min=1)
 
 
@@ -196,7 +196,7 @@ def sample_path(
 ) -> WalkPath:
     """Sample an n-step trajectory from the base vertex 0 (stream (seed, 0))."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InputError("n must be nonnegative")
     edges = _select_edges(graph, _buckets(graph, _uniforms(seed, 0, n))[None, :])[0]
     vertices = np.concatenate([[0], graph.terminus[edges]])
     deck = fold(graph.algebra, graph.voltages[edges])
@@ -433,7 +433,7 @@ def trajectory_scan(
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     if len(checkpoints) == 0 or np.any(np.diff(checkpoints) <= 0) or checkpoints[0] <= 0:
-        raise ValueError("checkpoints must be strictly increasing positive integers")
+        raise InputError("checkpoints must be strictly increasing positive integers")
     n_max = int(checkpoints[-1])
     wbar = _centered_increments(graph, phi, rho)
 

@@ -76,10 +76,23 @@ def test_config_validates_grid_and_counts():
                          ("containment_level", "a"), ("containment_level", math.inf),
                          ("containment_tol", None), ("containment_tol", False),
                          ("n_grid", ["x"]), ("n_grid", [math.nan]), ("n_grid", [math.inf]),
-                         ("n_grid", 5), ("n_grid", [64.5])):
+                         ("n_grid", 5), ("n_grid", [64.5]),
+                         # ranges that failed late or silently: a zero grid point, knots, restarts
+                         ("n_grid", [0, 64]), ("rate_knots", 0), ("rate_restarts", 0)):
         with pytest.raises(SchemaError) as exc:
             make_config(**{field: value})
         assert exc.value.pointer == f"/{field}"
+
+
+def test_config_checks_itself_when_built():
+    # direct construction and override are checked like a loaded config; a
+    # float seed is not truncated to another seed
+    with pytest.raises(SchemaError) as exc:
+        ExperimentConfig(seed=-1)
+    assert exc.value.pointer == "/seed"
+    with pytest.raises(SchemaError) as exc:
+        make_config().override(seed=1.7)
+    assert exc.value.pointer == "/seed"
 
 
 def test_config_hash_stable_and_sensitive(tmp_path):
@@ -396,6 +409,21 @@ def test_run_rate_from_albanese_file(tmp_path):
 def test_run_rate_needs_target(tmp_path):
     with pytest.raises(SchemaError, match="/target"):
         run_rate(make_config(), tmp_path)
+    # a target that is not a list of the algebra's dimension in finite numbers
+    for target in ("abc", [1.0, 2.0], [math.nan], ["x"], [True]):
+        with pytest.raises(SchemaError) as exc:
+            run_rate(make_config(target=target), tmp_path)
+        assert exc.value.pointer == "/target"
+    # Albanese sigma and sigma_inv must be finite d1 x d1 lists
+    run_albanese(make_config(graph={"preset": "heisenberg_cayley"}), tmp_path)
+    doc = json.loads((tmp_path / "albanese.json").read_text())
+    for key, value in (("sigma", None), ("sigma", "abc"), ("sigma", [[0.5, 0.0]]),
+                       ("sigma", [[0.5, 0.0], [0.0, math.nan]]), ("sigma_inv", [[2.0, 0.0], [0.0]])):
+        path = tmp_path / "bad_albanese.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(SchemaError) as exc:
+            run_rate(make_config(albanese_file=str(path), target=[1.0, 1.0, 0.0]), tmp_path / "rate")
+        assert exc.value.pointer == f"/{key}"
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +545,17 @@ def test_cli_reports_input_errors_in_one_line(tmp_path, monkeypatch):
     nan_p = graph_to_dict(zd_lattice(1))
     nan_p["edges"][0]["p"] = math.nan
     (tmp_path / "nan.json").write_text(json.dumps(nan_p))
+    # the simple walk on Z embedded in a step-5 group, and in the plane along one axis
+    for name, dims in (("step5.json", [1] * 5), ("flat.json", [2])):
+        doc = graph_to_dict(zd_lattice(1))
+        doc["algebra"] = {"layer_dims": dims}
+        for e in doc["edges"]:
+            e["voltage"] += [0.0] * (sum(dims) - 1)
+        (tmp_path / name).write_text(json.dumps(doc))
+    run_albanese(make_config(graph={"preset": "heisenberg_cayley"}), tmp_path / "heis")
+    skew = json.loads((tmp_path / "heis" / "albanese.json").read_text())
+    skew["sigma"][0][1] = 0.25
+    (tmp_path / "skew.json").write_text(json.dumps(skew))
     for name, cfg, message in (
         ("lln", {"graph": {"file": str(tmp_path / "bad.json")}},
          "Error: vertex 0: out-probabilities sum to 0.75\n"),
@@ -526,6 +565,18 @@ def test_cli_reports_input_errors_in_one_line(tmp_path, monkeypatch):
          "Error: edge 1: transition probability -0.5 is not positive\n"),
         ("mdp", {"graph": {"preset": "heisenberg_cayley"}, "mdp_mode": "exact",
                  "scaling": {"kind": "power", "theta": 0.75}}, "Error: exact oracle requires"),
+        # a group beyond the supported step, and voltages that do not span the first layer
+        ("lil", {"graph": {"file": str(tmp_path / "step5.json")}, "scaling": {"kind": "lil"},
+                 "trajectories": 1}, "Error: step 5 exceeds the supported BCH truncation order 4\n"),
+        ("albanese", {"graph": {"file": str(tmp_path / "flat.json")}}, "Error: covariance form is singular"),
+        # rate settings: restarts fail at load, knots below the step's minimum in the rate call
+        ("lil", {"graph": z1, "scaling": {"kind": "lil"}, "rate_restarts": 0},
+         "Error: /rate_restarts: must be >= 1\n"),
+        ("lil", {"graph": {"preset": "heisenberg_cayley"}, "scaling": {"kind": "lil"}, "trajectories": 1,
+                 "rate_knots": 1}, "Error: step 2 requires at least 2 knots\n"),
+        ("rate", {"graph": z1, "target": [1.0, 2.0]}, "Error: /target: "),
+        ("rate", {"albanese_file": str(tmp_path / "skew.json"), "target": [1.0, 1.0, 0.0]},
+         "Error: sigma must be symmetric\n"),
     ):
         result = invoke(name, **cfg)
         assert result.exit_code == 1 and result.output.startswith(message), result.output

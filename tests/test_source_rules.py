@@ -20,6 +20,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_package_raises_no_builtin_exception():
+    # a caller's bad input raises an InputError subclass, which the CLI reports
+    # in one line; a fault raises a named RuntimeError subclass.  Catching a
+    # builtin exception to re-raise it as a named one stays allowed
+    builtin = {"ValueError", "TypeError", "RuntimeError", "Exception"}
+    found = []
+    for path in sorted(Path(nilwalk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in builtin:
+                found.append(f"{path.name}:{node.lineno} {exc.id}")
+    assert found == [], f"builtin exceptions raised: {found}"
+
+
 def test_readme_config_fields_match_the_schema():
     # the backticked bare names in README's "Config fields" paragraph are
     # exactly the config fields, and the calls on its "Presets:" line exactly
