@@ -23,7 +23,7 @@ def _run(name: str, config: str, out: str, seed, workers) -> None:
 
 def _experiment_command(name: str, help_text: str):
     @click.command(name=name, help=help_text)
-    @click.option("--config", required=True, type=click.Path(exists=True, dir_okay=False),
+    @click.option("--config", required=True, type=click.Path(),
                   help="JSON experiment configuration.")
     @click.option("--out", required=True, type=click.Path(file_okay=False),
                   help="Output directory for CSV/JSON artifacts.")

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .albanese import albanese_pipeline
-from .algebra import StratifiedAlgebra, dilate_vector
-from .errors import OracleUnavailable, SchemaError
+from .algebra import StratifiedAlgebra, _require_supported_step, dilate_vector
+from .errors import InputError, OracleUnavailable, SchemaError
 from .graph import PRESETS, VoltageGraph
 from .lattice import ExactLatticeDistribution, gaussian_tail_exponent, mdp_rate
-from .rates import QuadraticForms, minimize_endpoint_rate
+from .rates import _MIN_KNOTS, QuadraticForms, minimize_endpoint_rate
 from .walk import (
     ScalingSequence,
     _run_sharded,
@@ -70,8 +70,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def __post_init__(self):
         for name, least in _INT_FIELDS.items():
@@ -120,6 +119,17 @@ _INT_FIELDS = {"samples": 1, "trajectories": 1, "workers": 1, "rate_knots": 1, "
 def _expect(cond: bool, pointer: str, message: str) -> None:
     if not cond:
         raise SchemaError(pointer, message)
+
+
+def read_json(path):
+    """The JSON document in file ``path``; a file that cannot be read or parsed is the caller's error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: not a JSON document ({exc})") from exc
 
 
 def _is_int(x) -> bool:
@@ -191,8 +201,7 @@ def graph_from_dict(doc: dict) -> VoltageGraph:
 
 def ingest_graph(path) -> VoltageGraph:
     """Load a voltage-graph JSON document; the graph checks its invariants when built."""
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(read_json(path))
 
 
 def load_graph(config: ExperimentConfig) -> VoltageGraph:
@@ -424,6 +433,9 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
     _expect(scaling.domain_min <= sup_range[0] <= sup_range[1] and sup_range[0] <= checkpoints[-1],
             "/sup_range", f"must satisfy {scaling.domain_min} <= lo <= hi, with lo at most the last "
             f"grid point {checkpoints[-1]}")
+    _require_supported_step(alg)
+    _expect(config.rate_knots >= _MIN_KNOTS[alg.step], "/rate_knots",
+            f"step {alg.step} requires at least {_MIN_KNOTS[alg.step]} knots")
     forms = QuadraticForms.from_albanese(data)
 
     header = (
@@ -488,8 +500,7 @@ def run_rate(config: ExperimentConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.albanese_file is not None:
-        with open(config.albanese_file) as fh:
-            doc = json.load(fh)
+        doc = read_json(config.albanese_file)
         alg = algebra_from_spec(doc.get("algebra"))
         d1 = alg.layer_dims[0]
         for key in ("sigma", "sigma_inv"):

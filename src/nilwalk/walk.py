@@ -27,9 +27,11 @@ Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
 single pass.  ``sample_path`` and the batched engines draw through one seam,
 ``_uniforms``, one row of n uniforms per sample; ``trajectory_scan`` draws its
-chunks from one continuing stream.  Results are therefore bitwise
-reproducible for any worker count or block size, and batch sample 0 replays
-``sample_path`` exactly.
+chunks from one continuing stream, chunk k+1 on one helper thread while chunk
+k is summed, in the same stream order as a single thread.  Results are
+therefore bitwise reproducible for any worker count or block size, and batch
+sample 0 replays ``sample_path`` exactly.  ``workers`` counts the threads that
+run samples or trajectories; each ``trajectory_scan`` adds its one helper.
 """
 
 from __future__ import annotations
@@ -373,14 +375,15 @@ def endpoints_csv_rows(points: np.ndarray, sums: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)`` of an (m, d) array, bit for bit.
+    """``np.linalg.norm(x, axis=1)`` of an (m, d) array in C order, bit for bit, in any layout.
 
     numpy adds fewer than 8 terms in order, so below d = 8 the squares are
     summed column by column, several times faster than the row reduction;
-    from 8 terms on it sums pairwise, and the reduction itself is used.
+    from 8 terms on it sums contiguous rows pairwise, and the reduction itself
+    is used on rows made contiguous (over a strided axis it sums in order).
     """
     if x.shape[1] >= 8:
-        return np.linalg.norm(x, axis=1)
+        return np.linalg.norm(np.ascontiguousarray(x), axis=1)
     sq = x[:, 0] * x[:, 0]
     for col in x.T[1:]:
         sq += col * col
@@ -429,13 +432,20 @@ def trajectory_scan(
     must be nondecreasing: it is evaluated only in blocks of steps whose bound,
     the block's largest norm over the scaling at its first step, reaches the
     running max.
+
+    The walk runs in chunks of ``_SCAN_STEPS`` steps.  One helper thread draws
+    chunk k+1 (uniforms, buckets and edges, from the vertex where chunk k
+    ends) while the calling thread sums chunk k; the next draw starts only
+    after the previous one is taken, so the stream is read in the same order
+    as by one thread, and the helper is joined before the scan returns.
     """
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     if len(checkpoints) == 0 or np.any(np.diff(checkpoints) <= 0) or checkpoints[0] <= 0:
         raise InputError("checkpoints must be strictly increasing positive integers")
     n_max = int(checkpoints[-1])
-    wbar = _centered_increments(graph, phi, rho)
+    # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
+    wbar_t = np.ascontiguousarray(_centered_increments(graph, phi, rho).T)
 
     stream = sample_stream(seed, stream_index)
     points = np.empty((len(checkpoints), alg.dim))
@@ -446,34 +456,46 @@ def trajectory_scan(
     bar = np.zeros(alg.layer_dims[0])
     pos = 0
     cp_next = 0
-    vertex = 0
 
-    while pos < n_max:
-        m = int(min(_SCAN_STEPS, n_max - pos))
-        edges = _select_edges(graph, _buckets(graph, stream.random(m))[None, :], vertex)[0]
-        vertex = int(graph.terminus[edges[-1]])
-        bar_cum = bar + np.cumsum(np.take(wbar, edges, axis=0), axis=0)
+    def draw(start: int, vertex: int) -> np.ndarray:
+        """The edges of the chunk of steps start+1.. from ``vertex``, from the continuing stream."""
+        m = min(_SCAN_STEPS, n_max - start)
+        return _select_edges(graph, _buckets(graph, stream.random(m))[None, :], vertex)[0]
 
-        # the chunk's steps inside sup_range are the steps first..last
-        first, last = max(lo, pos + 1), min(hi, pos + m)
-        if first <= last:
-            sup = _screened_sup(bar_cum[first - pos - 1 : last - pos], first, sup_scaling, sup)
+    # one helper draws chunk k+1 while this thread sums chunk k; a draw is
+    # submitted only once the previous one is taken, so the stream is read in order
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, 0, 0)
+        while pos < n_max:
+            edges = pending.result()
+            m = len(edges)
+            if pos + m < n_max:
+                pending = pool.submit(draw, pos + m, int(graph.terminus[edges[-1]]))
+            # bar_cum[:, k] is the centered first-layer sum at step pos + k + 1
+            bar_cum = np.take(wbar_t, edges, axis=1)
+            np.cumsum(bar_cum, axis=1, out=bar_cum)
+            bar_cum += bar[:, None]
 
-        # the deck is needed only at checkpoints and at the chunk end: fold the
-        # segments between them and chain the segment products
-        gam = np.take(graph.voltages, edges, axis=0)
-        folded = 0
-        while cp_next < len(checkpoints) and checkpoints[cp_next] <= pos + m:
-            cp_n = int(checkpoints[cp_next])
-            j = cp_n - pos
-            deck = bch_product(alg, deck, fold(alg, gam[folded:j]))
-            folded = j
-            xi = bch_product(alg, deck, alg.embed_first_layer(phi[graph.terminus[edges[j - 1]]]))
-            points[cp_next] = _scaled_points(graph, xi, bar_cum[j - 1], cp_n, rho, 1.0)
-            cp_next += 1
-        deck = bch_product(alg, deck, fold(alg, gam[folded:]))
+            # the chunk's steps inside sup_range are the steps first..last
+            first, last = max(lo, pos + 1), min(hi, pos + m)
+            if first <= last:
+                sup = _screened_sup(bar_cum.T[first - pos - 1 : last - pos], first, sup_scaling, sup)
 
-        bar = bar_cum[-1].copy()
-        pos += m
+            # the deck is needed only at checkpoints and at the chunk end: fold the
+            # segments between them and chain the segment products
+            gam = np.take(graph.voltages, edges, axis=0)
+            folded = 0
+            while cp_next < len(checkpoints) and checkpoints[cp_next] <= pos + m:
+                cp_n = int(checkpoints[cp_next])
+                j = cp_n - pos
+                deck = bch_product(alg, deck, fold(alg, gam[folded:j]))
+                folded = j
+                xi = bch_product(alg, deck, alg.embed_first_layer(phi[graph.terminus[edges[j - 1]]]))
+                points[cp_next] = _scaled_points(graph, xi, bar_cum[:, j - 1], cp_n, rho, 1.0)
+                cp_next += 1
+            deck = bch_product(alg, deck, fold(alg, gam[folded:]))
+
+            bar = bar_cum[:, -1].copy()
+            pos += m
 
     return points, sup

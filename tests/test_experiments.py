@@ -386,6 +386,18 @@ def test_run_lil_rejects_bad_sup_range(tmp_path, monkeypatch):
             run_lil(cfg, tmp_path)
 
 
+def test_run_lil_checks_rate_knots_before_any_walk(tmp_path, monkeypatch):
+    # Heisenberg is step 2, whose rate bound needs at least 2 knots
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before validating rate_knots")
+
+    monkeypatch.setattr("nilwalk.experiments.trajectory_scan", no_walk)
+    cfg = make_config(graph={"preset": "heisenberg_cayley"}, scaling={"kind": "lil"}, n_grid=[256],
+                      trajectories=1, rate_knots=1)
+    with pytest.raises(SchemaError, match="/rate_knots: step 2 requires at least 2 knots"):
+        run_lil(cfg, tmp_path)
+
+
 def test_run_lil_requires_lil_scaling(tmp_path):
     cfg = make_config(scaling={"kind": "power", "theta": 0.75}, n_grid=[256])
     with pytest.raises(SchemaError, match="lil"):
@@ -556,6 +568,7 @@ def test_cli_reports_input_errors_in_one_line(tmp_path, monkeypatch):
     skew = json.loads((tmp_path / "heis" / "albanese.json").read_text())
     skew["sigma"][0][1] = 0.25
     (tmp_path / "skew.json").write_text(json.dumps(skew))
+    (tmp_path / "garbled.json").write_text(json.dumps(skew)[:-1])
     for name, cfg, message in (
         ("lln", {"graph": {"file": str(tmp_path / "bad.json")}},
          "Error: vertex 0: out-probabilities sum to 0.75\n"),
@@ -569,17 +582,36 @@ def test_cli_reports_input_errors_in_one_line(tmp_path, monkeypatch):
         ("lil", {"graph": {"file": str(tmp_path / "step5.json")}, "scaling": {"kind": "lil"},
                  "trajectories": 1}, "Error: step 5 exceeds the supported BCH truncation order 4\n"),
         ("albanese", {"graph": {"file": str(tmp_path / "flat.json")}}, "Error: covariance form is singular"),
-        # rate settings: restarts fail at load, knots below the step's minimum in the rate call
+        # rate settings: restarts fail at load, knots below the group step's minimum before any walk
         ("lil", {"graph": z1, "scaling": {"kind": "lil"}, "rate_restarts": 0},
          "Error: /rate_restarts: must be >= 1\n"),
         ("lil", {"graph": {"preset": "heisenberg_cayley"}, "scaling": {"kind": "lil"}, "trajectories": 1,
-                 "rate_knots": 1}, "Error: step 2 requires at least 2 knots\n"),
+                 "rate_knots": 1}, "Error: /rate_knots: step 2 requires at least 2 knots\n"),
+        # input files that are missing or not JSON name the file
+        ("lln", {"graph": {"file": str(tmp_path / "missing.json")}},
+         f"Error: {tmp_path / 'missing.json'}: No such file or directory\n"),
+        ("lln", {"graph": {"file": str(tmp_path / "garbled.json")}},
+         f"Error: {tmp_path / 'garbled.json'}: not a JSON document ("),
+        ("rate", {"albanese_file": str(tmp_path / "missing.json"), "target": [1.0, 1.0, 0.0]},
+         f"Error: {tmp_path / 'missing.json'}: No such file or directory\n"),
+        ("rate", {"albanese_file": str(tmp_path / "garbled.json"), "target": [1.0, 1.0, 0.0]},
+         f"Error: {tmp_path / 'garbled.json'}: not a JSON document ("),
         ("rate", {"graph": z1, "target": [1.0, 2.0]}, "Error: /target: "),
         ("rate", {"albanese_file": str(tmp_path / "skew.json"), "target": [1.0, 1.0, 0.0]},
          "Error: sigma must be symmetric\n"),
     ):
         result = invoke(name, **cfg)
         assert result.exit_code == 1 and result.output.startswith(message), result.output
+        assert result.output.count("\n") == 1, result.output
+    # a config file that is missing, truncated or not text
+    (tmp_path / "truncated.json").write_text('{"n_grid": ')
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    for name, message in (("missing.json", "No such file or directory\n"),
+                          ("truncated.json", "not a JSON document ("),
+                          ("binary.json", "not a JSON document (")):
+        path = tmp_path / name
+        result = runner.invoke(cli_main, ["lln", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1 and result.output.startswith(f"Error: {path}: {message}"), result.output
         assert result.output.count("\n") == 1, result.output
     # a numerical fault is not the input's: it keeps its traceback
     def fault(config, out):

@@ -144,6 +144,24 @@ def test_only_the_draw_seam_and_the_scan_open_streams():
     assert callers == ["_uniforms", "trajectory_scan"], callers
 
 
+def test_thread_pools_open_only_in_with_statements():
+    # _run_sharded runs the worker threads and trajectory_scan its draw-ahead
+    # helper; a pool opened in a with statement is joined when its call ends,
+    # so no thread outlives the call that started it
+    opened, loose = [], []
+    for path in sorted(Path(nilwalk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            name = f"{path.name} {getattr(top, 'name', 'module level')}"
+            in_with = {id(item.context_expr.func) for node in ast.walk(top) if isinstance(node, ast.With)
+                       for item in node.items if isinstance(item.context_expr, ast.Call)}
+            for node in ast.walk(top):
+                if getattr(node, "id", getattr(node, "attr", None)) == "ThreadPoolExecutor":
+                    (opened if id(node) in in_with else loose).append(name)
+    assert loose == [], f"thread pools not opened in a with statement: {loose}"
+    assert opened == ["walk.py _run_sharded", "walk.py trajectory_scan"], opened
+
+
 def test_no_unused_parameters():
     # every parameter of every function (self and cls aside) is read in its
     # body, nested functions included: a parameter nothing reads is a knob

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -400,11 +402,46 @@ def test_trajectory_scan_chunk_invariance(monkeypatch):
 
 
 def test_row_norms_match_numpy_norm_bit_for_bit():
+    # also in coordinate-major layout, against the norm of the C-order rows:
+    # from d = 8 numpy sums a strided row in another order than a contiguous one
     rng = np.random.default_rng(61)
     for d in range(1, 21):
         x = rng.normal(size=(1003, d)) * rng.uniform(1e-3, 1e3, size=d)
         for part in (x, x[5:5 + 997], x[:1]):
             assert np.array_equal(walk._row_norms(part), np.linalg.norm(part, axis=1)), d
+        xt = np.ascontiguousarray(x.T).T
+        for rows in (slice(None), slice(5, 5 + 997), slice(0, 1)):
+            want = np.linalg.norm(x[rows], axis=1)
+            assert np.array_equal(walk._row_norms(xt[rows]), want), d
+
+
+def test_trajectory_scan_joins_its_draw_thread(monkeypatch):
+    # the helper that draws ahead is gone when the scan returns, and when a
+    # draw fails the scan raises that same exception
+    g = heisenberg_cayley()
+    meas, rho, phi0 = pipeline(g)
+    kw = dict(seed=67, stream_index=0, sup_scaling=lil_scaling(), sup_range=(16, 1000))
+    monkeypatch.setattr(walk, "_SCAN_STEPS", 64)
+    before = threading.active_count()
+    trajectory_scan(g, phi0, rho, [1000], **kw)
+    assert threading.active_count() == before
+
+    class Injected(Exception):
+        pass
+
+    injected, calls, buckets = Injected("third draw"), [], walk._buckets
+
+    def failing(graph, u):
+        calls.append(len(u))
+        if len(calls) == 3:
+            raise injected
+        return buckets(graph, u)
+
+    monkeypatch.setattr(walk, "_buckets", failing)
+    with pytest.raises(Injected) as info:
+        trajectory_scan(g, phi0, rho, [1000], **kw)
+    assert info.value is injected and len(calls) == 3
+    assert threading.active_count() == before
 
 
 def test_trajectory_scan_sup_matches_replay(monkeypatch):
