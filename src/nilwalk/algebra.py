@@ -209,9 +209,7 @@ def _fold(alg: StratifiedAlgebra, entries, gammas: np.ndarray) -> np.ndarray:
         d1 = alg.layer_dims[0]
         prefix = np.cumsum(gammas[..., :-1, :d1], axis=-2)
         nxt = gammas[..., 1:, :d1]
-        for i, j, k, c in entries:
-            area = _dot(prefix[..., i], nxt[..., j]) - _dot(prefix[..., j], nxt[..., i])
-            out[..., k] += 0.5 * c * area
+        _add_half_brackets(entries, np.moveaxis(prefix, -1, 0), np.moveaxis(nxt, -1, 0), out)
         return out
     # balanced tree of pairwise products; odd lengths are padded with the identity
     g = gammas
@@ -229,6 +227,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     than the product itself on short rows.
     """
     return np.einsum("...k,...k->...", x, y)
+
+
+def _add_half_brackets(entries, x: np.ndarray, y: np.ndarray, out: np.ndarray, dot=_dot) -> None:
+    """Add half the summed brackets of first-layer terms ``x_k`` and ``y_k`` into ``out`` (..., dim).
+
+    ``x`` and ``y`` are coordinate-major: ``x[i]`` is coordinate i of every
+    term, with the terms on its last axis.  Each structure constant
+    ``[X_i, X_j] = c X_k`` adds ``c/2 (x_i . y_j - x_j . y_i)`` to coordinate
+    k, by two calls of ``dot`` along the term axis (``_dot`` unless the
+    caller passes another).
+    """
+    for i, j, k, c in entries:
+        area = dot(x[i], y[j]) - dot(x[j], y[i])
+        out[..., k] += 0.5 * c * area
 
 
 def _require_supported_step(alg: StratifiedAlgebra) -> None:

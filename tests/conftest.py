@@ -90,6 +90,19 @@ def heisenberg_matrix_product_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return unipotent_log(3, unipotent_exp(3, a) @ unipotent_exp(3, b))
 
 
+def heisenberg_hexagonal(p_out=(1 / 3, 1 / 3, 1 / 3), p_back=(1 / 3, 1 / 3, 1 / 3)) -> VoltageGraph:
+    """A two-vertex Heisenberg cover: ``hexagonal``'s three edge pairs 0 -> 1 with the
+    voltages exp X, exp Y and exp(-X - Y + 0.3 Z), taken with ``p_out`` and reversed with ``p_back``.
+
+    Unless both are uniform, the position of vertex 1 and the centered
+    increments are not dyadic, and the second layers of the edges seen from
+    the positions of their ends differ from the voltages'.
+    """
+    voltages = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.3])
+    pairs = [(0, 1, p, q, v) for p, q, v in zip(p_out, p_back, voltages)]
+    return VoltageGraph.from_pairs(heisenberg_algebra(), 2, pairs)
+
+
 # ---------------------------------------------------------------------------
 # Graph JSON writer
 # ---------------------------------------------------------------------------

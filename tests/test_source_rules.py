@@ -177,3 +177,27 @@ def test_no_unused_parameters():
             name = getattr(func, "name", "lambda")
             unused += [f"{path.name} {name}({p})" for p in params if p not in read and p not in ("self", "cls")]
     assert unused == [], f"parameters never read: {unused}"
+
+
+def test_only_algebra_loops_over_the_structure_constants():
+    # every contraction with the structure constants lives in algebra.py, so
+    # the walk's area sums cannot grow a second one beside fold's; a loop over
+    # a name bound to the constants counts too, and unpacking a single
+    # constant (rates.py's closed form) stays allowed
+    tables = {"bracket_entries", "graded_bracket_entries"}
+
+    def mentions(node, names):
+        return any(getattr(n, "attr", None) in names or getattr(n, "id", None) in names
+                   for n in ast.walk(node))
+
+    found = []
+    for path in sorted(Path(nilwalk.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and mentions(node.value, tables)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.For, ast.comprehension)) and mentions(node.iter, tables | bound):
+                found.append(f"{path.name}:{getattr(node, 'lineno', node.iter.lineno)}")
+    assert found == [], f"loops over structure constants outside algebra.py: {found}"

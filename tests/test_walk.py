@@ -6,7 +6,7 @@ import pytest
 import nilwalk.walk as walk
 from nilwalk.albanese import albanese_pipeline, first_layer_form
 from nilwalk.algebra import abelian_algebra, bch_product
-from nilwalk.errors import PinnedLayerMismatch, ScalingDomain
+from nilwalk.errors import InputError, PinnedLayerMismatch, ScalingDomain
 from nilwalk.graph import (
     VoltageGraph,
     heisenberg_cayley,
@@ -27,7 +27,7 @@ from nilwalk.walk import (
     trajectory_scan,
 )
 
-from conftest import unipotent_cayley, unipotent_exp, unipotent_log
+from conftest import heisenberg_hexagonal, unipotent_cayley, unipotent_exp, unipotent_log
 
 
 def pipeline(graph):
@@ -514,3 +514,93 @@ def test_trajectory_scan_sup_statistic_biased():
     want = np.abs(cums[mask] / ns[mask] ** 0.75).max()
     assert abs(sup - want) <= 1e-12
     assert abs(points[0][0] - cums[-1]) <= 1e-12
+
+
+def test_trajectory_scan_checks_its_sup_range(monkeypatch):
+    # a reversed range, or one that starts past the last checkpoint, holds no
+    # step: it is refused before any draw instead of returning a sup of -inf
+    g = zd_lattice(1)
+    meas, rho, phi0 = pipeline(g)
+    drawn = []
+    monkeypatch.setattr(walk, "_buckets", lambda graph, u: drawn.append(len(u)))
+    for bad in ((500, 100), (200, 300)):
+        with pytest.raises(InputError, match="sup_range"):
+            trajectory_scan(g, phi0, rho, [100], seed=1, stream_index=0,
+                            sup_scaling=lil_scaling(), sup_range=bad)
+    assert drawn == []
+
+
+def test_trajectory_scan_prefix_is_one_cumsum(monkeypatch):
+    # each chunk's carried sum enters its first increment, so the centered
+    # prefix is the float of one cumsum over the whole trajectory for any chunk
+    # size: the sup and the checkpoint first layers equal the replay's bit for
+    # bit, also where the increments are not dyadic
+    cps, (lo, hi), scaling = [5, 64, 65, 999, 3000], (16, 2900), lil_scaling()
+    ns = np.arange(1, cps[-1] + 1)
+    mask = (ns >= lo) & (ns <= hi)
+    for g in (hexagonal(), z1_biased(0.75), one_vertex_non_dyadic()):
+        meas, rho, phi0 = pipeline(g)
+        prefix = sample_path(g, phi0, rho, cps[-1], seed=73).prefix
+        want = float((walk._row_norms(prefix[1:][mask]) / scaling(ns[mask])).max())
+        for chunk in (7, 64, 1 << 20):
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_SCAN_STEPS", chunk)
+                points, sup = trajectory_scan(g, phi0, rho, cps, seed=73, stream_index=0,
+                                              sup_scaling=scaling, sup_range=(lo, hi))
+            assert sup == want, chunk
+            assert np.array_equal(points[:, : g.algebra.layer_dims[0]], prefix[cps]), chunk
+
+
+def _replayed_points(g, phi0, rho, checkpoints, seed):
+    """The centered points log(xi exp(-n rho)) of ``sample_path``'s group route at each checkpoint."""
+    alg = g.algebra
+    return np.array([
+        bch_product(alg, sample_path(g, phi0, rho, n, seed=seed).xi, alg.embed_first_layer(-float(n) * rho))
+        for n in checkpoints
+    ])
+
+
+def test_trajectory_scan_step_two_points_match_the_group_route(monkeypatch):
+    # on step 2 the scan folds nothing: its points come from the centered
+    # first-layer prefix.  On these covers vertex 1 sits off the identity
+    # unless the walk is symmetric, so the edges' second layers seen from the
+    # positions of their ends differ from the voltages'; the drifted cover
+    # also needs the two brackets with rho
+    cases = {
+        "symmetric": heisenberg_hexagonal(),
+        "non-dyadic": heisenberg_hexagonal((0.3, 0.3, 0.4), (0.3, 0.3, 0.4)),
+        "drifted": heisenberg_hexagonal((0.5, 0.3, 0.2), (0.2, 0.5, 0.3)),
+        "Cayley": heisenberg_cayley(),
+    }
+    cps = [1, 7, 700, 777, 5000, 20_000]
+
+    def no_fold(alg, gammas):
+        raise AssertionError("the step-2 scan folded a segment")
+
+    for name, g in cases.items():
+        meas, rho, phi0 = pipeline(g)
+        if name == "drifted":
+            assert np.allclose(rho, [0.2, -0.05], rtol=0, atol=1e-12)
+        want = _replayed_points(g, phi0, rho, cps, seed=71)
+        tol = 1e-12 * np.abs(want).max() if name == "drifted" else 1e-10
+        for chunk in (7, 777, 1 << 20):
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_SCAN_STEPS", chunk)
+                m.setattr(walk, "fold", no_fold)
+                points, _ = trajectory_scan(g, phi0, rho, cps, seed=71, stream_index=0,
+                                            sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
+            assert np.abs(points - want).max() <= tol, (name, chunk)
+
+
+def test_trajectory_scan_step_three_folds_match_the_group_route(monkeypatch):
+    # steps 3-4 fold the segments between checkpoints and chain them
+    g = unipotent_cayley(4)
+    meas, rho, phi0 = pipeline(g)
+    cps = [1, 7, 300, 777, 3000]
+    want = _replayed_points(g, phi0, rho, cps, seed=79)
+    for chunk in (7, 64, 1 << 20):
+        with monkeypatch.context() as m:
+            m.setattr(walk, "_SCAN_STEPS", chunk)
+            points, _ = trajectory_scan(g, phi0, rho, cps, seed=79, stream_index=0,
+                                        sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
+        assert np.abs(points - want).max() <= 1e-12 * np.abs(want).max(), chunk
