@@ -8,11 +8,12 @@ and lifts ``phi[v]`` to the group with zero higher layers
 (``embed_first_layer``).  The first-layer statistics are tracked through the
 per-edge increment table of ``phi``, so centered sums and scaled endpoints
 share one source of truth.
-Every group fold (the deck element of a path, of a batch of paths, or of a
-trajectory segment on steps 3-4) goes through ``algebra.fold``.  On step
-<= 2 ``trajectory_scan`` folds nothing: its checkpoint points are sums over
-the centered first-layer prefix it already builds for the sup, contracted
-with the structure constants by the helper behind ``fold``'s step-2 branch.
+Every group fold (the deck element of a path, and on steps 3-4 of a batch
+of paths or of a trajectory segment) goes through ``algebra.fold``.  On step
+<= 2 ``batch_endpoints`` and ``trajectory_scan`` fold nothing: their points
+are sums over the centered first-layer prefix, which the scan already builds
+for the sup, contracted with the structure constants by the helper behind
+``fold``'s step-2 branch (``_PrefixPoints``).
 
 Edge selection is inversion by table look-up, one rule for every walk: each
 uniform ``u`` becomes a bucket ``b`` of the graph's cached ``step_table``,
@@ -30,16 +31,19 @@ Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
 single pass.  ``sample_path`` and the batched engines draw through one seam,
 ``_uniforms``, one row of n uniforms per sample; ``trajectory_scan`` draws its
-chunks from one continuing stream, chunk k+1 on one helper thread while chunk
-k is summed, in the same stream order as a single thread.  Results are
-therefore bitwise reproducible for any worker count or block size, and batch
-sample 0 replays ``sample_path`` exactly.  ``workers`` counts the threads that
-run samples or trajectories; each ``trajectory_scan`` adds its one helper.
+chunks from one continuing stream.  Both walk in parts and draw part k+1 on
+one helper thread while part k is summed (``_drawn_ahead``), in the same
+stream order as a single thread.  Results are therefore bitwise reproducible
+for any worker count, block or part size, and batch sample 0 replays
+``sample_path`` exactly.  ``workers`` counts the threads that run samples or
+trajectories; each ``batch_endpoints`` worker and each ``trajectory_scan``
+adds its one helper.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -51,9 +55,11 @@ from .algebra import _add_half_brackets, _dot, bch_product, dilate_vector, fold
 from .errors import InputError, PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
-# Walks per block of ``_run_sharded``, steps per block of a long trajectory,
-# and steps per block of the sup statistic's screen.
+# Walks per block of ``_run_sharded``, steps per part of such a block in
+# ``batch_endpoints``, steps per part of a long trajectory, and steps per
+# block of the sup statistic's screen.
 _BLOCK_ROWS = 256
+_PART_STEPS = 1 << 18
 _SCAN_STEPS = 1 << 20
 _SUP_BLOCK = 4096
 
@@ -245,6 +251,83 @@ def scaled_endpoint(path: WalkPath, scaling: ScalingSequence) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Step <= 2 points from the centered first-layer prefix
+# ---------------------------------------------------------------------------
+
+def _long_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products of long rows along the last axis, as fast as one einsum and more accurate.
+
+    einsum sums pieces of 128 terms and numpy adds each row's piece sums
+    pairwise, so no running sum spans a whole row; each row's float is the
+    same whatever the leading axes hold.  Over 2 * 10^4 steps of a non-dyadic
+    Heisenberg cover, the scan's points were 2e-13 to 7e-12 off the exact
+    ones in 12 seeds this way, and up to 2.4e-10 off with one einsum.
+    """
+    cut = x.shape[-1] - x.shape[-1] % 128
+    pieces = x.shape[:-1] + (-1, 128)
+    return (_dot(x[..., :cut].reshape(pieces), y[..., :cut].reshape(pieces)).sum(axis=-1)
+            + _dot(x[..., cut:], y[..., cut:]))
+
+
+def _edge_upper_layers(graph: VoltageGraph, phi: np.ndarray) -> np.ndarray:
+    """The layers above the first of each edge's voltage seen from the positions of its ends: (E, dim - d1).
+
+    That is log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))).  Points built
+    from the centered first-layer prefix assume the base vertex at the
+    identity, which is checked here.
+    """
+    if not np.allclose(phi[0], 0.0, rtol=1e-6, atol=1e-6):
+        gap = float(np.max(np.abs(phi[0])))
+        raise PinnedLayerMismatch(
+            f"the base vertex sits {gap:.3g} off the identity, so group points and "
+            "centered increment sums differ by that much"
+        )
+    alg = graph.algebra
+    lift = alg.embed_first_layer
+    edge_logs = bch_product(alg, bch_product(alg, lift(-phi[graph.origin]), graph.voltages),
+                            lift(phi[graph.terminus]))
+    return edge_logs[:, alg.layer_dims[0] :]
+
+
+class _PrefixPoints:
+    """Centered group points on step <= 2 of ``rows`` walks, from their centered first-layer prefixes C.
+
+    Holds per walk, over the steps added so far, the edge counts, S (the sum
+    of the prefixes before each step) and half the summed brackets of each
+    prefix with the next increment; ``trajectory_scan`` gives the identity.
+    ``upper`` is ``_edge_upper_layers``.  Prefixes and increments are
+    coordinate-major, (d1, rows, steps).
+    """
+
+    def __init__(self, alg, upper: np.ndarray, rho: np.ndarray, rows: int = 1):
+        self.alg = alg
+        self.d1 = alg.layer_dims[0]
+        self.upper = upper
+        self.rho = np.asarray(rho, dtype=float)
+        self.counts = np.zeros((rows, len(upper)), dtype=np.int64)
+        self.prefix_sum = np.zeros((self.d1, rows))
+        self.area = np.zeros((rows, alg.dim))
+
+    def add(self, counts: np.ndarray, before: np.ndarray, incs: np.ndarray) -> None:
+        """Add steps taking each edge ``counts`` (rows, E) times, with the prefixes ``before`` them and
+        increments ``incs``, both (d1, rows, k)."""
+        self.counts += counts
+        self.prefix_sum += before.sum(axis=-1)
+        _add_half_brackets(self.alg.bracket_entries, before, incs, self.area, dot=_long_dot)
+
+    def points(self, n: int, c: np.ndarray) -> np.ndarray:
+        """The centered points (rows, dim) at step n, the last step added, where the prefixes are ``c`` (d1, rows)."""
+        pt = self.area.copy()
+        pt[:, : self.d1] = c.T
+        # einsum, unlike matmul, gives each row the same float for any number of rows
+        pt[:, self.d1 :] += np.einsum("re,ed->rd", self.counts, self.upper)
+        # [S, rho] + (n - 1/2)[rho, C] is the bracket of S - (n - 1/2) C with rho
+        lever = 2.0 * (self.prefix_sum - (n - 0.5) * c)
+        _add_half_brackets(self.alg.bracket_entries, lever[..., None], self.rho[:, None, None], pt)
+        return pt
+
+
+# ---------------------------------------------------------------------------
 # Batched Monte Carlo engines
 # ---------------------------------------------------------------------------
 
@@ -267,6 +350,33 @@ def _run_sharded(total: int, workers: int, job: Callable) -> None:
         return
     with ThreadPoolExecutor(max_workers=len(shards)) as pool:
         list(pool.map(run, shards))
+
+
+@contextmanager
+def _drawn_ahead(draw: Callable, count: int):
+    """Iterate over ``draw(0), ..., draw(count - 1)`` (count >= 1), each drawn on one helper
+    thread while the caller works on the one before.
+
+    ``draw(k + 1)`` is submitted only once part k is taken, so the draws run
+    one after another in order, as on one thread, and a draw may carry state
+    to the next.  The helper is joined when the ``with`` block ends, also
+    when a draw or the caller raises; a failed draw raises its own exception
+    in the caller.  A single part has nothing to overlap and is drawn by the
+    caller.
+    """
+    def parts():
+        pending = pool.submit(draw, 0)
+        for k in range(1, count):
+            part = pending.result()
+            pending = pool.submit(draw, k)
+            yield part
+        yield pending.result()
+
+    if count == 1:
+        yield iter([draw(0)])
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield parts()
 
 
 def batch_centered_sums(
@@ -308,30 +418,73 @@ def batch_endpoints(
 ):
     """Scaled group endpoints plus raw centered sums: ((S, dim), (S, d1)).
 
-    Each row's uniforms become buckets as they are drawn, and the edges are
-    written over the buckets, so a block of walks holds one (B, n) integer
-    array.  The sums are edge counts times the increments, as in
-    ``batch_centered_sums``.
+    Each worker walks its blocks in parts of whole rows, at most
+    ``_PART_STEPS`` steps (at least one row).  One helper thread draws part
+    k+1 while the worker sums part k: each row's uniforms become buckets as
+    they are drawn, and the edges are written over the buckets.  So a worker
+    holds two parts' (rows, n) integer arrays, and on step 2 one float buffer
+    for a part's increments and prefixes, not a block's.  The sums are edge
+    counts times the increments, as in ``batch_centered_sums``.
+
+    On step 1 the point is the sum over a_n.  On step 2 it comes from each
+    row's centered first-layer prefix C, a (d1, rows, n) ``cumsum`` of the
+    gathered increments, by the identity in ``trajectory_scan``, and its first
+    layer is pinned to the sum over a_n; nothing is folded.  Steps 3-4 fold
+    each row's voltages.
     """
     alg = graph.algebra
+    d1 = alg.layer_dims[0]
     a_n = float(scaling(n))
     wbar = _centered_increments(graph, phi, rho)
+    # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
+    wbar_t = np.ascontiguousarray(wbar.T)
+    upper = _edge_upper_layers(graph, phi) if alg.step <= 2 else None
     points = np.empty((samples, alg.dim))
-    sums = np.empty((samples, alg.layer_dims[0]))
+    sums = np.empty((samples, d1))
+    part_rows = max(1, _PART_STEPS // max(n, 1))
+
+    def endpoints_of(edges, scratch):
+        """Points and sums of the walks with ``edges`` (rows, n); counting offsets the edges in place."""
+        if alg.step > 2:
+            # np.take gathers rows several times faster than fancy indexing here
+            decks = fold(alg, np.take(graph.voltages, edges, axis=0))
+            end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(edges), dtype=np.int64)
+            xi = bch_product(alg, decks, alg.embed_first_layer(phi[end_vertex]))
+            bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
+            return _scaled_points(graph, xi, bar, n, rho, a_n), bar
+        if alg.step == 2:
+            # w[:, r, k] is the increment of step k + 1 of row r, gathered before
+            # counting; cum[:, r, k] will be row r's centered sum C after k steps
+            size = d1 * len(edges) * n
+            w = np.take(wbar_t, edges, axis=1, out=scratch[:size].reshape(d1, len(edges), n), mode="clip")
+            cum = scratch[size : 2 * size + d1 * len(edges)].reshape(d1, len(edges), n + 1)
+        counts = _count_edges(edges, graph.num_edges)
+        bar = np.einsum("be,ed->bd", counts, wbar)
+        if alg.step == 1:
+            return bar / a_n, bar
+        cum[..., 0] = 0.0
+        np.cumsum(w, axis=-1, out=cum[..., 1:])
+        prefix = _PrefixPoints(alg, upper, rho, len(edges))
+        prefix.add(counts, cum[..., :-1], w)
+        pt = dilate_vector(alg, 1.0 / a_n, prefix.points(n, cum[..., -1]))
+        pt[:, :d1] = bar / a_n
+        return pt, bar
 
     def job(block):
-        buckets = np.empty((len(block), n), dtype=np.int64)
-        for row, s in enumerate(block):
-            buckets[row] = _buckets(graph, _uniforms(seed, s, n))
-        edges = _select_edges(graph, buckets)
-        # np.take gathers rows several times faster than fancy indexing here
-        decks = fold(alg, np.take(graph.voltages, edges, axis=0))
-        end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(block), dtype=np.int64)
-        # last, because counting offsets the edges in place
-        bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
-        xi = bch_product(alg, decks, alg.embed_first_layer(phi[end_vertex]))
-        points[block] = _scaled_points(graph, xi, bar, n, rho, a_n)
-        sums[block] = bar
+        parts = [block[lo : lo + part_rows] for lo in range(0, len(block), part_rows)]
+        # on step 2 the parts of a block reuse one buffer for their increments and
+        # prefixes: fresh ones cost a page fault per 4 KB of every part
+        scratch = np.empty(d1 * len(parts[0]) * (2 * n + 1)) if alg.step == 2 else None
+
+        def draw(k):
+            buckets = np.empty((len(parts[k]), n), dtype=np.int64)
+            for row, s in enumerate(parts[k]):
+                buckets[row] = _buckets(graph, _uniforms(seed, s, n))
+            return _select_edges(graph, buckets)
+
+        with _drawn_ahead(draw, len(parts)) as drawn:
+            for part, edges in zip(parts, drawn):
+                points[part], sums[part] = endpoints_of(edges, scratch)
 
     _run_sharded(samples, workers, job)
     return points, sums
@@ -425,65 +578,6 @@ def _screened_sup(x: np.ndarray, first: int, scaling: ScalingSequence, sup: floa
     return sup
 
 
-def _long_dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Inner product of two long contiguous rows, as fast as one einsum and more accurate.
-
-    einsum sums rows of 128 terms and numpy adds the row sums pairwise, so no
-    running sum spans the whole row.  Over 2 * 10^4 steps of a non-dyadic
-    Heisenberg cover, the scan's points were 2e-13 to 7e-12 off the exact
-    ones in 12 seeds this way, and up to 2.4e-10 off with one einsum.
-    """
-    cut = len(x) - len(x) % 128
-    return float(_dot(x[:cut].reshape(-1, 128), y[:cut].reshape(-1, 128)).sum() + _dot(x[cut:], y[cut:]))
-
-
-class _PrefixPoints:
-    """Centered group points on step <= 2, from the centered first-layer prefix C of the scan.
-
-    Holds, over the steps added so far, the edge counts, S (the sum of the
-    prefixes before each step) and half the summed brackets of each prefix
-    with the next increment; ``trajectory_scan`` gives the identity.  The
-    identity assumes the base vertex at the identity, which is checked here.
-    """
-
-    def __init__(self, graph: VoltageGraph, phi: np.ndarray, rho: np.ndarray):
-        alg = graph.algebra
-        if not np.allclose(phi[0], 0.0, rtol=1e-6, atol=1e-6):
-            gap = float(np.max(np.abs(phi[0])))
-            raise PinnedLayerMismatch(
-                f"the base vertex sits {gap:.3g} off the identity, so group points and "
-                "centered increment sums differ by that much"
-            )
-        self.alg = alg
-        self.d1 = alg.layer_dims[0]
-        self.rho = np.asarray(rho, dtype=float)
-        # the edge's voltage seen from the positions of its ends:
-        # log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))), above its first layer
-        lift = alg.embed_first_layer
-        edge_logs = bch_product(alg, bch_product(alg, lift(-phi[graph.origin]), graph.voltages),
-                                lift(phi[graph.terminus]))
-        self.upper = edge_logs[:, self.d1 :]
-        self.counts = np.zeros(graph.num_edges, dtype=np.int64)
-        self.prefix_sum = np.zeros(self.d1)
-        self.area = alg.zero()
-
-    def add(self, edges: np.ndarray, before: np.ndarray, incs: np.ndarray) -> None:
-        """Add steps with ``edges``, prefixes ``before`` them and increments ``incs``, both (d1, k)."""
-        self.counts += np.bincount(edges, minlength=len(self.counts))
-        self.prefix_sum += before.sum(axis=1)
-        _add_half_brackets(self.alg.bracket_entries, before, incs, self.area, dot=_long_dot)
-
-    def point(self, n: int, c: np.ndarray) -> np.ndarray:
-        """The centered point at step n, the last step added, where the prefix is ``c``."""
-        pt = self.area.copy()
-        pt[: self.d1] = c
-        pt[self.d1 :] += self.counts @ self.upper
-        # [S, rho] + (n - 1/2)[rho, C] is the bracket of S - (n - 1/2) C with rho
-        lever = 2.0 * (self.prefix_sum - (n - 0.5) * c)
-        _add_half_brackets(self.alg.bracket_entries, lever[:, None], self.rho[:, None], pt)
-        return pt
-
-
 def trajectory_scan(
     graph: VoltageGraph,
     phi: np.ndarray,
@@ -521,9 +615,10 @@ def trajectory_scan(
 
     The walk runs in chunks of ``_SCAN_STEPS`` steps.  One helper thread draws
     chunk k+1 (uniforms, buckets and edges, from the vertex where chunk k
-    ends) while the calling thread sums chunk k; the next draw starts only
-    after the previous one is taken, so the stream is read in the same order
-    as by one thread, and the helper is joined before the scan returns.
+    ends) while the calling thread sums chunk k (``_drawn_ahead``); the next
+    draw starts only after the previous one is taken, so the stream is read
+    in the same order as by one thread, and the helper is joined before the
+    scan returns.
     """
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
@@ -537,7 +632,7 @@ def trajectory_scan(
     d1 = alg.layer_dims[0]
     # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
     wbar_t = np.ascontiguousarray(_centered_increments(graph, phi, rho).T)
-    sums = _PrefixPoints(graph, phi, rho) if alg.step <= 2 else None
+    sums = _PrefixPoints(alg, _edge_upper_layers(graph, phi), rho) if alg.step <= 2 else None
 
     stream = sample_stream(seed, stream_index)
     points = np.empty((len(checkpoints), alg.dim))
@@ -547,21 +642,19 @@ def trajectory_scan(
     bar = np.zeros(d1)
     pos = 0
     cp_next = 0
+    vertex = 0
 
-    def draw(start: int, vertex: int) -> np.ndarray:
-        """The edges of the chunk of steps start+1.. from ``vertex``, from the continuing stream."""
-        m = min(_SCAN_STEPS, n_max - start)
-        return _select_edges(graph, _buckets(graph, stream.random(m))[None, :], vertex)[0]
+    def draw(k: int) -> np.ndarray:
+        """The edges of chunk k, from the vertex where chunk k - 1 ends, from the continuing stream."""
+        nonlocal vertex
+        m = min(_SCAN_STEPS, n_max - k * _SCAN_STEPS)
+        edges = _select_edges(graph, _buckets(graph, stream.random(m))[None, :], vertex)[0]
+        vertex = int(graph.terminus[edges[-1]])
+        return edges
 
-    # one helper draws chunk k+1 while this thread sums chunk k; a draw is
-    # submitted only once the previous one is taken, so the stream is read in order
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, 0, 0)
-        while pos < n_max:
-            edges = pending.result()
+    with _drawn_ahead(draw, -(-n_max // _SCAN_STEPS)) as chunks:
+        for edges in chunks:
             m = len(edges)
-            if pos + m < n_max:
-                pending = pool.submit(draw, pos + m, int(graph.terminus[edges[-1]]))
             # w[:, k] is the increment of step pos + k + 1 and cum[:, k + 1] the
             # centered sum C there, cum[:, 0] the carried one.  The carry enters
             # the first increment, so C is the float of one cumsum over the trajectory
@@ -586,14 +679,15 @@ def trajectory_scan(
                 if alg.step > 2:
                     deck = bch_product(alg, deck, fold(alg, np.take(graph.voltages, edges[a:b], axis=0)))
                 elif alg.step == 2:
-                    sums.add(edges[a:b], cum[:, a:b], w[:, a:b])
+                    sums.add(np.bincount(edges[a:b], minlength=graph.num_edges),
+                             cum[:, None, a:b], w[:, None, a:b])
                 if pos + b == checkpoints[cp_next]:
                     if alg.step > 2:
                         end = alg.embed_first_layer(phi[graph.terminus[edges[b - 1]]])
                         points[cp_next] = _scaled_points(graph, bch_product(alg, deck, end), cum[:, b],
                                                          pos + b, rho, 1.0)
                     else:
-                        points[cp_next] = sums.point(pos + b, cum[:, b])
+                        points[cp_next] = sums.points(pos + b, cum[:, b : b + 1])[0]
                     cp_next += 1
                 a = b
 

@@ -145,9 +145,10 @@ def test_only_the_draw_seam_and_the_scan_open_streams():
 
 
 def test_thread_pools_open_only_in_with_statements():
-    # _run_sharded runs the worker threads and trajectory_scan its draw-ahead
-    # helper; a pool opened in a with statement is joined when its call ends,
-    # so no thread outlives the call that started it
+    # _run_sharded runs the worker threads and _drawn_ahead the draw-ahead
+    # helper of batch_endpoints and trajectory_scan; a pool opened in a with
+    # statement is joined when its block ends, so no thread outlives the call
+    # that started it
     opened, loose = [], []
     for path in sorted(Path(nilwalk.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -159,7 +160,7 @@ def test_thread_pools_open_only_in_with_statements():
                 if getattr(node, "id", getattr(node, "attr", None)) == "ThreadPoolExecutor":
                     (opened if id(node) in in_with else loose).append(name)
     assert loose == [], f"thread pools not opened in a with statement: {loose}"
-    assert opened == ["walk.py _run_sharded", "walk.py trajectory_scan"], opened
+    assert opened == ["walk.py _run_sharded", "walk.py _drawn_ahead"], opened
 
 
 def test_no_unused_parameters():

@@ -220,21 +220,94 @@ def test_batch_mean_near_zero_for_symmetric():
 
 
 def test_batch_worker_count_invariance(monkeypatch):
-    # the last two graphs have non-dyadic centered increments, so their sums
-    # are rounded and would show a reduction that depends on the block size
+    # the last three graphs have non-dyadic centered increments, so their sums
+    # are rounded and would show a reduction that depends on the block size;
+    # the drifted Heisenberg cover's points also sum non-dyadic areas.  The
+    # part budget is one row, seven rows and the whole block
     for g in (zd_lattice(2), hexagonal(), unipotent_cayley(4), uneven_three_vertex(),
-              one_vertex_non_dyadic()):
+              one_vertex_non_dyadic(), heisenberg_hexagonal((0.5, 0.3, 0.2), (0.2, 0.5, 0.3))):
         meas, rho, phi0 = pipeline(g)
         one = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=1)
         eight = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=8)
         assert np.array_equal(one, eight)
         p1, s1 = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29, workers=1)
         for workers, rows in ((2, 256), (8, 256), (1, 7)):
+            for part_rows in (1, 7, rows):
+                with monkeypatch.context() as m:
+                    m.setattr(walk, "_BLOCK_ROWS", rows)
+                    m.setattr(walk, "_PART_STEPS", part_rows * 200)
+                    p, s = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29,
+                                           workers=workers)
+                assert np.array_equal(p1, p) and np.array_equal(s1, s), (workers, rows, part_rows)
+
+
+def test_batch_endpoints_step_two_points_match_the_group_route(monkeypatch):
+    # on step 2 the batch folds nothing: each row's point comes from its
+    # centered first-layer prefix, as in trajectory_scan.  The group route
+    # replays row i through sample_path on stream (seed, i); a unit scaling
+    # compares the undilated points
+    cases = {
+        "Cayley": heisenberg_cayley(),
+        "symmetric": heisenberg_hexagonal(),
+        "non-dyadic": heisenberg_hexagonal((0.3, 0.3, 0.4), (0.3, 0.3, 0.4)),
+        "drifted": heisenberg_hexagonal((0.5, 0.3, 0.2), (0.2, 0.5, 0.3)),
+    }
+    n, samples = 5000, 6
+    unit = walk.ScalingSequence(kind="unit", evaluate=np.ones_like)
+    uniforms = walk._uniforms
+
+    def no_fold(alg, gammas):
+        raise AssertionError("the step-2 batch folded its walks")
+
+    for name, g in cases.items():
+        meas, rho, phi0 = pipeline(g)
+        want = []
+        for i in range(samples):
             with monkeypatch.context() as m:
-                m.setattr(walk, "_BLOCK_ROWS", rows)
-                p, s = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29,
-                                       workers=workers)
-            assert np.array_equal(p1, p) and np.array_equal(s1, s)
+                m.setattr(walk, "_uniforms", lambda seed, index, n, i=i: uniforms(seed, i, n))
+                want.append(scaled_endpoint(sample_path(g, phi0, rho, n, seed=73), unit))
+        want = np.array(want)
+        tol = 1e-12 * np.abs(want).max() if name == "drifted" else 1e-10
+        for part_rows in (1, 4, 256):
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_PART_STEPS", part_rows * n)
+                m.setattr(walk, "fold", no_fold)
+                points, _ = batch_endpoints(g, phi0, rho, unit, n, samples, seed=73)
+            assert np.abs(points - want).max() <= tol, (name, part_rows)
+
+
+def test_batch_endpoints_joins_its_draw_threads(monkeypatch):
+    # each worker's draw-ahead helper is gone when the batch returns, and
+    # when a draw (_buckets) or the summing side (_count_edges) fails, the
+    # batch raises that same exception
+    g = heisenberg_cayley()
+    meas, rho, phi0 = pipeline(g)
+    args = (g, phi0, rho, power_scaling(0.75), 100, 20)
+    monkeypatch.setattr(walk, "_PART_STEPS", 200)  # parts of two rows
+    before = threading.active_count()
+    batch_endpoints(*args, seed=83, workers=2)
+    assert threading.active_count() == before
+
+    class Injected(Exception):
+        pass
+
+    for target in ("_buckets", "_count_edges"):
+        for workers in (1, 2):
+            injected, calls, original = Injected(target), [], getattr(walk, target)
+
+            def failing(*a):
+                calls.append(target)
+                if len(calls) == 3:
+                    raise injected
+                return original(*a)
+
+            with monkeypatch.context() as m:
+                m.setattr(walk, target, failing)
+                with pytest.raises(Injected) as info:
+                    batch_endpoints(*args, seed=83, workers=workers)
+            assert info.value is injected, (target, workers)
+            assert len(calls) == 3 if workers == 1 else len(calls) >= 3, (target, calls)
+            assert threading.active_count() == before, (target, workers)
 
 
 def uneven_three_vertex() -> VoltageGraph:
@@ -348,6 +421,25 @@ def test_batch_centered_sums_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 256 * 10_000 * 8
+
+
+def test_batch_endpoints_memory():
+    # a 256 x 10^4 Heisenberg block is walked in parts, the next drawn while
+    # one is summed: the peak stays below the (256, 10^4) int64 edges of the
+    # whole block
+    import tracemalloc
+
+    g = heisenberg_cayley()
+    meas, rho, phi0 = pipeline(g)
+    scaling = power_scaling(0.75)
+    batch_endpoints(g, phi0, rho, scaling, 100, samples=4, seed=3)
+    tracemalloc.start()
+    try:
+        batch_endpoints(g, phi0, rho, scaling, 10_000, samples=256, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 10_000 * 8
 
 
 def test_lln_biased_loop():
