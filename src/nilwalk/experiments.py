@@ -249,15 +249,27 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a new file at ``path``, unlinking any old one first.
+
+    Truncating a file, or renaming over it, can wait for the writeback of its
+    old contents (tens of ms per rewrite on ext4); an unlinked file is left to
+    the file system.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: Path, obj) -> None:
     """Strict JSON: non-finite floats are written as the strings "inf", "-inf", "nan"."""
-    Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_summary(out_dir: Path, name: str, config: ExperimentConfig, metrics: dict) -> dict:

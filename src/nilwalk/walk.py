@@ -13,7 +13,11 @@ of paths or of a trajectory segment) goes through ``algebra.fold``.  On step
 <= 2 ``batch_endpoints`` and ``trajectory_scan`` fold nothing: their points
 are sums over the centered first-layer prefix, which the scan already builds
 for the sup, contracted with the structure constants by the helper behind
-``fold``'s step-2 branch (``_PrefixPoints``).
+``fold``'s step-2 branch (``_PrefixPoints``).  Both build that prefix
+through one helper, ``_CenteredPrefix``: where the increment table is
+dyadic with room to spare below 2^53 (on the presets, but ``z1_biased(q)``
+with non-dyadic q), it is an int64 ``cumsum``, exact and so the same floats
+as the float ``cumsum`` that any other table keeps.
 
 Edge selection is inversion by table look-up, one rule for every walk: each
 uniform ``u`` becomes a bucket ``b`` of the graph's cached ``step_table``,
@@ -327,6 +331,66 @@ class _PrefixPoints:
         return pt
 
 
+class _CenteredPrefix:
+    """Centered first-layer prefixes C of walks, from the (d1, E) increment table ``wbar_t``.
+
+    A float ``cumsum`` is one chain of dependent adds, about ten times slower
+    than an int64 one, and it holds the GIL all the while.  When the table is
+    K * 2^-s for an int64 table K with no entry -0.0 and ``n_max`` * max|K| <
+    2^53, every float partial sum of at most ``n_max`` increments, a carry of
+    such a sum included, is an integer multiple of 2^-s below 2^53 * 2^-s: it
+    is exact, so it is the same float in any order of addition.  Then
+    ``steps`` is K, ``scale`` is 2^-s, and the prefix is the int64 ``cumsum``
+    of K times 2^-s, bit for bit the float ``cumsum``.  The tables of the
+    lattices, the Cayley graphs and ``hexagonal`` are such (scale 1), and so
+    is that of ``z1_biased(0.75)`` (scale 1/2).  On any other table
+    (``steps`` and ``scale`` None) the floats are summed.  A -0.0 entry is refused because a
+    float sum of -0.0s is -0.0, an integer one +0.0.
+    """
+
+    def __init__(self, wbar_t: np.ndarray, n_max: int):
+        self.wbar_t = wbar_t
+        self.steps = self.scale = None
+        if not np.all(np.isfinite(wbar_t)) or np.any(np.signbit(wbar_t) & (wbar_t == 0)):
+            return
+        # every finite float is p / 2^k, so one exponent s makes the whole table integer
+        ratios = [x.as_integer_ratio() for x in wbar_t.ravel().tolist()]
+        s = max(q.bit_length() - 1 for _, q in ratios)
+        steps = [p << (s - q.bit_length() + 1) for p, q in ratios]
+        if n_max * max(map(abs, steps)) < 2**53:
+            self.steps = np.array(steps, dtype=np.int64).reshape(wbar_t.shape)
+            self.scale = 2.0**-s
+
+    def fill(self, edges: np.ndarray, w: np.ndarray, cum: np.ndarray, carry: np.ndarray | None = None) -> None:
+        """Write the increments of the walks with ``edges`` (..., m) into ``w`` (d1, ..., m) and their
+        prefixes into ``cum`` (d1, ..., m + 1), both C-contiguous.
+
+        ``cum[..., 0]`` is ``carry`` (zero if None), a prefix of this table,
+        and ``cum[..., k]`` adds the first k increments to it.  The carry
+        enters the first increment, so a walk summed in chunks, each carrying
+        the last one's end, has the prefix of one ``cumsum`` over the whole.
+        """
+        cum[..., 0] = 0.0 if carry is None else carry
+        if self.steps is None:
+            self._sum_floats(edges, w, cum, carry)
+            return
+        # the integers go through w's memory; mode="clip" keeps take from buffering its output
+        k = np.take(self.steps, edges, axis=1, out=w.view(np.int64), mode="clip")
+        if carry is not None:
+            k[..., 0] += (carry / self.scale).astype(np.int64)
+        np.cumsum(k, axis=-1, out=k)
+        np.multiply(k, self.scale, out=cum[..., 1:])
+        np.take(self.wbar_t, edges, axis=1, out=w, mode="clip")
+
+    def _sum_floats(self, edges, w, cum, carry) -> None:
+        np.take(self.wbar_t, edges, axis=1, out=w, mode="clip")
+        first = w[..., 0].copy()
+        if carry is not None:
+            w[..., 0] += carry
+        np.cumsum(w, axis=-1, out=cum[..., 1:])
+        w[..., 0] = first
+
+
 # ---------------------------------------------------------------------------
 # Batched Monte Carlo engines
 # ---------------------------------------------------------------------------
@@ -427,9 +491,11 @@ def batch_endpoints(
     counts times the increments, as in ``batch_centered_sums``.
 
     On step 1 the point is the sum over a_n.  On step 2 it comes from each
-    row's centered first-layer prefix C, a (d1, rows, n) ``cumsum`` of the
-    gathered increments, by the identity in ``trajectory_scan``, and its first
-    layer is pinned to the sum over a_n; nothing is folded.  Steps 3-4 fold
+    row's centered first-layer prefix C, (d1, rows, n), by the identity in
+    ``trajectory_scan``, and its first layer is pinned to the sum over a_n;
+    nothing is folded.  C is summed by ``_CenteredPrefix``, as in the scan:
+    in int64 through the increment buffer when the increments are dyadic,
+    with the same floats as the float ``cumsum`` it replaces.  Steps 3-4 fold
     each row's voltages.
     """
     alg = graph.algebra
@@ -437,7 +503,7 @@ def batch_endpoints(
     a_n = float(scaling(n))
     wbar = _centered_increments(graph, phi, rho)
     # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
-    wbar_t = np.ascontiguousarray(wbar.T)
+    prefixes = _CenteredPrefix(np.ascontiguousarray(wbar.T), n) if alg.step == 2 else None
     upper = _edge_upper_layers(graph, phi) if alg.step <= 2 else None
     points = np.empty((samples, alg.dim))
     sums = np.empty((samples, d1))
@@ -456,14 +522,13 @@ def batch_endpoints(
             # w[:, r, k] is the increment of step k + 1 of row r, gathered before
             # counting; cum[:, r, k] will be row r's centered sum C after k steps
             size = d1 * len(edges) * n
-            w = np.take(wbar_t, edges, axis=1, out=scratch[:size].reshape(d1, len(edges), n), mode="clip")
+            w = scratch[:size].reshape(d1, len(edges), n)
             cum = scratch[size : 2 * size + d1 * len(edges)].reshape(d1, len(edges), n + 1)
+            prefixes.fill(edges, w, cum)
         counts = _count_edges(edges, graph.num_edges)
         bar = np.einsum("be,ed->bd", counts, wbar)
         if alg.step == 1:
             return bar / a_n, bar
-        cum[..., 0] = 0.0
-        np.cumsum(w, axis=-1, out=cum[..., 1:])
         prefix = _PrefixPoints(alg, upper, rho, len(edges))
         prefix.add(counts, cum[..., :-1], w)
         pt = dilate_vector(alg, 1.0 / a_n, prefix.points(n, cum[..., -1]))
@@ -594,17 +659,20 @@ def trajectory_scan(
     the centered endpoint at step ``checkpoints[c]`` (not yet dilated) and
     ``sup`` is ``max over n in sup_range of ||centered first-layer sum at n|| /
     sup_scaling(n)``, the exact max over every step in range.  ``sup_range``
-    must have lo <= hi and lo at most the last checkpoint.  ``sup_scaling``
-    must be nondecreasing: it is evaluated only in blocks of steps whose bound,
-    the block's largest norm over the scaling at its first step, reaches the
-    running max.
+    must have lo <= hi, and lo at most the last checkpoint and at least
+    ``sup_scaling.domain_min``; a range that breaks this is refused before any
+    draw.  ``sup_scaling`` must be nondecreasing: it is evaluated only in
+    blocks of steps whose bound, the block's largest norm over the scaling at
+    its first step, reaches the running max.
 
     The centered first-layer sum C_n = C_{n-1} + w_n, with w_n the centered
-    increment of step n, is one running sum over the whole trajectory.  On
-    step <= 2 the checkpoint points come from it.  With S_n the sum of
-    C_0, ..., C_{n-1}, and e^ the voltage of edge e seen from the positions of
-    its ends, log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))), the point at n
-    has first layer C_n and second layer
+    increment of step n, is one running sum over the whole trajectory
+    (``_CenteredPrefix``: an exact int64 ``cumsum`` when the increments are
+    dyadic, else the float ``cumsum``; the same floats either way).  On step
+    <= 2 the checkpoint points come from it.  With S_n the sum of C_0, ...,
+    C_{n-1}, and e^ the voltage of edge e seen from the positions of its
+    ends, log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))), the point at n has
+    first layer C_n and second layer
 
         sum_{k<=n} e^_k + 1/2 sum_{k<=n} [C_{k-1}, w_k] + [S_n, rho] + (n - 1/2)[rho, C_n],
 
@@ -618,7 +686,8 @@ def trajectory_scan(
     ends) while the calling thread sums chunk k (``_drawn_ahead``); the next
     draw starts only after the previous one is taken, so the stream is read
     in the same order as by one thread, and the helper is joined before the
-    scan returns.
+    scan returns.  The chunks share one buffer for their increments and
+    prefixes.
     """
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
@@ -629,9 +698,12 @@ def trajectory_scan(
     if not lo <= hi or lo > n_max:
         raise InputError(f"sup_range {tuple(sup_range)} must have lo <= hi and lo at most the last "
                          f"checkpoint {n_max}")
+    if lo < sup_scaling.domain_min:
+        raise ScalingDomain(f"sup_range {tuple(sup_range)} starts below {sup_scaling.domain_min}, the first "
+                            f"step of scaling '{sup_scaling.kind}'")
     d1 = alg.layer_dims[0]
     # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
-    wbar_t = np.ascontiguousarray(_centered_increments(graph, phi, rho).T)
+    prefixes = _CenteredPrefix(np.ascontiguousarray(_centered_increments(graph, phi, rho).T), n_max)
     sums = _PrefixPoints(alg, _edge_upper_layers(graph, phi), rho) if alg.step <= 2 else None
 
     stream = sample_stream(seed, stream_index)
@@ -652,19 +724,17 @@ def trajectory_scan(
         vertex = int(graph.terminus[edges[-1]])
         return edges
 
+    # the chunks reuse one buffer for their increments and prefixes: fresh ones
+    # cost a page fault per 4 KB of every chunk
+    scratch = np.empty(d1 * (2 * min(_SCAN_STEPS, n_max) + 1))
     with _drawn_ahead(draw, -(-n_max // _SCAN_STEPS)) as chunks:
         for edges in chunks:
             m = len(edges)
             # w[:, k] is the increment of step pos + k + 1 and cum[:, k + 1] the
-            # centered sum C there, cum[:, 0] the carried one.  The carry enters
-            # the first increment, so C is the float of one cumsum over the trajectory
-            w = np.take(wbar_t, edges, axis=1)
-            cum = np.empty((d1, m + 1))
-            cum[:, 0] = bar
-            first_inc = w[:, 0].copy()
-            w[:, 0] += bar
-            np.cumsum(w, axis=1, out=cum[:, 1:])
-            w[:, 0] = first_inc
+            # centered sum C there, cum[:, 0] the carried one
+            w = scratch[: d1 * m].reshape(d1, m)
+            cum = scratch[d1 * m : d1 * (2 * m + 1)].reshape(d1, m + 1)
+            prefixes.fill(edges, w, cum, bar)
 
             # the chunk's steps inside sup_range are the steps first..last
             first, last = max(lo, pos + 1), min(hi, pos + m)

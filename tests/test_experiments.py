@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 
 import numpy as np
@@ -32,6 +33,7 @@ from nilwalk.experiments import (
     run_lln,
     run_mdp,
     run_rate,
+    write_csv,
     write_json,
 )
 from nilwalk.graph import VoltageGraph, heisenberg_cayley, zd_lattice
@@ -503,6 +505,20 @@ def test_summaries_are_strict_json(tmp_path):
                                           "c": np.float64(2.5)})
     doc = json.loads((tmp_path / "tokens.json").read_text(), parse_constant=_reject_constant)
     assert doc == {"a": ["inf", "-inf", "nan"], "b": "inf", "c": 2.5}
+
+
+def test_artifact_rewrites_leave_the_old_file_alone(tmp_path):
+    # an artifact is rewritten as a new file, not truncated in place: a hard
+    # link to the old file keeps the old bytes
+    for name, write, old, new in (
+        ("a.csv", lambda p, x: write_csv(p, ["x"], [[x]]), "x\n1\n", "x\n2\n"),
+        ("a.json", lambda p, x: write_json(p, {"x": x}), '{\n  "x": 1\n}\n', '{\n  "x": 2\n}\n'),
+    ):
+        path, link = tmp_path / name, tmp_path / f"link_{name}"
+        write(path, 1)
+        os.link(path, link)
+        write(path, 2)
+        assert (path.read_text(), link.read_text()) == (new, old), name
 
 
 # ---------------------------------------------------------------------------

@@ -202,3 +202,19 @@ def test_only_algebra_loops_over_the_structure_constants():
             if isinstance(node, (ast.For, ast.comprehension)) and mentions(node.iter, tables | bound):
                 found.append(f"{path.name}:{getattr(node, 'lineno', node.iter.lineno)}")
     assert found == [], f"loops over structure constants outside algebra.py: {found}"
+
+
+def test_only_the_prefix_helper_sums_walk_prefixes():
+    # trajectory_scan and the step-2 batch take their centered prefixes from
+    # walk._CenteredPrefix, so the two cannot drift apart again; WalkPath.prefix
+    # is the replay's own float cumsum.  A cumsum method or an add.accumulate
+    # counts too
+    path = Path(nilwalk.__file__).parent / "walk.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = {
+        getattr(top, "name", "module level")
+        for top in tree.body
+        for node in ast.walk(top)
+        if getattr(node, "attr", None) in ("cumsum", "accumulate")
+    }
+    assert sites == {"_CenteredPrefix", "WalkPath"}, sites

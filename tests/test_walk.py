@@ -610,15 +610,21 @@ def test_trajectory_scan_sup_statistic_biased():
 
 def test_trajectory_scan_checks_its_sup_range(monkeypatch):
     # a reversed range, or one that starts past the last checkpoint, holds no
-    # step: it is refused before any draw instead of returning a sup of -inf
+    # step: it is refused before any draw instead of returning a sup of -inf.
+    # So is one that starts below the scaling's first step
     g = zd_lattice(1)
     meas, rho, phi0 = pipeline(g)
     drawn = []
     monkeypatch.setattr(walk, "_buckets", lambda graph, u: drawn.append(len(u)))
-    for bad in ((500, 100), (200, 300)):
+    for bad in ((500, 100), (200, 300), (1, 100)):
         with pytest.raises(InputError, match="sup_range"):
             trajectory_scan(g, phi0, rho, [100], seed=1, stream_index=0,
                             sup_scaling=lil_scaling(), sup_range=bad)
+    assert drawn == []
+    # lil_scaling starts at 16: a range below it is the scaling's domain error
+    with pytest.raises(ScalingDomain, match="sup_range"):
+        trajectory_scan(g, phi0, rho, [100], seed=1, stream_index=0,
+                        sup_scaling=lil_scaling(), sup_range=(15, 100))
     assert drawn == []
 
 
@@ -696,3 +702,111 @@ def test_trajectory_scan_step_three_folds_match_the_group_route(monkeypatch):
             points, _ = trajectory_scan(g, phi0, rho, cps, seed=79, stream_index=0,
                                         sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
         assert np.abs(points - want).max() <= 1e-12 * np.abs(want).max(), chunk
+
+
+# ---------------------------------------------------------------------------
+# Centered prefixes
+# ---------------------------------------------------------------------------
+
+def _increment_table(g):
+    meas, rho, phi0 = pipeline(g)
+    return np.ascontiguousarray(walk._centered_increments(g, phi0, rho).T)
+
+
+def test_centered_prefix_sums_integers_on_dyadic_tables():
+    # a table K * 2^-s with n * max|K| < 2^53 and no -0.0 is summed in int64;
+    # any other table keeps the float cumsum
+    for g, scale, steps in (
+        (heisenberg_cayley(), 1.0, [[1, -1, 0, 0], [0, 0, 1, -1]]),
+        (hexagonal(), 1.0, [[1, -1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]]),
+        (z1_biased(0.75), 0.5, [[1, -3]]),
+    ):
+        prefix = walk._CenteredPrefix(_increment_table(g), 10**7)
+        assert (prefix.scale, prefix.steps.tolist()) == (scale, steps)
+    # 0.25 and -2.0 are 2^-2 (1, -8): 2^50 steps could sum to 2^53 * 2^-2
+    assert walk._CenteredPrefix(np.array([[0.25, -2.0]]), 2**50 - 1).scale == 0.25
+    for table, n in (
+        (_increment_table(one_vertex_non_dyadic()), 10**7),
+        (_increment_table(heisenberg_hexagonal((0.3, 0.3, 0.4), (0.3, 0.3, 0.4))), 10**7),
+        (np.array([[1.0, -1.0, -0.0]]), 10),
+        (np.array([[0.25, -2.0]]), 2**50),
+    ):
+        prefix = walk._CenteredPrefix(table, n)
+        assert prefix.steps is None and prefix.scale is None, table
+
+
+def test_centered_prefix_routes_give_the_same_bits(monkeypatch):
+    # on a dyadic table every partial sum is exact, so the int64 route and the
+    # float cumsum give the same floats: carried across scan chunks, and over
+    # the row parts of a batch
+    class FloatPrefix(walk._CenteredPrefix):
+        """The helper with its integer route closed, after checking that it was open."""
+
+        def __init__(self, wbar_t, n_max):
+            super().__init__(wbar_t, n_max)
+            assert self.steps is not None
+            self.steps = self.scale = None
+
+    cps, scaling = [5, 64, 65, 999, 3000], lil_scaling()
+    for g in (heisenberg_cayley(), z1_biased(0.75), unipotent_cayley(4), hexagonal()):
+        meas, rho, phi0 = pipeline(g)
+        for chunk in (7, 64, 1 << 20):
+            runs = []
+            for prefix in (walk._CenteredPrefix, FloatPrefix):
+                with monkeypatch.context() as m:
+                    m.setattr(walk, "_SCAN_STEPS", chunk)
+                    m.setattr(walk, "_CenteredPrefix", prefix)
+                    runs.append(trajectory_scan(g, phi0, rho, cps, seed=41, stream_index=0,
+                                                sup_scaling=scaling, sup_range=(16, 2900)))
+            (p_int, sup_int), (p_float, sup_float) = runs
+            assert np.array_equal(p_int, p_float) and sup_int == sup_float, chunk
+    for g in (heisenberg_cayley(), heisenberg_hexagonal()):
+        meas, rho, phi0 = pipeline(g)
+        for part_rows in (1, 7):
+            runs = []
+            for prefix in (walk._CenteredPrefix, FloatPrefix):
+                with monkeypatch.context() as m:
+                    m.setattr(walk, "_PART_STEPS", part_rows * 500)
+                    m.setattr(walk, "_CenteredPrefix", prefix)
+                    runs.append(batch_endpoints(g, phi0, rho, power_scaling(0.75), 500, 20, seed=43))
+            (p_int, s_int), (p_float, s_float) = runs
+            assert np.array_equal(p_int, p_float) and np.array_equal(s_int, s_float), part_rows
+
+
+def test_step_two_walks_on_the_cayley_graph_sum_integers(monkeypatch):
+    g = heisenberg_cayley()
+    meas, rho, phi0 = pipeline(g)
+
+    def no_floats(*args):
+        raise AssertionError("a dyadic prefix was summed in floats")
+
+    monkeypatch.setattr(walk._CenteredPrefix, "_sum_floats", no_floats)
+    monkeypatch.setattr(walk, "_SCAN_STEPS", 1000)
+    trajectory_scan(g, phi0, rho, [100, 5000], seed=1, stream_index=0, sup_scaling=lil_scaling(),
+                    sup_range=(16, 5000))
+    batch_endpoints(g, phi0, rho, power_scaling(0.75), 500, 8, seed=2)
+
+
+def test_trajectory_scan_memory():
+    # a Heisenberg scan of three 2^20-step chunks holds one buffer for a
+    # chunk's increments and prefixes, the edges of the chunk it sums and the
+    # draw of the next.  The integer prefix goes through the increment buffer:
+    # a separate (2, 2^20) int64 array would add 16.8 MB, twice the margin.
+    # The sup runs over the first steps only: over the whole range its own
+    # temporaries set the peak, and a short-lived array in the prefix sum
+    # would not show
+    import tracemalloc
+
+    g = heisenberg_cayley()
+    meas, rho, phi0 = pipeline(g)
+    n = 3 << 20
+    trajectory_scan(g, phi0, rho, [100], seed=3, stream_index=0, sup_scaling=lil_scaling(), sup_range=(16, 100))
+    tracemalloc.start()
+    try:
+        trajectory_scan(g, phi0, rho, [1000, n // 2, n], seed=3, stream_index=0, sup_scaling=lil_scaling(),
+                        sup_range=(16, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 59.92 MB on seeds 3 and 4; the margin is one 2^20-step float array
+    assert peak < 60e6 + 2**20 * 8
