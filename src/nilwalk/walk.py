@@ -35,13 +35,17 @@ Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
 single pass.  ``sample_path`` and the batched engines draw through one seam,
 ``_uniforms``, one row of n uniforms per sample; ``trajectory_scan`` draws its
-chunks from one continuing stream.  Both walk in parts and draw part k+1 on
-one helper thread while part k is summed (``_drawn_ahead``), in the same
-stream order as a single thread.  Results are therefore bitwise reproducible
-for any worker count, block or part size, and batch sample 0 replays
-``sample_path`` exactly.  ``workers`` counts the threads that run samples or
-trajectories; each ``batch_endpoints`` worker and each ``trajectory_scan``
-adds its one helper.
+parts from one continuing stream.  Both walk in parts of one step budget,
+``_PART_STEPS`` (a batch part holds whole rows, at least one), sized so that
+a part's passes read from a core's L2 cache, and draw part k+1 on one helper
+thread while part k is summed (``_drawn_ahead``), in the same stream order as
+a single thread.  Results are therefore bitwise reproducible for any worker
+count, block or batch part size, and batch sample 0 replays ``sample_path``
+exactly.  A scan sums its upper layers per segment between checkpoints and
+part ends, so on step 3-4, or on non-dyadic step-2 increments, its points
+can move by rounding with the part size.  ``workers`` counts the threads
+that run samples or trajectories; each ``batch_endpoints`` worker and each
+``trajectory_scan`` adds its one helper.
 """
 
 from __future__ import annotations
@@ -59,12 +63,16 @@ from .algebra import _add_half_brackets, _dot, bch_product, dilate_vector, fold
 from .errors import InputError, PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
-# Walks per block of ``_run_sharded``, steps per part of such a block in
-# ``batch_endpoints``, steps per part of a long trajectory, and steps per
-# block of the sup statistic's screen.
+# Walks per block of ``_run_sharded``; steps per part of a walk drawn ahead,
+# a part of a ``batch_endpoints`` block (whole rows) or of a ``trajectory_scan``;
+# and steps per block of the sup statistic's screen.  At 2^17 steps a part's
+# float64 coordinate array is 1 MiB, the L2 cache of one core of the 2-vCPU VM
+# that set it, so the main thread's passes over a part (gathers, prefix sum,
+# squares, sup, counts, bracket dots) read from cache: there a 10^7-step
+# Heisenberg scan took 67-69 ms in parts of 2^17 or 2^18 steps, 73 ms of
+# 2^16 and 88-90 ms of 2^20.
 _BLOCK_ROWS = 256
-_PART_STEPS = 1 << 18
-_SCAN_STEPS = 1 << 20
+_PART_STEPS = 1 << 17
 _SUP_BLOCK = 4096
 
 
@@ -361,14 +369,17 @@ class _CenteredPrefix:
             self.steps = np.array(steps, dtype=np.int64).reshape(wbar_t.shape)
             self.scale = 2.0**-s
 
-    def fill(self, edges: np.ndarray, w: np.ndarray, cum: np.ndarray, carry: np.ndarray | None = None) -> None:
-        """Write the increments of the walks with ``edges`` (..., m) into ``w`` (d1, ..., m) and their
-        prefixes into ``cum`` (d1, ..., m + 1), both C-contiguous.
+    def fill(self, edges: np.ndarray, w: np.ndarray, cum: np.ndarray, carry: np.ndarray | None = None,
+             increments: bool = True) -> None:
+        """Write the prefixes of the walks with ``edges`` (..., m) into ``cum`` (d1, ..., m + 1) and,
+        if ``increments``, their increments into ``w`` (d1, ..., m), both C-contiguous.
 
         ``cum[..., 0]`` is ``carry`` (zero if None), a prefix of this table,
         and ``cum[..., k]`` adds the first k increments to it.  The carry
-        enters the first increment, so a walk summed in chunks, each carrying
+        enters the first increment, so a walk summed in parts, each carrying
         the last one's end, has the prefix of one ``cumsum`` over the whole.
+        Without ``increments`` ``w`` is scratch: the integer route leaves its
+        integers there and skips the float gather.
         """
         cum[..., 0] = 0.0 if carry is None else carry
         if self.steps is None:
@@ -380,7 +391,8 @@ class _CenteredPrefix:
             k[..., 0] += (carry / self.scale).astype(np.int64)
         np.cumsum(k, axis=-1, out=k)
         np.multiply(k, self.scale, out=cum[..., 1:])
-        np.take(self.wbar_t, edges, axis=1, out=w, mode="clip")
+        if increments:
+            np.take(self.wbar_t, edges, axis=1, out=w, mode="clip")
 
     def _sum_floats(self, edges, w, cum, carry) -> None:
         np.take(self.wbar_t, edges, axis=1, out=w, mode="clip")
@@ -483,12 +495,13 @@ def batch_endpoints(
     """Scaled group endpoints plus raw centered sums: ((S, dim), (S, d1)).
 
     Each worker walks its blocks in parts of whole rows, at most
-    ``_PART_STEPS`` steps (at least one row).  One helper thread draws part
-    k+1 while the worker sums part k: each row's uniforms become buckets as
-    they are drawn, and the edges are written over the buckets.  So a worker
-    holds two parts' (rows, n) integer arrays, and on step 2 one float buffer
-    for a part's increments and prefixes, not a block's.  The sums are edge
-    counts times the increments, as in ``batch_centered_sums``.
+    ``_PART_STEPS`` steps (at least one row), the budget of the scan's parts.
+    One helper thread draws part k+1 while the worker sums part k: each row's
+    uniforms become buckets as they are drawn, and the edges are written over
+    the buckets.  So a worker holds two parts' (rows, n) integer arrays, and
+    on step 2 one float buffer for a part's increments and prefixes, not a
+    block's.  The sums are edge counts times the increments, as in
+    ``batch_centered_sums``.
 
     On step 1 the point is the sum over a_n.  On step 2 it comes from each
     row's centered first-layer prefix C, (d1, rows, n), by the identity in
@@ -681,13 +694,14 @@ def trajectory_scan(
     raises ``PinnedLayerMismatch``.  On steps 3-4 the voltages of each
     segment between checkpoints are folded and the segment products chained.
 
-    The walk runs in chunks of ``_SCAN_STEPS`` steps.  One helper thread draws
-    chunk k+1 (uniforms, buckets and edges, from the vertex where chunk k
-    ends) while the calling thread sums chunk k (``_drawn_ahead``); the next
-    draw starts only after the previous one is taken, so the stream is read
-    in the same order as by one thread, and the helper is joined before the
-    scan returns.  The chunks share one buffer for their increments and
-    prefixes.
+    The walk runs in parts of ``_PART_STEPS`` steps, small enough that a
+    part's passes read from a core's L2 cache.  One helper thread draws part
+    k+1 (uniforms, buckets and edges, from the vertex where part k ends)
+    while the calling thread sums part k (``_drawn_ahead``); the next draw
+    starts only after the previous one is taken, so the stream is read in the
+    same order as by one thread, and the helper is joined before the scan
+    returns.  The parts share one buffer for their increments and prefixes;
+    only step 2 reads the increments, so the others leave them ungathered.
     """
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
@@ -717,32 +731,32 @@ def trajectory_scan(
     vertex = 0
 
     def draw(k: int) -> np.ndarray:
-        """The edges of chunk k, from the vertex where chunk k - 1 ends, from the continuing stream."""
+        """The edges of part k, from the vertex where part k - 1 ends, from the continuing stream."""
         nonlocal vertex
-        m = min(_SCAN_STEPS, n_max - k * _SCAN_STEPS)
+        m = min(_PART_STEPS, n_max - k * _PART_STEPS)
         edges = _select_edges(graph, _buckets(graph, stream.random(m))[None, :], vertex)[0]
         vertex = int(graph.terminus[edges[-1]])
         return edges
 
-    # the chunks reuse one buffer for their increments and prefixes: fresh ones
-    # cost a page fault per 4 KB of every chunk
-    scratch = np.empty(d1 * (2 * min(_SCAN_STEPS, n_max) + 1))
-    with _drawn_ahead(draw, -(-n_max // _SCAN_STEPS)) as chunks:
-        for edges in chunks:
+    # the parts reuse one buffer for their increments and prefixes: fresh ones
+    # cost a page fault per 4 KB of every part
+    scratch = np.empty(d1 * (2 * min(_PART_STEPS, n_max) + 1))
+    with _drawn_ahead(draw, -(-n_max // _PART_STEPS)) as parts:
+        for edges in parts:
             m = len(edges)
-            # w[:, k] is the increment of step pos + k + 1 and cum[:, k + 1] the
-            # centered sum C there, cum[:, 0] the carried one
+            # cum[:, k + 1] is the centered sum C at step pos + k + 1, cum[:, 0] the
+            # carried one; on step 2 w[:, k] is the increment of that step
             w = scratch[: d1 * m].reshape(d1, m)
             cum = scratch[d1 * m : d1 * (2 * m + 1)].reshape(d1, m + 1)
-            prefixes.fill(edges, w, cum, bar)
+            prefixes.fill(edges, w, cum, bar, increments=alg.step == 2)
 
-            # the chunk's steps inside sup_range are the steps first..last
+            # the part's steps inside sup_range are the steps first..last
             first, last = max(lo, pos + 1), min(hi, pos + m)
             if first <= last:
                 sup = _screened_sup(cum[:, first - pos : last - pos + 1].T, first, sup_scaling, sup)
 
             # the group point is needed only at checkpoints: sum or fold the
-            # segments between them and the chunk end
+            # segments between them and the part's end
             a = 0
             while a < m:
                 b = min(m, int(checkpoints[cp_next]) - pos)

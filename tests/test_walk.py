@@ -487,10 +487,32 @@ def test_trajectory_scan_chunk_invariance(monkeypatch):
         p_big, s_big = trajectory_scan(g, phi0, rho, cps, **kw)
         for chunk in (7, 64):
             with monkeypatch.context() as m:
-                m.setattr(walk, "_SCAN_STEPS", chunk)
+                m.setattr(walk, "_PART_STEPS", chunk)
                 p_small, s_small = trajectory_scan(g, phi0, rho, cps, **kw)
             assert np.abs(p_small - p_big).max() <= 1e-10
             assert abs(s_small - s_big) <= 1e-12
+    # where the increments are dyadic, every prefix and area sum is exact: parts
+    # of 2^17 and of 2^20 steps give the same bits, with segments across the
+    # ends of the smaller parts.  On step 3 only the sup and the first layer
+    # are exact sums; the fold's tree of BCH products rounds its upper layers
+    # differently where a part end splits a segment
+    cps = [1, 7, 131_071, 131_072, 131_073, 300_000]
+    kw = dict(seed=43, stream_index=2, sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
+    cases = {"Z": zd_lattice(1), "Heisenberg": heisenberg_cayley(), "hexagonal": hexagonal(),
+             "unipotent4": unipotent_cayley(4)}
+    for name, g in cases.items():
+        meas, rho, phi0 = pipeline(g)
+        runs = []
+        for budget in (1 << 17, 1 << 20):
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_PART_STEPS", budget)
+                runs.append(trajectory_scan(g, phi0, rho, cps, **kw))
+        (p_small, s_small), (p_big, s_big) = runs
+        d1 = g.algebra.layer_dims[0]
+        assert s_small == s_big and np.array_equal(p_small[:, :d1], p_big[:, :d1]), name
+        if g.algebra.step <= 2:
+            assert np.array_equal(p_small, p_big), name
+        assert np.abs(p_small - p_big).max() <= 1e-14 * np.abs(p_big).max(), name
 
 
 def test_row_norms_match_numpy_norm_bit_for_bit():
@@ -513,7 +535,7 @@ def test_trajectory_scan_joins_its_draw_thread(monkeypatch):
     g = heisenberg_cayley()
     meas, rho, phi0 = pipeline(g)
     kw = dict(seed=67, stream_index=0, sup_scaling=lil_scaling(), sup_range=(16, 1000))
-    monkeypatch.setattr(walk, "_SCAN_STEPS", 64)
+    monkeypatch.setattr(walk, "_PART_STEPS", 64)
     before = threading.active_count()
     trajectory_scan(g, phi0, rho, [1000], **kw)
     assert threading.active_count() == before
@@ -548,7 +570,7 @@ def test_trajectory_scan_sup_matches_replay(monkeypatch):
             want = float((np.linalg.norm(prefix[1:][mask], axis=1) / scaling(ns[mask])).max())
             for chunk in (1 << 20, 64, 7):
                 with monkeypatch.context() as m:
-                    m.setattr(walk, "_SCAN_STEPS", chunk)
+                    m.setattr(walk, "_PART_STEPS", chunk)
                     _, sup = trajectory_scan(g, phi0, rho, [1500], seed=53, stream_index=0,
                                              sup_scaling=scaling, sup_range=(lo, hi))
                 if chunk == 1 << 20:
@@ -582,7 +604,7 @@ def test_trajectory_scan_sup_screen_is_exact(monkeypatch):
         if name == "Heisenberg":
             # chunk ends inside blocks; later chunks add their sums to a carried total
             with monkeypatch.context() as m:
-                m.setattr(walk, "_SCAN_STEPS", 1000)
+                m.setattr(walk, "_PART_STEPS", 1000)
                 _, sup = trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **kw)
             assert abs(sup - want) <= 1e-12
             with pytest.raises(ScalingDomain):
@@ -642,7 +664,7 @@ def test_trajectory_scan_prefix_is_one_cumsum(monkeypatch):
         want = float((walk._row_norms(prefix[1:][mask]) / scaling(ns[mask])).max())
         for chunk in (7, 64, 1 << 20):
             with monkeypatch.context() as m:
-                m.setattr(walk, "_SCAN_STEPS", chunk)
+                m.setattr(walk, "_PART_STEPS", chunk)
                 points, sup = trajectory_scan(g, phi0, rho, cps, seed=73, stream_index=0,
                                               sup_scaling=scaling, sup_range=(lo, hi))
             assert sup == want, chunk
@@ -683,7 +705,7 @@ def test_trajectory_scan_step_two_points_match_the_group_route(monkeypatch):
         tol = 1e-12 * np.abs(want).max() if name == "drifted" else 1e-10
         for chunk in (7, 777, 1 << 20):
             with monkeypatch.context() as m:
-                m.setattr(walk, "_SCAN_STEPS", chunk)
+                m.setattr(walk, "_PART_STEPS", chunk)
                 m.setattr(walk, "fold", no_fold)
                 points, _ = trajectory_scan(g, phi0, rho, cps, seed=71, stream_index=0,
                                             sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
@@ -698,7 +720,7 @@ def test_trajectory_scan_step_three_folds_match_the_group_route(monkeypatch):
     want = _replayed_points(g, phi0, rho, cps, seed=79)
     for chunk in (7, 64, 1 << 20):
         with monkeypatch.context() as m:
-            m.setattr(walk, "_SCAN_STEPS", chunk)
+            m.setattr(walk, "_PART_STEPS", chunk)
             points, _ = trajectory_scan(g, phi0, rho, cps, seed=79, stream_index=0,
                                         sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
         assert np.abs(points - want).max() <= 1e-12 * np.abs(want).max(), chunk
@@ -754,7 +776,7 @@ def test_centered_prefix_routes_give_the_same_bits(monkeypatch):
             runs = []
             for prefix in (walk._CenteredPrefix, FloatPrefix):
                 with monkeypatch.context() as m:
-                    m.setattr(walk, "_SCAN_STEPS", chunk)
+                    m.setattr(walk, "_PART_STEPS", chunk)
                     m.setattr(walk, "_CenteredPrefix", prefix)
                     runs.append(trajectory_scan(g, phi0, rho, cps, seed=41, stream_index=0,
                                                 sup_scaling=scaling, sup_range=(16, 2900)))
@@ -781,25 +803,46 @@ def test_step_two_walks_on_the_cayley_graph_sum_integers(monkeypatch):
         raise AssertionError("a dyadic prefix was summed in floats")
 
     monkeypatch.setattr(walk._CenteredPrefix, "_sum_floats", no_floats)
-    monkeypatch.setattr(walk, "_SCAN_STEPS", 1000)
+    monkeypatch.setattr(walk, "_PART_STEPS", 1000)
     trajectory_scan(g, phi0, rho, [100, 5000], seed=1, stream_index=0, sup_scaling=lil_scaling(),
                     sup_range=(16, 5000))
     batch_endpoints(g, phi0, rho, power_scaling(0.75), 500, 8, seed=2)
 
 
+def test_only_step_two_scans_gather_the_float_increments(monkeypatch):
+    # the scan's points read the increments on step 2 only; on an integer
+    # route the other steps leave them ungathered
+    asked = []
+
+    class Recorded(walk._CenteredPrefix):
+        def fill(self, edges, w, cum, carry=None, increments=True):
+            asked.append(increments)
+            super().fill(edges, w, cum, carry, increments)
+
+    monkeypatch.setattr(walk, "_CenteredPrefix", Recorded)
+    monkeypatch.setattr(walk, "_PART_STEPS", 1000)
+    for g, step in ((zd_lattice(1), 1), (heisenberg_cayley(), 2), (unipotent_cayley(4), 3)):
+        meas, rho, phi0 = pipeline(g)
+        asked.clear()
+        trajectory_scan(g, phi0, rho, [100, 2500], seed=1, stream_index=0, sup_scaling=lil_scaling(),
+                        sup_range=(16, 2500))
+        assert asked == [step == 2] * 3, step
+
+
 def test_trajectory_scan_memory():
-    # a Heisenberg scan of three 2^20-step chunks holds one buffer for a
-    # chunk's increments and prefixes, the edges of the chunk it sums and the
-    # draw of the next.  The integer prefix goes through the increment buffer:
-    # a separate (2, 2^20) int64 array would add 16.8 MB, twice the margin.
-    # The sup runs over the first steps only: over the whole range its own
-    # temporaries set the peak, and a short-lived array in the prefix sum
-    # would not show
+    # a Heisenberg scan of 3 * 2^20 steps holds one buffer for a part's
+    # increments and prefixes (2 * d1 rows of a part), the edges of the part
+    # it sums and the next part's uniforms and buckets: 2 * d1 + 3 float
+    # arrays of a part.  The bound allows one more array; the integer prefix
+    # goes through the increment buffer, and a separate (2, part) int64 array
+    # would add two.  The sup runs over the first steps only: over the whole
+    # range its own temporaries set the peak, and a short-lived array in the
+    # prefix sum would not show
     import tracemalloc
 
     g = heisenberg_cayley()
     meas, rho, phi0 = pipeline(g)
-    n = 3 << 20
+    n, d1 = 3 << 20, g.algebra.layer_dims[0]
     trajectory_scan(g, phi0, rho, [100], seed=3, stream_index=0, sup_scaling=lil_scaling(), sup_range=(16, 100))
     tracemalloc.start()
     try:
@@ -808,5 +851,5 @@ def test_trajectory_scan_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 59.92 MB on seeds 3 and 4; the margin is one 2^20-step float array
-    assert peak < 60e6 + 2**20 * 8
+    # 7.56-7.60 MB (7.21-7.25 arrays) on seeds 3 and 4 in parts of 2^17 steps
+    assert peak < (2 * d1 + 4) * 8 * walk._PART_STEPS
