@@ -77,6 +77,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             _expect(_is_int(value), f"/{name}", "must be an integer")
             _expect(value >= least, f"/{name}", f"must be >= {least}")
+        # the seed is the first word of every stream's Philox key
+        _expect(self.seed < 2**64, "/seed", "must be < 2**64")
         _expect(isinstance(self.n_grid, (list, tuple))
                 and all(_is_finite(n) and n >= 1 and int(n) == n for n in self.n_grid)
                 and all(a < b for a, b in zip(self.n_grid, self.n_grid[1:])),

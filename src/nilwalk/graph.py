@@ -130,7 +130,10 @@ class VoltageGraph:
         <= ``u`` (``searchsorted(cuts, u, side="right")``): the first out-edge
         whose cumulative probability exceeds ``u``, or the last out-edge if
         none does.  Each vertex's own cuts are among ``cuts``, so the edge is
-        constant on every bucket.
+        constant on every bucket.  The walks draw raw 64-bit words, not
+        uniforms, and read the buckets from a guide table of the words' top
+        byte, which ``walk._step_guide`` builds from ``cuts`` and caches
+        beside this table.
         """
         inner = [np.cumsum(self.prob[ids])[:-1] for ids in self.out_edges]
         cuts = np.unique(np.concatenate(inner))

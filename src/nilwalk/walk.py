@@ -21,39 +21,47 @@ as the float ``cumsum`` that any other table keeps.
 
 Edge selection is inversion by table look-up, one rule for every walk: each
 uniform ``u`` becomes a bucket ``b`` of the graph's cached ``step_table``,
-the number of its T <= E - V cuts that are <= ``u``, counted by one
-vectorized comparison per cut.  Vertex ``v`` then takes edge ``table[v, b]``,
-the first out-edge whose cumulative probability exceeds ``u`` (the last
-out-edge if none does).  On a one-vertex graph this is one vectorized look-up; on a larger quotient a loop
-over steps carries the current vertex of every row of a block at once.
-Every batched first-layer sum reduces each row to edge counts times the
-increments; a sum-only walk on one vertex counts the uniforms at or above
-each cut, with no per-step array.  Every walk starts at the base vertex 0,
-where ``phi`` is pinned to zero.
+the number of its T <= E - V cuts that are <= ``u``.  Vertex ``v`` then
+takes edge ``table[v, b]``, the first out-edge whose cumulative probability
+exceeds ``u`` (the last out-edge if none does).  The walks draw raw 64-bit
+words, not floats: word ``w`` stands for the uniform ``(w >> 11) * 2^-53``,
+and its bucket is read from a guide table of the words' top byte, cached
+per set of cuts beside ``step_table`` (``_step_guide``): one shift and one
+look-up for any number of cuts, and ``searchsorted`` for the few words in a
+cell that a cut splits.  On a one-vertex graph the edges are one vectorized
+look-up; on a larger quotient a loop over steps carries the current vertex
+of every row of a block at once.  Every batched first-layer sum reduces each
+row to edge counts times the increments; a sum-only walk on one vertex
+counts the words at or above each cut's threshold, with no per-step array.
+Every walk starts at the base vertex 0, where ``phi`` is pinned to zero.
 
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
-draws its uniforms from the counter-based stream ``Philox(key=(s, i))`` in a
-single pass.  ``sample_path`` and the batched engines draw through one seam,
-``_uniforms``, one row of n uniforms per sample; ``trajectory_scan`` draws its
-parts from one continuing stream.  Both walk in parts of one step budget,
-``_PART_STEPS`` (a batch part holds whole rows, at least one), sized so that
-a part's passes read from a core's L2 cache, and draw part k+1 on one helper
-thread while part k is summed (``_drawn_ahead``), in the same stream order as
-a single thread.  Results are therefore bitwise reproducible for any worker
-count, block or batch part size, and batch sample 0 replays ``sample_path``
-exactly.  A scan sums its upper layers per segment between checkpoints and
-part ends, so on step 3-4, or on non-dyadic step-2 increments, its points
-can move by rounding with the part size.  ``workers`` counts the threads
+(both in [0, 2^64)) reads the raw words of the counter-based stream
+``Philox(key=(s, i))`` in a single pass, and a walk takes the same edges
+from them as it would from the uniforms that the stream's ``random()``
+returns.  ``sample_path`` and the batched engines draw through one seam,
+``_uniforms``, one row of n words per sample, from a Philox that each
+thread re-keys; ``trajectory_scan`` draws its parts from one continuing
+stream.  Both walk in parts of one step budget, ``_PART_STEPS`` (a batch
+part holds whole rows, at least one), sized so that a part's passes read
+from a core's L2 cache, and draw part k+1 on one helper thread while part k
+is summed (``_drawn_ahead``), in the same stream order as a single thread.
+Results are therefore bitwise reproducible for any worker count, block or
+batch part size, and batch sample 0 replays ``sample_path`` exactly.  A scan
+sums its upper layers per segment between checkpoints and part ends, so on
+step 3-4, or on non-dyadic step-2 increments, its points can move by
+rounding with the part size.  ``workers`` counts the threads
 that run samples or trajectories; each ``batch_endpoints`` worker and each
 ``trajectory_scan`` adds its one helper.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -76,17 +84,39 @@ _PART_STEPS = 1 << 17
 _SUP_BLOCK = 4096
 
 
+def _philox_key(seed: int, index: int) -> list[int]:
+    """The Philox key ``[seed, index]``; each must lie in [0, 2^64)."""
+    key = [int(seed), int(index)]
+    if not all(0 <= k < 2**64 for k in key):
+        raise InputError(f"seed and sample index must lie in [0, 2**64), got ({seed}, {index})")
+    return key
+
+
 def sample_stream(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream: Philox keyed by (seed, sample index)."""
-    if seed < 0 or index < 0:
-        raise InputError("seed and sample index must be nonnegative")
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(_philox_key(seed, index), dtype=np.uint64)))
+
+
+_THREAD = threading.local()
 
 
 def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
-    """The first n uniforms of stream (seed, index): the one draw of a sample path or batch row."""
-    return sample_stream(seed, index).random(n)
+    """The first n raw 64-bit words of stream (seed, index), in a new array: the one draw of a sample
+    path or batch row.
+
+    Word w stands for the uniform ``(w >> 11) * 2^-53`` that the stream's
+    ``random()`` returns in its place.  Each thread keeps one Philox and
+    re-keys it through its state (the key, counter 0, an empty buffer): the
+    words of a new stream, at a quarter of the cost of building one (2.9-3.0
+    against 11.5-12.8 us for 100 words on a 2-vCPU VM).
+    """
+    key = _philox_key(seed, index)
+    philox = getattr(_THREAD, "philox", None)
+    if philox is None:
+        philox = _THREAD.philox = np.random.Philox(key=0)
+    philox.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                    "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return philox.random_raw(n)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +163,50 @@ def _centered_increments(graph: VoltageGraph, phi: np.ndarray, rho: np.ndarray) 
     return first_layer_form(graph, phi) - np.asarray(rho, dtype=float)[None, :]
 
 
-def _buckets(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
-    """Buckets of ``graph.step_table`` for uniforms ``u`` of any shape: the number of cuts <= u."""
-    buckets = np.zeros(np.shape(u), dtype=np.int64)
-    for c in graph.step_table[0]:
-        buckets += u >= c
+# A word's top byte picks one of 256 cells of the guide table; (w >> 11) * 2^-53
+# is the uniform of word w
+_CELL_SHIFT = 56
+_WORD_SHIFT = 11
+
+
+@lru_cache(maxsize=64)
+def _step_guide(cut_bytes: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(thresholds, guide, split)`` of the cuts of a ``step_table``, given as float64 bytes.
+
+    Word w draws the uniform m 2^-53, m = w >> 11, and that is >= cut c
+    exactly when m >= T = ceil(c 2^53), the cut's threshold; a cut that
+    rounds to 1.0 has T = 2^53, which no m reaches.  So the bucket of w is
+    ``searchsorted(thresholds, m, side="right")``.  Cell j of the words' top
+    byte holds the m in [j 2^45, (j + 1) 2^45): ``guide[j]`` is the bucket of
+    all of them when no threshold falls inside the cell (one on its lower
+    edge does not), and -1 when one does.  ``split`` says whether any cell is.
+    """
+    thresholds = np.minimum(np.ceil(np.ldexp(np.frombuffer(cut_bytes), 53)), 2.0**53).astype(np.int64)
+    starts = np.arange(256, dtype=np.int64) << (_CELL_SHIFT - _WORD_SHIFT)
+    guide = np.searchsorted(thresholds, starts, side="right")
+    inside = np.searchsorted(thresholds, starts + (starts[1] - 1), side="right") != guide
+    guide[inside] = -1
+    # every caller shares the cached arrays
+    thresholds.flags.writeable = guide.flags.writeable = False
+    return thresholds, guide, bool(inside.any())
+
+
+def _buckets(graph: VoltageGraph, words: np.ndarray) -> np.ndarray:
+    """Buckets (int64) of ``graph.step_table`` for raw words of any shape: the number of cuts <= each
+    word's uniform.
+
+    One shift and one look-up in the guide table (``_step_guide``) for any
+    number of cuts, written over the words.  Where a cell of the table is
+    split, the shift goes to a new array, and the words in split cells are
+    placed by ``searchsorted`` on the thresholds.
+    """
+    thresholds, guide, split = _step_guide(graph.step_table[0].tobytes())
+    cells = (words >> _CELL_SHIFT if split else np.right_shift(words, _CELL_SHIFT, out=words)).view(np.int64)
+    buckets = np.take(guide, cells, out=cells, mode="clip")
+    if split:
+        at = np.flatnonzero(buckets < 0)
+        buckets.flat[at] = np.searchsorted(thresholds, (words.flat[at] >> _WORD_SHIFT).view(np.int64),
+                                           side="right")
     return buckets
 
 
@@ -168,15 +237,23 @@ def _count_edges(edges: np.ndarray, width: int) -> np.ndarray:
     return np.bincount(edges.ravel(), minlength=rows * width).reshape(rows, width)
 
 
-def _edge_counts(graph: VoltageGraph, u: np.ndarray) -> np.ndarray:
-    """How often each of B walks from vertex 0 with uniforms ``u`` (B, n) takes each edge: (B, E)."""
-    (rows, n), width = u.shape, graph.num_edges
+def _edge_counts(graph: VoltageGraph, words: np.ndarray) -> np.ndarray:
+    """How often each of B walks from vertex 0 with raw words ``words`` (B, n) takes each edge: (B, E).
+
+    On more than one vertex the words are overwritten.
+    """
+    (rows, n), width = words.shape, graph.num_edges
     if graph.num_vertices > 1:
-        return _count_edges(_select_edges(graph, _buckets(graph, u)), width)
-    # each row's steps at or above each cut; their differences count the buckets,
+        return _count_edges(_select_edges(graph, _buckets(graph, words)), width)
+    # each row's steps at or above each cut, the words >= T << 11 for its threshold
+    # T (columns of thresholds 2^53 stay 0); their differences count the buckets,
     # and on one vertex table[0] takes distinct buckets to distinct edges
     cuts, table = graph.step_table
-    above = np.column_stack([np.full(rows, n)] + [np.count_nonzero(u >= c, axis=1) for c in cuts])
+    thresholds = _step_guide(cuts.tobytes())[0]
+    above = np.zeros((rows, len(cuts) + 1), dtype=np.int64)
+    above[:, 0] = n
+    for col, t in enumerate(thresholds[thresholds < 2**53].tolist(), 1):
+        above[:, col] = np.count_nonzero(words >= np.uint64(t << _WORD_SHIFT), axis=1)
     counts = np.zeros((rows, width), dtype=np.int64)
     counts[:, table[0]] = -np.diff(above, append=0)
     return counts
@@ -473,10 +550,10 @@ def batch_centered_sums(
     out = np.empty((samples, d1))
 
     def job(block):
-        u = np.empty((len(block), n))
+        words = np.empty((len(block), n), dtype=np.uint64)
         for row, s in enumerate(block):
-            u[row] = _uniforms(seed, s + index_offset, n)
-        out[block] = np.einsum("be,ed->bd", _edge_counts(graph, u), wbar)
+            words[row] = _uniforms(seed, s + index_offset, n)
+        out[block] = np.einsum("be,ed->bd", _edge_counts(graph, words), wbar)
 
     _run_sharded(samples, workers, job)
     return out
@@ -496,11 +573,12 @@ def batch_endpoints(
 
     Each worker walks its blocks in parts of whole rows, at most
     ``_PART_STEPS`` steps (at least one row), the budget of the scan's parts.
-    One helper thread draws part k+1 while the worker sums part k: each row's
-    uniforms become buckets as they are drawn, and the edges are written over
-    the buckets.  So a worker holds two parts' (rows, n) integer arrays, and
-    on step 2 one float buffer for a part's increments and prefixes, not a
-    block's.  The sums are edge counts times the increments, as in
+    One helper thread draws part k+1 while the worker sums part k: the part's
+    words become buckets, and then edges, in their own memory (the buckets
+    in a new array where a cut splits a cell of the guide table).  So a
+    worker holds two or three parts' (rows, n) integer arrays, and on step 2
+    one float buffer for a part's increments and prefixes, not a block's.
+    The sums are edge counts times the increments, as in
     ``batch_centered_sums``.
 
     On step 1 the point is the sum over a_n.  On step 2 it comes from each
@@ -555,10 +633,10 @@ def batch_endpoints(
         scratch = np.empty(d1 * len(parts[0]) * (2 * n + 1)) if alg.step == 2 else None
 
         def draw(k):
-            buckets = np.empty((len(parts[k]), n), dtype=np.int64)
+            words = np.empty((len(parts[k]), n), dtype=np.uint64)
             for row, s in enumerate(parts[k]):
-                buckets[row] = _buckets(graph, _uniforms(seed, s, n))
-            return _select_edges(graph, buckets)
+                words[row] = _uniforms(seed, s, n)
+            return _select_edges(graph, _buckets(graph, words))
 
         with _drawn_ahead(draw, len(parts)) as drawn:
             for part, edges in zip(parts, drawn):
@@ -696,7 +774,7 @@ def trajectory_scan(
 
     The walk runs in parts of ``_PART_STEPS`` steps, small enough that a
     part's passes read from a core's L2 cache.  One helper thread draws part
-    k+1 (uniforms, buckets and edges, from the vertex where part k ends)
+    k+1 (words, buckets and edges, from the vertex where part k ends)
     while the calling thread sums part k (``_drawn_ahead``); the next draw
     starts only after the previous one is taken, so the stream is read in the
     same order as by one thread, and the helper is joined before the scan
@@ -720,7 +798,7 @@ def trajectory_scan(
     prefixes = _CenteredPrefix(np.ascontiguousarray(_centered_increments(graph, phi, rho).T), n_max)
     sums = _PrefixPoints(alg, _edge_upper_layers(graph, phi), rho) if alg.step <= 2 else None
 
-    stream = sample_stream(seed, stream_index)
+    stream = sample_stream(seed, stream_index).bit_generator
     points = np.empty((len(checkpoints), alg.dim))
     sup = -np.inf
 
@@ -734,7 +812,7 @@ def trajectory_scan(
         """The edges of part k, from the vertex where part k - 1 ends, from the continuing stream."""
         nonlocal vertex
         m = min(_PART_STEPS, n_max - k * _PART_STEPS)
-        edges = _select_edges(graph, _buckets(graph, stream.random(m))[None, :], vertex)[0]
+        edges = _select_edges(graph, _buckets(graph, stream.random_raw(m))[None, :], vertex)[0]
         vertex = int(graph.terminus[edges[-1]])
         return edges
 

@@ -95,6 +95,14 @@ def test_config_checks_itself_when_built():
     with pytest.raises(SchemaError) as exc:
         make_config().override(seed=1.7)
     assert exc.value.pointer == "/seed"
+    # the seed keys every Philox stream with one 64-bit word
+    assert make_config(seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(SchemaError) as exc:
+        ExperimentConfig.from_dict({"seed": 2**64})
+    assert exc.value.pointer == "/seed"
+    with pytest.raises(SchemaError) as exc:
+        make_config().override(seed=2**64)
+    assert exc.value.pointer == "/seed"
 
 
 def test_config_hash_stable_and_sensitive(tmp_path):
@@ -553,6 +561,20 @@ def test_cli_seed_override_changes_hash(tmp_path):
     ha = json.loads((tmp_path / "a" / "lln_summary.json").read_text())["config_hash"]
     hb = json.loads((tmp_path / "b" / "lln_summary.json").read_text())["config_hash"]
     assert ha != hb
+
+
+def test_cli_refuses_a_seed_beyond_the_stream_key(tmp_path):
+    # a seed of 2^64 does not fit the Philox key: from the file or from --seed,
+    # the run ends in one line before any walk
+    runner = CliRunner()
+    cfg = {"graph": {"preset": "zd_lattice", "params": {"d": 2}}, "n_grid": [64], "samples": 16}
+    cfg_path = tmp_path / "cfg.json"
+    for in_file, override in (({}, ["--seed", str(2**64)]), ({"seed": 2**64}, [])):
+        cfg_path.write_text(json.dumps({**cfg, **in_file}))
+        args = ["clt", "--config", str(cfg_path), "--out", str(tmp_path / "d")]
+        result = runner.invoke(cli_main, args + override)
+        assert (result.exit_code, result.output) == (1, "Error: /seed: must be < 2**64\n"), result.output
+        assert not (tmp_path / "d").exists()
 
 
 def test_cli_reports_input_errors_in_one_line(tmp_path, monkeypatch):

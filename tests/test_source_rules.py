@@ -131,17 +131,28 @@ def test_no_import_repeated_in_a_function():
 def test_only_the_draw_seam_and_the_scan_open_streams():
     # sample_path and the batched engines draw every row through walk._uniforms,
     # and trajectory_scan draws from its one continuing stream, so a faster
-    # stream replaces one function; nested jobs count as their enclosing function
+    # stream replaces one function; nested jobs count as their enclosing
+    # function, and sample_stream, the stream itself, is not counted
     path = Path(nilwalk.__file__).parent / "walk.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     callers = [
         top.name
         for top in tree.body
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "sample_stream" for node in ast.walk(top))
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name != "sample_stream"
+        and any(isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sample_stream", "Philox")
+                for node in ast.walk(top))
     ]
     assert callers == ["_uniforms", "trajectory_scan"], callers
+
+
+def test_walks_draw_no_floats():
+    # every walk reads its stream's raw words and selects edges from them: no
+    # .random( call in walk.py
+    path = Path(nilwalk.__file__).parent / "walk.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "random"]
+    assert calls == [], f"float draws in walk.py at lines {calls}"
 
 
 def test_thread_pools_open_only_in_with_statements():

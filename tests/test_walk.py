@@ -1,4 +1,7 @@
+import math
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,10 +60,38 @@ def test_lil_scaling_domain():
 
 
 def test_stream_is_chunk_invariant():
-    a = sample_stream(7, 3).random(1000)
-    gen = sample_stream(7, 3)
-    b = np.concatenate([gen.random(137), gen.random(500), gen.random(363)])
-    assert np.array_equal(a, b)
+    # the scan reads the raw words of its one continuing stream in parts
+    for draw in (np.random.Generator.random, lambda gen, n: gen.bit_generator.random_raw(n)):
+        a = draw(sample_stream(7, 3), 1000)
+        gen = sample_stream(7, 3)
+        b = np.concatenate([draw(gen, 137), draw(gen, 500), draw(gen, 363)])
+        assert np.array_equal(a, b)
+
+
+def test_the_seam_gives_the_streams_words():
+    # _uniforms re-keys one Philox per thread: each row is the words of a new
+    # stream (s, i), also when two threads re-key at once and a row leaves part
+    # of a Philox block unread, and the words' floats are the stream's uniforms
+    pairs = [(s, i) for s in (0, 1, 31, 2**64 - 1) for i in (*range(49), 2**64 - 1)]
+    assert len(pairs) == 200
+    lengths = [1 + 13 * k % 41 for k in range(len(pairs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            rows = list(pool.map(lambda p, n: walk._uniforms(*p, n), pairs, lengths, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (s, i), n, row in zip(pairs, lengths, rows):
+        assert row.dtype == np.uint64
+        assert np.array_equal(row, sample_stream(s, i).bit_generator.random_raw(n)), (s, i)
+        assert np.array_equal((row >> np.uint64(11)) * 2.0**-53, sample_stream(s, i).random(n)), (s, i)
+    # a seed or index outside [0, 2^64) does not fit the key
+    for s, i in ((2**64, 0), (0, 2**64), (-1, 0), (0, -1)):
+        with pytest.raises(InputError, match="2\\*\\*64"):
+            walk._uniforms(s, i, 3)
+        with pytest.raises(InputError, match="2\\*\\*64"):
+            sample_stream(s, i)
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +404,29 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
             _, edges = _replay_vertices_edges(g, sample_stream(31, i).random(150))
             assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
 
-        # boundary uniforms: every cumulative out-probability, both float
-        # neighbours of each, 0 and 1 - 2**-53, each drawn at every vertex
+        # boundary words: for every cumulative out-probability c, the uniforms
+        # m * 2^-53 just below, at and just above it (m = T - 1, T, T + 1 for
+        # T = ceil(c * 2^53)), and 0 and 1 - 2^-53; each m as its lowest word
+        # m << 11 and its highest (m << 11) | 0x7FF, each drawn at every vertex
         per_vertex = [np.cumsum(g.prob[g.origin == v]) for v in range(g.num_vertices)]
         if totals is not None:
             assert [c[-1] for c in per_vertex] == totals
-        cums = np.concatenate(per_vertex)
-        u = np.concatenate([cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0),
-                            [0.0, 1.0 - 2.0**-53]])
-        boundary = np.unique(u[u < 1.0])
+        t = np.ceil(np.concatenate(per_vertex) * 2.0**53).astype(np.int64)
+        ms = np.unique(np.concatenate([t - 1, t, t + 1, [0, 2**53 - 1]]))
+        ms = ms[(ms >= 0) & (ms < 2**53)].astype(np.uint64) << np.uint64(11)
+        boundary = np.concatenate([ms, ms | np.uint64(0x7FF)])
         rng = np.random.default_rng(0)
         rows = np.array([rng.permutation(np.tile(boundary, 3)) for _ in range(6)])
-        assert np.array_equal(walk._buckets(g, rows),
-                              np.searchsorted(g.step_table[0], rows, side="right"))
-        replays = [_replay_vertices_edges(g, row) for row in rows]
-        seen = {(x, v) for row, (vs, _) in zip(rows, replays) for x, v in zip(row, vs)}
-        assert len(seen) == len(boundary) * g.num_vertices
+        uniforms = (rows >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(walk._buckets(g, rows.copy()),
+                              np.searchsorted(g.step_table[0], uniforms, side="right"))
+        replays = [_replay_vertices_edges(g, row) for row in uniforms]
+        seen = {(x, v) for row, (vs, _) in zip(uniforms, replays) for x, v in zip(row, vs)}
+        assert len(seen) == len(ms) * g.num_vertices
 
         # every engine that draws through the seam takes these rows as its uniforms
         with monkeypatch.context() as m:
-            m.setattr(walk, "_uniforms", lambda seed, index, n: rows[index][:n])
+            m.setattr(walk, "_uniforms", lambda seed, index, n: rows[index][:n].copy())
             m.setattr(walk, "_BLOCK_ROWS", 4)
             n, scaling = len(rows[0]), power_scaling(0.75)
             sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0)
@@ -404,6 +438,46 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
             path = sample_path(g, phi0, rho, n, seed=0)
             assert np.array_equal(path.edges, replays[0][1])
             assert np.abs(points[0] - scaled_endpoint(path, scaling)).max() <= 1e-12
+
+
+def one_vertex_cut_at_one() -> VoltageGraph:
+    """One vertex with cuts 0.5, on a cell edge of the guide table, and 1.0: two edges of p = 1e-17."""
+    pairs = [(0, 0, 0.5, 0.5, [1.0, 0.0]), (0, 0, 1e-17, 1e-17, [0.0, 1.0])]
+    return VoltageGraph.from_pairs(abelian_algebra(2), 1, pairs)
+
+
+def test_guide_table_buckets_are_exact():
+    # the guide table gives the bucket of the word's uniform (w >> 11) * 2^-53
+    # at every cut's threshold word and the word below it, and at both ends
+    # of every top-byte cell; no cell is split on the dyadic presets
+    cases = {
+        "Z": (zd_lattice(1), 0), "Z^2": (zd_lattice(2), 0), "Z^3": (zd_lattice(3), 4),
+        "Z biased 0.7": (z1_biased(0.7), 1), "Z biased 0.75": (z1_biased(0.75), 0),
+        "hexagonal": (hexagonal(), 2), "Heisenberg": (heisenberg_cayley(), 0),
+        "Z subdivided": (z1_subdivided(), 0), "unipotent4": (unipotent_cayley(4), 4),
+        "uneven": (uneven_three_vertex(), None), "non-dyadic": (one_vertex_non_dyadic(), None),
+        "many cuts": (one_vertex_many_cuts(), None), "cut at 1.0": (one_vertex_cut_at_one(), 0),
+    }
+    cells = np.arange(256, dtype=np.uint64) << np.uint64(56)
+    rng = np.random.default_rng(0)
+    for name, (g, splits) in cases.items():
+        cuts, table = g.step_table
+        thresholds, guide, split = walk._step_guide(cuts.tobytes())
+        assert np.array_equal(thresholds, [min(math.ceil(c * 2**53), 2**53) for c in cuts.tolist()]), name
+        if splits is not None:
+            assert (np.count_nonzero(guide < 0), split) == (splits, splits > 0), name
+        reached = thresholds[thresholds < 2**53].astype(np.uint64) << np.uint64(11)
+        words = np.concatenate([reached, reached - np.uint64(1), cells, cells | np.uint64(2**56 - 1),
+                                rng.integers(0, 2**64, 4096, dtype=np.uint64, endpoint=False)])
+        want = np.searchsorted(cuts, (words >> np.uint64(11)) * 2.0**-53, side="right")
+        assert np.array_equal(walk._buckets(g, words.copy()), want), name
+        if g.num_vertices == 1:
+            counts = walk._edge_counts(g, np.stack([words, words[::-1]]))
+            assert np.array_equal(counts[0], np.bincount(table[0][want], minlength=g.num_edges)), name
+            assert np.array_equal(counts[1], counts[0]), name
+    assert len(one_vertex_many_cuts().step_table[0]) == 19
+    assert walk._step_guide(one_vertex_many_cuts().step_table[0].tobytes())[2]
+    assert one_vertex_cut_at_one().step_table[0].tolist() == [0.5, 1.0]
 
 
 def test_batch_centered_sums_memory():
