@@ -350,6 +350,8 @@ def run_lln(config: ExperimentConfig, out_dir) -> dict:
 
 def run_clt(config: ExperimentConfig, out_dir) -> dict:
     """Monte Carlo covariance versus the exact matrix over the n grid."""
+    # one sample has no standard error, and a deviation of nan in SE units would read 0.0
+    _expect(config.samples >= 2, "/samples", "must be >= 2 for clt")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph, data = _prepare(config)

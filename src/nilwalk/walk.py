@@ -8,16 +8,22 @@ and lifts ``phi[v]`` to the group with zero higher layers
 (``embed_first_layer``).  The first-layer statistics are tracked through the
 per-edge increment table of ``phi``, so centered sums and scaled endpoints
 share one source of truth.
-Every group fold (the deck element of a path, and on steps 3-4 of a batch
-of paths or of a trajectory segment) goes through ``algebra.fold``.  On step
-<= 2 ``batch_endpoints`` and ``trajectory_scan`` fold nothing: their points
-are sums over the centered first-layer prefix, which the scan already builds
-for the sup, contracted with the structure constants by the helper behind
-``fold``'s step-2 branch (``_PrefixPoints``).  Both build that prefix
-through one helper, ``_CenteredPrefix``: where the increment table is
-dyadic with room to spare below 2^53 (on the presets, but ``z1_biased(q)``
-with non-dyadic q), it is an int64 ``cumsum``, exact and so the same floats
-as the float ``cumsum`` that any other table keeps.
+The batched engines read one edge table on every step, ``_edge_logs``: the
+voltage of each edge seen from the positions of its ends,
+log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))).  These telescope, so a walk
+from the base vertex 0, where ``phi`` is pinned to zero, ends at the ordered
+product of its edges' logs.  On steps 3-4 ``batch_endpoints`` and
+``trajectory_scan`` fold them (``algebra.fold``).  On step <= 2 they fold
+nothing: their points are sums over the centered first-layer prefix, which
+the scan already builds for the sup, contracted with the structure constants
+by the helper behind ``fold``'s step-2 branch, plus edge counts times the
+logs' second layers (``_PrefixPoints``).  Both build that prefix through one
+helper, ``_CenteredPrefix``: where the increment table is dyadic with room
+to spare below 2^53 (on the presets, but ``z1_biased(q)`` with non-dyadic
+q), it is an int64 ``cumsum``, exact and so the same floats as the float
+``cumsum`` that any other table keeps.  ``sample_path`` folds the voltages
+themselves and adds the position of its end vertex: it is the reference the
+engines are checked against.
 
 Edge selection is inversion by table look-up, one rule for every walk: each
 uniform ``u`` becomes a bucket ``b`` of the graph's cached ``step_table``,
@@ -33,21 +39,23 @@ look-up; on a larger quotient a loop over steps carries the current vertex
 of every row of a block at once.  Every batched first-layer sum reduces each
 row to edge counts times the increments; a sum-only walk on one vertex
 counts the words at or above each cut's threshold, with no per-step array.
-Every walk starts at the base vertex 0, where ``phi`` is pinned to zero.
+Every walk starts at the base vertex 0.
 
 Randomness contract: sample (or trajectory) ``i`` of a run seeded with ``s``
 (both in [0, 2^64)) reads the raw words of the counter-based stream
 ``Philox(key=(s, i))`` in a single pass, and a walk takes the same edges
 from them as it would from the uniforms that the stream's ``random()``
-returns.  ``sample_path`` and the batched engines draw through one seam,
-``_uniforms``, one row of n words per sample, from a Philox that each
-thread re-keys; ``trajectory_scan`` draws its parts from one continuing
-stream.  Both walk in parts of one step budget, ``_PART_STEPS`` (a batch
-part holds whole rows, at least one), sized so that a part's passes read
-from a core's L2 cache, and draw part k+1 on one helper thread while part k
-is summed (``_drawn_ahead``), in the same stream order as a single thread.
+returns.  Every walk draws through one seam, ``_uniforms``, from a Philox
+that each thread re-keys: ``sample_path`` and the batched engines one row of
+n words per sample, and ``trajectory_scan`` part k of its trajectory at word
+offset k * ``_PART_STEPS``, because a counter-based stream can be started
+at any counter.  Both walk in parts of one step budget, ``_PART_STEPS`` (a
+batch part holds whole rows, at least one), sized so that a part's passes
+read from a core's L2 cache, and draw part k+1 on one helper thread while
+part k is summed (``_drawn_ahead``).  Only a multi-vertex scan needs its
+parts drawn in order, for the vertex where the previous part ends.
 Results are therefore bitwise reproducible for any worker count, block or
-batch part size, and batch sample 0 replays ``sample_path`` exactly.  A scan
+batch part size, and batch sample 0 takes the edges of ``sample_path``.  A scan
 sums its upper layers per segment between checkpoints and part ends, so on
 step 3-4, or on non-dyadic step-2 increments, its points can move by
 rounding with the part size.  ``workers`` counts the threads
@@ -67,7 +75,7 @@ from typing import Callable
 import numpy as np
 
 from .albanese import first_layer_form
-from .algebra import _add_half_brackets, _dot, bch_product, dilate_vector, fold
+from .algebra import _add_half_brackets, bch_product, dilate_vector, fold
 from .errors import InputError, PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
@@ -84,38 +92,32 @@ _PART_STEPS = 1 << 17
 _SUP_BLOCK = 4096
 
 
-def _philox_key(seed: int, index: int) -> list[int]:
-    """The Philox key ``[seed, index]``; each must lie in [0, 2^64)."""
-    key = [int(seed), int(index)]
-    if not all(0 <= k < 2**64 for k in key):
-        raise InputError(f"seed and sample index must lie in [0, 2**64), got ({seed}, {index})")
-    return key
-
-
-def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-sample stream: Philox keyed by (seed, sample index)."""
-    return np.random.Generator(np.random.Philox(key=np.array(_philox_key(seed, index), dtype=np.uint64)))
-
-
 _THREAD = threading.local()
 
 
-def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
-    """The first n raw 64-bit words of stream (seed, index), in a new array: the one draw of a sample
-    path or batch row.
+def _uniforms(seed: int, index: int, n: int, offset: int = 0) -> np.ndarray:
+    """Raw 64-bit words ``offset`` to ``offset + n - 1`` of stream (seed, index), in a new array: the
+    one draw of every walk.
 
     Word w stands for the uniform ``(w >> 11) * 2^-53`` that the stream's
     ``random()`` returns in its place.  Each thread keeps one Philox and
-    re-keys it through its state (the key, counter 0, an empty buffer): the
-    words of a new stream, at a quarter of the cost of building one (2.9-3.0
-    against 11.5-12.8 us for 100 words on a 2-vCPU VM).
+    re-keys it through its state (the key, an empty buffer and counter
+    ``offset // 4``, as Philox makes four words a block): the words of a new
+    stream, at a quarter of the cost of building one (2.9-3.0 against
+    11.5-12.8 us for 100 words on a 2-vCPU VM).  Only an offset inside a
+    block costs a call to discard its first words.  The seed and index must
+    lie in [0, 2^64).
     """
-    key = _philox_key(seed, index)
+    key = [int(seed), int(index)]
+    if not all(0 <= k < 2**64 for k in key):
+        raise InputError(f"seed and sample index must lie in [0, 2**64), got ({seed}, {index})")
     philox = getattr(_THREAD, "philox", None)
     if philox is None:
         philox = _THREAD.philox = np.random.Philox(key=0)
-    philox.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+    philox.state = {"bit_generator": "Philox", "state": {"counter": [offset // 4, 0, 0, 0], "key": key},
                     "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if offset % 4:
+        philox.random_raw(offset % 4)
     return philox.random_raw(n)
 
 
@@ -343,27 +345,12 @@ def scaled_endpoint(path: WalkPath, scaling: ScalingSequence) -> np.ndarray:
 # Step <= 2 points from the centered first-layer prefix
 # ---------------------------------------------------------------------------
 
-def _long_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inner products of long rows along the last axis, as fast as one einsum and more accurate.
+def _edge_logs(graph: VoltageGraph, phi: np.ndarray) -> np.ndarray:
+    """Each edge's voltage seen from the positions of its ends: (E, dim).
 
-    einsum sums pieces of 128 terms and numpy adds each row's piece sums
-    pairwise, so no running sum spans a whole row; each row's float is the
-    same whatever the leading axes hold.  Over 2 * 10^4 steps of a non-dyadic
-    Heisenberg cover, the scan's points were 2e-13 to 7e-12 off the exact
-    ones in 12 seeds this way, and up to 2.4e-10 off with one einsum.
-    """
-    cut = x.shape[-1] - x.shape[-1] % 128
-    pieces = x.shape[:-1] + (-1, 128)
-    return (_dot(x[..., :cut].reshape(pieces), y[..., :cut].reshape(pieces)).sum(axis=-1)
-            + _dot(x[..., cut:], y[..., cut:]))
-
-
-def _edge_upper_layers(graph: VoltageGraph, phi: np.ndarray) -> np.ndarray:
-    """The layers above the first of each edge's voltage seen from the positions of its ends: (E, dim - d1).
-
-    That is log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))).  Points built
-    from the centered first-layer prefix assume the base vertex at the
-    identity, which is checked here.
+    That is log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))).  The logs of a
+    walk telescope, so one from the base vertex ends at their ordered product
+    if the base vertex sits at the identity, which is checked here.
     """
     if not np.allclose(phi[0], 0.0, rtol=1e-6, atol=1e-6):
         gap = float(np.max(np.abs(phi[0])))
@@ -373,9 +360,8 @@ def _edge_upper_layers(graph: VoltageGraph, phi: np.ndarray) -> np.ndarray:
         )
     alg = graph.algebra
     lift = alg.embed_first_layer
-    edge_logs = bch_product(alg, bch_product(alg, lift(-phi[graph.origin]), graph.voltages),
-                            lift(phi[graph.terminus]))
-    return edge_logs[:, alg.layer_dims[0] :]
+    return bch_product(alg, bch_product(alg, lift(-phi[graph.origin]), graph.voltages),
+                       lift(phi[graph.terminus]))
 
 
 class _PrefixPoints:
@@ -384,8 +370,8 @@ class _PrefixPoints:
     Holds per walk, over the steps added so far, the edge counts, S (the sum
     of the prefixes before each step) and half the summed brackets of each
     prefix with the next increment; ``trajectory_scan`` gives the identity.
-    ``upper`` is ``_edge_upper_layers``.  Prefixes and increments are
-    coordinate-major, (d1, rows, steps).
+    ``upper`` is the layers of ``_edge_logs`` above the first.  Prefixes and
+    increments are coordinate-major, (d1, rows, steps).
     """
 
     def __init__(self, alg, upper: np.ndarray, rho: np.ndarray, rows: int = 1):
@@ -402,7 +388,7 @@ class _PrefixPoints:
         increments ``incs``, both (d1, rows, k)."""
         self.counts += counts
         self.prefix_sum += before.sum(axis=-1)
-        _add_half_brackets(self.alg.bracket_entries, before, incs, self.area, dot=_long_dot)
+        _add_half_brackets(self.alg.bracket_entries, before, incs, self.area)
 
     def points(self, n: int, c: np.ndarray) -> np.ndarray:
         """The centered points (rows, dim) at step n, the last step added, where the prefixes are ``c`` (d1, rows)."""
@@ -587,7 +573,7 @@ def batch_endpoints(
     nothing is folded.  C is summed by ``_CenteredPrefix``, as in the scan:
     in int64 through the increment buffer when the increments are dyadic,
     with the same floats as the float ``cumsum`` it replaces.  Steps 3-4 fold
-    each row's voltages.
+    each row's edge logs (``_edge_logs``), which end at its endpoint.
     """
     alg = graph.algebra
     d1 = alg.layer_dims[0]
@@ -595,7 +581,7 @@ def batch_endpoints(
     wbar = _centered_increments(graph, phi, rho)
     # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
     prefixes = _CenteredPrefix(np.ascontiguousarray(wbar.T), n) if alg.step == 2 else None
-    upper = _edge_upper_layers(graph, phi) if alg.step <= 2 else None
+    logs = _edge_logs(graph, phi)
     points = np.empty((samples, alg.dim))
     sums = np.empty((samples, d1))
     part_rows = max(1, _PART_STEPS // max(n, 1))
@@ -604,9 +590,7 @@ def batch_endpoints(
         """Points and sums of the walks with ``edges`` (rows, n); counting offsets the edges in place."""
         if alg.step > 2:
             # np.take gathers rows several times faster than fancy indexing here
-            decks = fold(alg, np.take(graph.voltages, edges, axis=0))
-            end_vertex = graph.terminus[edges[:, -1]] if n > 0 else np.zeros(len(edges), dtype=np.int64)
-            xi = bch_product(alg, decks, alg.embed_first_layer(phi[end_vertex]))
+            xi = fold(alg, np.take(logs, edges, axis=0))
             bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
             return _scaled_points(graph, xi, bar, n, rho, a_n), bar
         if alg.step == 2:
@@ -620,7 +604,7 @@ def batch_endpoints(
         bar = np.einsum("be,ed->bd", counts, wbar)
         if alg.step == 1:
             return bar / a_n, bar
-        prefix = _PrefixPoints(alg, upper, rho, len(edges))
+        prefix = _PrefixPoints(alg, logs[:, d1:], rho, len(edges))
         prefix.add(counts, cum[..., :-1], w)
         pt = dilate_vector(alg, 1.0 / a_n, prefix.points(n, cum[..., -1]))
         pt[:, :d1] = bar / a_n
@@ -660,8 +644,11 @@ def clt_covariance_oracle(
 
     Consistent for the covariance form as N grows; the centered per-sample sums
     come from ``batch_centered_sums`` (per-sample streams), so the result is
-    reproducible independently of the worker count.
+    reproducible independently of the worker count.  The standard errors
+    need at least two samples.
     """
+    if samples < 2:
+        raise InputError(f"the standard errors need at least 2 samples, got {samples}")
     sums = batch_centered_sums(graph, phi, rho, n_steps, samples, seed,
                                workers=workers, index_offset=index_offset)
     prods = np.einsum("si,sj->sij", sums, sums) / float(n_steps)
@@ -701,11 +688,6 @@ def _row_squares(x: np.ndarray) -> np.ndarray:
     for col in x.T[1:]:
         sq += col * col
     return sq
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)`` of an (m, d) array in C order, bit for bit, in any layout."""
-    return np.sqrt(_row_squares(x))
 
 
 def _screened_sup(x: np.ndarray, first: int, scaling: ScalingSequence, sup: float) -> float:
@@ -762,24 +744,26 @@ def trajectory_scan(
     dyadic, else the float ``cumsum``; the same floats either way).  On step
     <= 2 the checkpoint points come from it.  With S_n the sum of C_0, ...,
     C_{n-1}, and e^ the voltage of edge e seen from the positions of its
-    ends, log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))), the point at n has
-    first layer C_n and second layer
+    ends, log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))) (``_edge_logs``),
+    the point at n has first layer C_n and second layer
 
         sum_{k<=n} e^_k + 1/2 sum_{k<=n} [C_{k-1}, w_k] + [S_n, rho] + (n - 1/2)[rho, C_n],
 
     where the first sum is edge counts times the second layers of e^.  It
     needs phi at the base vertex to be the identity; a base vertex off it
-    raises ``PinnedLayerMismatch``.  On steps 3-4 the voltages of each
-    segment between checkpoints are folded and the segment products chained.
+    raises ``PinnedLayerMismatch``.  On steps 3-4 the e^ of each segment
+    between checkpoints are folded and the segment products chained: the
+    e^ telescope, so the product is the point before centering.
 
     The walk runs in parts of ``_PART_STEPS`` steps, small enough that a
     part's passes read from a core's L2 cache.  One helper thread draws part
-    k+1 (words, buckets and edges, from the vertex where part k ends)
-    while the calling thread sums part k (``_drawn_ahead``); the next draw
-    starts only after the previous one is taken, so the stream is read in the
-    same order as by one thread, and the helper is joined before the scan
-    returns.  The parts share one buffer for their increments and prefixes;
-    only step 2 reads the increments, so the others leave them ungathered.
+    k+1 (its words from offset (k+1) * ``_PART_STEPS`` of the stream, then
+    buckets and edges, from the vertex where part k ends) while the calling
+    thread sums part k (``_drawn_ahead``); the next draw starts only after
+    the previous one is taken, so it knows that vertex, and the helper is
+    joined before the scan returns.  The parts share one buffer for their
+    increments and prefixes; only step 2 reads the increments, so the others
+    leave them ungathered.
     """
     alg = graph.algebra
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
@@ -796,23 +780,24 @@ def trajectory_scan(
     d1 = alg.layer_dims[0]
     # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
     prefixes = _CenteredPrefix(np.ascontiguousarray(_centered_increments(graph, phi, rho).T), n_max)
-    sums = _PrefixPoints(alg, _edge_upper_layers(graph, phi), rho) if alg.step <= 2 else None
+    logs = _edge_logs(graph, phi)
+    sums = _PrefixPoints(alg, logs[:, d1:], rho) if alg.step <= 2 else None
 
-    stream = sample_stream(seed, stream_index).bit_generator
     points = np.empty((len(checkpoints), alg.dim))
     sup = -np.inf
 
-    deck = alg.zero()
+    xi = alg.zero()
     bar = np.zeros(d1)
     pos = 0
     cp_next = 0
     vertex = 0
 
     def draw(k: int) -> np.ndarray:
-        """The edges of part k, from the vertex where part k - 1 ends, from the continuing stream."""
+        """The edges of part k, from the vertex where part k - 1 ends."""
         nonlocal vertex
         m = min(_PART_STEPS, n_max - k * _PART_STEPS)
-        edges = _select_edges(graph, _buckets(graph, stream.random_raw(m))[None, :], vertex)[0]
+        words = _uniforms(seed, stream_index, m, k * _PART_STEPS)
+        edges = _select_edges(graph, _buckets(graph, words)[None, :], vertex)[0]
         vertex = int(graph.terminus[edges[-1]])
         return edges
 
@@ -839,15 +824,13 @@ def trajectory_scan(
             while a < m:
                 b = min(m, int(checkpoints[cp_next]) - pos)
                 if alg.step > 2:
-                    deck = bch_product(alg, deck, fold(alg, np.take(graph.voltages, edges[a:b], axis=0)))
+                    xi = bch_product(alg, xi, fold(alg, np.take(logs, edges[a:b], axis=0)))
                 elif alg.step == 2:
                     sums.add(np.bincount(edges[a:b], minlength=graph.num_edges),
                              cum[:, None, a:b], w[:, None, a:b])
                 if pos + b == checkpoints[cp_next]:
                     if alg.step > 2:
-                        end = alg.embed_first_layer(phi[graph.terminus[edges[b - 1]]])
-                        points[cp_next] = _scaled_points(graph, bch_product(alg, deck, end), cum[:, b],
-                                                         pos + b, rho, 1.0)
+                        points[cp_next] = _scaled_points(graph, xi, cum[:, b], pos + b, rho, 1.0)
                     else:
                         points[cp_next] = sums.points(pos + b, cum[:, b : b + 1])[0]
                     cp_next += 1

@@ -103,6 +103,29 @@ def heisenberg_hexagonal(p_out=(1 / 3, 1 / 3, 1 / 3), p_back=(1 / 3, 1 / 3, 1 / 
     return VoltageGraph.from_pairs(heisenberg_algebra(), 2, pairs)
 
 
+def unipotent_two_vertex() -> VoltageGraph:
+    """A two-vertex cover of the 4x4 unipotent group (step 3): four edge pairs 0 -> 1 at p = 1/4 with
+    the voltages exp E12, exp E23, exp(E34 + E13 / 2) and the identity.
+
+    Vertex 1 sits at phi(1) = -(1, 1, 1) / 4, off the identity, so the edges
+    seen from the positions of their ends differ from the voltages.
+    """
+    alg = unipotent_algebra(4)
+    voltages = np.zeros((4, alg.dim))
+    voltages[0, 0] = voltages[1, 1] = voltages[2, 2] = 1.0
+    voltages[2, 3] = 0.5
+    return VoltageGraph.from_pairs(alg, 2, [(0, 1, 0.25, 0.25, v) for v in voltages])
+
+
+# ---------------------------------------------------------------------------
+# Stream reference
+# ---------------------------------------------------------------------------
+
+def philox_stream(seed: int, index: int) -> np.random.Generator:
+    """Stream (seed, index) of the randomness contract, built directly: Philox keyed by [seed, index]."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
 # ---------------------------------------------------------------------------
 # Graph JSON writer
 # ---------------------------------------------------------------------------

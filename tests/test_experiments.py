@@ -13,6 +13,7 @@ from nilwalk.albanese import albanese_pipeline
 from nilwalk.algebra import abelian_algebra, heisenberg_algebra
 from nilwalk.cli import main as cli_main
 from nilwalk.errors import (
+    InputError,
     InvalidAlgebra,
     InvolutionViolation,
     OracleUnavailable,
@@ -37,6 +38,7 @@ from nilwalk.experiments import (
     write_json,
 )
 from nilwalk.graph import VoltageGraph, heisenberg_cayley, zd_lattice
+from nilwalk.walk import clt_covariance_oracle
 
 from conftest import graph_to_dict
 
@@ -314,6 +316,32 @@ def test_run_clt_small(tmp_path):
     assert metrics["max_deviation_in_se"] <= 4.0
     header = (tmp_path / "clt.csv").read_text().splitlines()[0]
     assert header == "n,est_0_0,se_0_0,ref_0_0"
+
+
+def test_clt_refuses_a_single_sample(tmp_path, monkeypatch):
+    # one sample has no standard error: every SE would be nan, and the run
+    # would report max_deviation_in_se 0.0, perfect agreement.  run_clt
+    # refuses it before any walk, and the CLI reports it in one line
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before validating samples")
+
+    g = zd_lattice(2)
+    meas, rho, phi0, data = albanese_pipeline(g)
+    for samples in (0, 1):
+        with pytest.raises(InputError, match="at least 2 samples"):
+            clt_covariance_oracle(g, phi0, rho, 100, samples, seed=1)
+    with monkeypatch.context() as m:
+        m.setattr("nilwalk.experiments.clt_covariance_oracle", no_walk)
+        with pytest.raises(SchemaError, match="/samples"):
+            run_clt(make_config(graph={"preset": "zd_lattice", "params": {"d": 2}}, n_grid=[100], samples=1),
+                    tmp_path / "api")
+    assert not (tmp_path / "api").exists()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"graph": {"preset": "zd_lattice", "params": {"d": 2}}, "n_grid": [100],
+                                    "samples": 1}))
+    result = CliRunner().invoke(cli_main, ["clt", "--config", str(cfg_path), "--out", str(tmp_path / "cli")])
+    assert (result.exit_code, result.output) == (1, "Error: /samples: must be >= 2 for clt\n"), result.output
+    assert not (tmp_path / "cli").exists()
 
 
 def test_run_mdp_exact_and_mc(tmp_path):

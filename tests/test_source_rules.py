@@ -128,22 +128,34 @@ def test_no_import_repeated_in_a_function():
     assert repeated == [], f"imported again inside a function: {sorted(repeated)}"
 
 
-def test_only_the_draw_seam_and_the_scan_open_streams():
-    # sample_path and the batched engines draw every row through walk._uniforms,
-    # and trajectory_scan draws from its one continuing stream, so a faster
-    # stream replaces one function; nested jobs count as their enclosing
-    # function, and sample_stream, the stream itself, is not counted
+def test_only_the_draw_seam_constructs_a_philox():
+    # every walk, the scan's parts included, draws through walk._uniforms, so
+    # a faster stream replaces one function; nested jobs count as their
+    # enclosing function
     path = Path(nilwalk.__file__).parent / "walk.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     callers = [
         top.name
         for top in tree.body
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name != "sample_stream"
-        and any(isinstance(node, ast.Call)
-                and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sample_stream", "Philox")
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and any(isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Philox"
                 for node in ast.walk(top))
     ]
-    assert callers == ["_uniforms", "trajectory_scan"], callers
+    assert callers == ["_uniforms"], callers
+
+
+def test_only_the_reference_path_and_the_edge_table_read_the_voltages():
+    # the batched engines fold or sum walk._edge_logs on every step, and
+    # sample_path, the reference they are checked against, folds the voltages
+    # and adds the end vertex's position: no third route reads them
+    path = Path(nilwalk.__file__).parent / "walk.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers = [
+        getattr(top, "name", "module level")
+        for top in tree.body
+        if any(getattr(node, "attr", None) == "voltages" for node in ast.walk(top))
+    ]
+    assert readers == ["sample_path", "_edge_logs"], readers
 
 
 def test_walks_draw_no_floats():

@@ -25,12 +25,18 @@ from nilwalk.walk import (
     lil_scaling,
     power_scaling,
     sample_path,
-    sample_stream,
     scaled_endpoint,
     trajectory_scan,
 )
 
-from conftest import heisenberg_hexagonal, unipotent_cayley, unipotent_exp, unipotent_log
+from conftest import (
+    heisenberg_hexagonal,
+    philox_stream,
+    unipotent_cayley,
+    unipotent_exp,
+    unipotent_log,
+    unipotent_two_vertex,
+)
 
 
 def pipeline(graph):
@@ -60,12 +66,40 @@ def test_lil_scaling_domain():
 
 
 def test_stream_is_chunk_invariant():
-    # the scan reads the raw words of its one continuing stream in parts
-    for draw in (np.random.Generator.random, lambda gen, n: gen.bit_generator.random_raw(n)):
-        a = draw(sample_stream(7, 3), 1000)
-        gen = sample_stream(7, 3)
-        b = np.concatenate([draw(gen, 137), draw(gen, 500), draw(gen, 363)])
-        assert np.array_equal(a, b)
+    a = philox_stream(7, 3).random(1000)
+    gen = philox_stream(7, 3)
+    b = np.concatenate([gen.random(137), gen.random(500), gen.random(363)])
+    assert np.array_equal(a, b)
+
+
+def test_the_seam_reads_the_stream_at_an_offset(monkeypatch):
+    # Philox makes four words a block: an offset sets the counter to its block
+    # and discards the words before it inside the block
+    offsets = [*range(10), (1 << 17) - 1, 1 << 17, (1 << 17) + 3]
+    for s, i in ((0, 0), (31, 2), (2**64 - 1, 7), (5, 2**64 - 1)):
+        stream = philox_stream(s, i).bit_generator.random_raw(offsets[-1] + 9)
+        for offset in offsets:
+            assert np.array_equal(walk._uniforms(s, i, 9, offset), stream[offset : offset + 9]), (s, i, offset)
+    # a scan draws its parts at their offsets: they join into one stream
+    uniforms, drawn = walk._uniforms, []
+
+    def recorded(seed, index, n, offset=0):
+        words = uniforms(seed, index, n, offset)
+        drawn.append((offset, words.copy()))
+        return words
+
+    g = hexagonal()
+    meas, rho, phi0 = pipeline(g)
+    for part in (7, 64):
+        drawn.clear()
+        with monkeypatch.context() as m:
+            m.setattr(walk, "_PART_STEPS", part)
+            m.setattr(walk, "_uniforms", recorded)
+            trajectory_scan(g, phi0, rho, [100, 1000], seed=43, stream_index=2, sup_scaling=lil_scaling(),
+                            sup_range=(16, 1000))
+        assert [offset for offset, _ in drawn] == list(range(0, 1000, part)), part
+        words = np.concatenate([w for _, w in drawn])
+        assert np.array_equal(words, philox_stream(43, 2).bit_generator.random_raw(1000)), part
 
 
 def test_the_seam_gives_the_streams_words():
@@ -84,14 +118,12 @@ def test_the_seam_gives_the_streams_words():
         sys.setswitchinterval(interval)
     for (s, i), n, row in zip(pairs, lengths, rows):
         assert row.dtype == np.uint64
-        assert np.array_equal(row, sample_stream(s, i).bit_generator.random_raw(n)), (s, i)
-        assert np.array_equal((row >> np.uint64(11)) * 2.0**-53, sample_stream(s, i).random(n)), (s, i)
+        assert np.array_equal(row, philox_stream(s, i).bit_generator.random_raw(n)), (s, i)
+        assert np.array_equal((row >> np.uint64(11)) * 2.0**-53, philox_stream(s, i).random(n)), (s, i)
     # a seed or index outside [0, 2^64) does not fit the key
     for s, i in ((2**64, 0), (0, 2**64), (-1, 0), (0, -1)):
         with pytest.raises(InputError, match="2\\*\\*64"):
             walk._uniforms(s, i, 3)
-        with pytest.raises(InputError, match="2\\*\\*64"):
-            sample_stream(s, i)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +143,7 @@ def test_z1_signed_step_count_replay():
     g = zd_lattice(1)
     meas, rho, phi0 = pipeline(g)
     path = sample_path(g, phi0, rho, 10, seed=42)
-    u = sample_stream(42, 0).random(10)
+    u = philox_stream(42, 0).random(10)
     expected = np.where(u < 0.5, 1.0, -1.0).sum()  # edge 0 is +1 at p = 1/2
     assert path.xi[0] == expected
     assert path.xi_bar[0] == expected
@@ -401,7 +433,7 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
         wbar = first_layer_form(g, phi0) - rho[None, :]
         sums = batch_centered_sums(g, phi0, rho, 150, samples=5, seed=31)
         for i in range(5):
-            _, edges = _replay_vertices_edges(g, sample_stream(31, i).random(150))
+            _, edges = _replay_vertices_edges(g, philox_stream(31, i).random(150))
             assert np.abs(sums[i] - wbar[edges].sum(axis=0)).max() <= 1e-12
 
         # boundary words: for every cumulative out-probability c, the uniforms
@@ -596,11 +628,11 @@ def test_row_norms_match_numpy_norm_bit_for_bit():
     for d in range(1, 21):
         x = rng.normal(size=(1003, d)) * rng.uniform(1e-3, 1e3, size=d)
         for part in (x, x[5:5 + 997], x[:1]):
-            assert np.array_equal(walk._row_norms(part), np.linalg.norm(part, axis=1)), d
+            assert np.array_equal(np.sqrt(walk._row_squares(part)), np.linalg.norm(part, axis=1)), d
         xt = np.ascontiguousarray(x.T).T
         for rows in (slice(None), slice(5, 5 + 997), slice(0, 1)):
             want = np.linalg.norm(x[rows], axis=1)
-            assert np.array_equal(walk._row_norms(xt[rows]), want), d
+            assert np.array_equal(np.sqrt(walk._row_squares(xt[rows])), want), d
 
 
 def test_trajectory_scan_joins_its_draw_thread(monkeypatch):
@@ -669,7 +701,7 @@ def test_trajectory_scan_sup_screen_is_exact(monkeypatch):
     for name, (g, scaling) in cases.items():
         meas, rho, phi0 = pipeline(g)
         prefix = sample_path(g, phi0, rho, n, seed=59).prefix
-        want = float((walk._row_norms(prefix[1:][mask]) / scaling(ns[mask])).max())
+        want = float((np.sqrt(walk._row_squares(prefix[1:][mask])) / scaling(ns[mask])).max())
         for block in (1, 7, 64, 4096):
             with monkeypatch.context() as m:
                 m.setattr(walk, "_SUP_BLOCK", block)
@@ -694,7 +726,7 @@ def test_trajectory_scan_sup_statistic_biased():
         sup_scaling=scaling, sup_range=(64, 4096),
     )
     # independent replay: centered sums over every step
-    u = sample_stream(47, 0).random(4096)
+    u = philox_stream(47, 0).random(4096)
     steps = np.where(u < 0.75, 1.0, -1.0) - 0.5
     cums = np.cumsum(steps)
     ns = np.arange(1, 4097)
@@ -735,7 +767,7 @@ def test_trajectory_scan_prefix_is_one_cumsum(monkeypatch):
     for g in (hexagonal(), z1_biased(0.75), one_vertex_non_dyadic()):
         meas, rho, phi0 = pipeline(g)
         prefix = sample_path(g, phi0, rho, cps[-1], seed=73).prefix
-        want = float((walk._row_norms(prefix[1:][mask]) / scaling(ns[mask])).max())
+        want = float((np.sqrt(walk._row_squares(prefix[1:][mask])) / scaling(ns[mask])).max())
         for chunk in (7, 64, 1 << 20):
             with monkeypatch.context() as m:
                 m.setattr(walk, "_PART_STEPS", chunk)
@@ -796,6 +828,39 @@ def test_trajectory_scan_step_three_folds_match_the_group_route(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(walk, "_PART_STEPS", chunk)
             points, _ = trajectory_scan(g, phi0, rho, cps, seed=79, stream_index=0,
+                                        sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
+        assert np.abs(points - want).max() <= 1e-12 * np.abs(want).max(), chunk
+
+
+def test_step_three_points_on_a_two_vertex_cover_match_the_group_route(monkeypatch):
+    # vertex 1 sits off the identity, so the edge logs that steps 3-4 fold
+    # differ from the voltages; they telescope to sample_path's endpoint, which
+    # folds the voltages and adds the end vertex's position.  Odd checkpoints
+    # end at vertex 1
+    g = unipotent_two_vertex()
+    meas, rho, phi0 = pipeline(g)
+    assert np.array_equal(phi0, [[0.0] * 3, [-0.25] * 3]) and np.array_equal(rho, np.zeros(3))
+    assert not np.allclose(walk._edge_logs(g, phi0), g.voltages)
+    unit = walk.ScalingSequence(kind="unit", evaluate=np.ones_like)
+    n, samples = 501, 5
+    uniforms = walk._uniforms
+    want = []
+    for i in range(samples):
+        with monkeypatch.context() as m:
+            m.setattr(walk, "_uniforms", lambda seed, index, n, i=i: uniforms(seed, i, n))
+            want.append(_replayed_points(g, phi0, rho, [n], seed=89)[0])
+    want = np.array(want)
+    for part_rows in (1, 2, 256):
+        with monkeypatch.context() as m:
+            m.setattr(walk, "_PART_STEPS", part_rows * n)
+            points, _ = batch_endpoints(g, phi0, rho, unit, n, samples, seed=89)
+        assert np.abs(points - want).max() <= 1e-12 * np.abs(want).max(), part_rows
+    cps = [1, 7, 300, 777, 3000]
+    want = _replayed_points(g, phi0, rho, cps, seed=89)
+    for chunk in (7, 64, 1 << 20):
+        with monkeypatch.context() as m:
+            m.setattr(walk, "_PART_STEPS", chunk)
+            points, _ = trajectory_scan(g, phi0, rho, cps, seed=89, stream_index=0,
                                         sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
         assert np.abs(points - want).max() <= 1e-12 * np.abs(want).max(), chunk
 
