@@ -20,10 +20,12 @@ by the helper behind ``fold``'s step-2 branch, plus edge counts times the
 logs' second layers (``_PrefixPoints``).  Both build that prefix through one
 helper, ``_CenteredPrefix``: where the increment table is dyadic with room
 to spare below 2^53 (on the presets, but ``z1_biased(q)`` with non-dyadic
-q), it is an int64 ``cumsum``, exact and so the same floats as the float
-``cumsum`` that any other table keeps.  ``sample_path`` folds the voltages
-themselves and adds the position of its end vertex: it is the reference the
-engines are checked against.
+q, up to 2^26 - 1 steps of a two-dimensional walk with unit steps), the
+prefix and every reduction of it (the sup's squared norms, the bracket dots,
+the sums of prefixes) stay exact int64, each scaled to a float once: the
+same floats as the float route that any other table takes.  ``sample_path``
+folds the voltages themselves and adds the position of its end vertex: it is
+the reference the engines are checked against.
 
 Edge selection is inversion by table look-up, one rule for every walk: each
 uniform ``u`` becomes a bucket ``b`` of the graph's cached ``step_table``,
@@ -65,6 +67,7 @@ that run samples or trajectories; each ``batch_endpoints`` worker and each
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -82,9 +85,9 @@ from .graph import VoltageGraph
 # Walks per block of ``_run_sharded``; steps per part of a walk drawn ahead,
 # a part of a ``batch_endpoints`` block (whole rows) or of a ``trajectory_scan``;
 # and steps per block of the sup statistic's screen.  At 2^17 steps a part's
-# float64 coordinate array is 1 MiB, the L2 cache of one core of the 2-vCPU VM
-# that set it, so the main thread's passes over a part (gathers, prefix sum,
-# squares, sup, counts, bracket dots) read from cache: there a 10^7-step
+# 8-byte coordinate array is 1 MiB, the L2 cache of one core of the 2-vCPU VM
+# that set it, so the main thread's passes over a part (gather, prefix sum,
+# sup screen, counts, bracket dots) read from cache: there a 10^7-step
 # Heisenberg scan took 67-69 ms in parts of 2^17 or 2^18 steps, 73 ms of
 # 2^16 and 88-90 ms of 2^20.
 _BLOCK_ROWS = 256
@@ -93,6 +96,16 @@ _SUP_BLOCK = 4096
 
 
 _THREAD = threading.local()
+
+
+def _whole(name: str, values, least: int) -> np.ndarray:
+    """``values`` (a number or a sequence) as int64 if each is a whole number >= ``least``, a float that
+    holds one included; else an ``InputError`` that names ``name``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.all((arr >= least) & (arr < 2**63) & (arr == np.floor(arr))):
+        what = "whole numbers" if arr.ndim else "a whole number"
+        raise InputError(f"{name} must be {what} >= {least}, got {values!r}")
+    return arr.astype(np.int64)
 
 
 def _uniforms(seed: int, index: int, n: int, offset: int = 0) -> np.ndarray:
@@ -297,8 +310,7 @@ def sample_path(
     seed: int,
 ) -> WalkPath:
     """Sample an n-step trajectory from the base vertex 0 (stream (seed, 0))."""
-    if n < 0:
-        raise InputError("n must be nonnegative")
+    n = int(_whole("n", n, 0))
     edges = _select_edges(graph, _buckets(graph, _uniforms(seed, 0, n))[None, :])[0]
     vertices = np.concatenate([[0], graph.terminus[edges]])
     deck = fold(graph.algebra, graph.voltages[edges])
@@ -371,33 +383,40 @@ class _PrefixPoints:
     of the prefixes before each step) and half the summed brackets of each
     prefix with the next increment; ``trajectory_scan`` gives the identity.
     ``upper`` is the layers of ``_edge_logs`` above the first.  Prefixes and
-    increments are coordinate-major, (d1, rows, steps).
+    increments come from ``prefixes`` (a ``_CenteredPrefix``), in units of its
+    ``scale``, coordinate-major, (d1, rows, steps).  S is summed in those units
+    and each segment's bracket dots are reduced in them, then scaled once: on
+    the integer route every such sum is an exact integer below 2^53, so each
+    scaled value is the float that the float route would have summed.
     """
 
-    def __init__(self, alg, upper: np.ndarray, rho: np.ndarray, rows: int = 1):
+    def __init__(self, alg, upper: np.ndarray, rho: np.ndarray, prefixes: _CenteredPrefix, rows: int = 1):
         self.alg = alg
         self.d1 = alg.layer_dims[0]
         self.upper = upper
         self.rho = np.asarray(rho, dtype=float)
+        self.scale = prefixes.scale
         self.counts = np.zeros((rows, len(upper)), dtype=np.int64)
-        self.prefix_sum = np.zeros((self.d1, rows))
+        self.prefix_sum = np.zeros((self.d1, rows), dtype=prefixes.table.dtype)
         self.area = np.zeros((rows, alg.dim))
 
     def add(self, counts: np.ndarray, before: np.ndarray, incs: np.ndarray) -> None:
         """Add steps taking each edge ``counts`` (rows, E) times, with the prefixes ``before`` them and
-        increments ``incs``, both (d1, rows, k)."""
+        increments ``incs``, both (d1, rows, k).  The counts enter only through ``upper``, so where it is
+        all zero they may be 0."""
         self.counts += counts
         self.prefix_sum += before.sum(axis=-1)
-        _add_half_brackets(self.alg.bracket_entries, before, incs, self.area)
+        _add_half_brackets(self.alg.bracket_entries, before, incs, self.area, self.scale * self.scale)
 
     def points(self, n: int, c: np.ndarray) -> np.ndarray:
         """The centered points (rows, dim) at step n, the last step added, where the prefixes are ``c`` (d1, rows)."""
+        c = c * self.scale
         pt = self.area.copy()
         pt[:, : self.d1] = c.T
         # einsum, unlike matmul, gives each row the same float for any number of rows
         pt[:, self.d1 :] += np.einsum("re,ed->rd", self.counts, self.upper)
         # [S, rho] + (n - 1/2)[rho, C] is the bracket of S - (n - 1/2) C with rho
-        lever = 2.0 * (self.prefix_sum - (n - 0.5) * c)
+        lever = 2.0 * (self.prefix_sum * self.scale - (n - 0.5) * c)
         _add_half_brackets(self.alg.bracket_entries, lever[..., None], self.rho[:, None, None], pt)
         return pt
 
@@ -405,65 +424,71 @@ class _PrefixPoints:
 class _CenteredPrefix:
     """Centered first-layer prefixes C of walks, from the (d1, E) increment table ``wbar_t``.
 
-    A float ``cumsum`` is one chain of dependent adds, about ten times slower
-    than an int64 one, and it holds the GIL all the while.  When the table is
-    K * 2^-s for an int64 table K with no entry -0.0 and ``n_max`` * max|K| <
-    2^53, every float partial sum of at most ``n_max`` increments, a carry of
-    such a sum included, is an integer multiple of 2^-s below 2^53 * 2^-s: it
-    is exact, so it is the same float in any order of addition.  Then
-    ``steps`` is K, ``scale`` is 2^-s, and the prefix is the int64 ``cumsum``
-    of K times 2^-s, bit for bit the float ``cumsum``.  The tables of the
-    lattices, the Cayley graphs and ``hexagonal`` are such (scale 1), and so
-    is that of ``z1_biased(0.75)`` (scale 1/2).  On any other table
-    (``steps`` and ``scale`` None) the floats are summed.  A -0.0 entry is refused because a
-    float sum of -0.0s is -0.0, an integer one +0.0.
+    The walks sum ``table``, and one unit of it is worth ``scale``: C is the
+    ``cumsum`` of ``table``'s columns times ``scale``, and every reduction of
+    C (squared norms, bracket dots, sums of prefixes) runs on those units and
+    is multiplied by ``scale`` or ``scale**2`` once.  When ``wbar_t`` is
+    K * 2^-s for an int64 table K with no entry -0.0 and d1 * (``n_max`` *
+    max|K|)^2 < 2^53, ``table`` is K and ``scale`` 2^-s.  Then every prefix
+    of at most ``n_max`` steps, a carry included, every squared norm
+    (at most d1 (n max|K|)^2), every bracket dot and area (at most
+    2 n^2 max|K|^2, with d1 >= 2 where there are brackets) and every sum of
+    prefixes (at most n^2 max|K|) is an exact integer below 2^53: the float
+    route would have computed each of them exactly, in any order of addition,
+    so the scaled integer is the same float.  The tables of the lattices,
+    the Cayley graphs and ``hexagonal`` are such (scale 1), and so is that of
+    ``z1_biased(0.75)`` (scale 1/2).  On any other table, or a longer walk,
+    ``table`` is ``wbar_t`` and ``scale`` 1.0: the same reductions run on the
+    floats, and multiplying by 1.0 changes no bit.  A -0.0 entry is refused
+    because a float sum of -0.0s is -0.0, an integer one +0.0.  The int64 and
+    the float ``cumsum`` cost about the same per element (2.8-3.0 against
+    3.5-3.7 ns on a 2-vCPU VM) and both release the GIL; the integer route
+    saves the float copy of the prefix and a second gather of the increments.
     """
 
     def __init__(self, wbar_t: np.ndarray, n_max: int):
-        self.wbar_t = wbar_t
-        self.steps = self.scale = None
+        self.table, self.scale = wbar_t, 1.0
         if not np.all(np.isfinite(wbar_t)) or np.any(np.signbit(wbar_t) & (wbar_t == 0)):
             return
         # every finite float is p / 2^k, so one exponent s makes the whole table integer
         ratios = [x.as_integer_ratio() for x in wbar_t.ravel().tolist()]
         s = max(q.bit_length() - 1 for _, q in ratios)
         steps = [p << (s - q.bit_length() + 1) for p, q in ratios]
-        if n_max * max(map(abs, steps)) < 2**53:
-            self.steps = np.array(steps, dtype=np.int64).reshape(wbar_t.shape)
+        if len(wbar_t) * (n_max * max(map(abs, steps))) ** 2 < 2**53:
+            self.table = np.array(steps, dtype=np.int64).reshape(wbar_t.shape)
             self.scale = 2.0**-s
 
-    def fill(self, edges: np.ndarray, w: np.ndarray, cum: np.ndarray, carry: np.ndarray | None = None,
-             increments: bool = True) -> None:
-        """Write the prefixes of the walks with ``edges`` (..., m) into ``cum`` (d1, ..., m + 1) and,
-        if ``increments``, their increments into ``w`` (d1, ..., m), both C-contiguous.
+    def fill(self, edges: np.ndarray, scratch: np.ndarray,
+             carry: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The increments ``w`` (d1, ..., m) and prefixes ``cum`` (d1, ..., m + 1) of the walks with
+        ``edges`` (..., m), in ``table``'s units, written into the front of ``scratch`` (of its dtype).
 
         ``cum[..., 0]`` is ``carry`` (zero if None), a prefix of this table,
         and ``cum[..., k]`` adds the first k increments to it.  The carry
         enters the first increment, so a walk summed in parts, each carrying
         the last one's end, has the prefix of one ``cumsum`` over the whole.
-        Without ``increments`` ``w`` is scratch: the integer route leaves its
-        integers there and skips the float gather.
+        ``cum`` comes first in ``scratch``: after ``w``, a part of 2^17 steps
+        would start each of its rows a multiple of 4 KiB past the same row of
+        ``w``, and the ``cumsum``'s loads would wait on its stores to the same
+        address bits (4K aliasing), 1.5-1.6 against 0.8 ms for a Heisenberg
+        part's ``cumsum`` on a 2-vCPU VM.
         """
-        cum[..., 0] = 0.0 if carry is None else carry
-        if self.steps is None:
-            self._sum_floats(edges, w, cum, carry)
-            return
-        # the integers go through w's memory; mode="clip" keeps take from buffering its output
-        k = np.take(self.steps, edges, axis=1, out=w.view(np.int64), mode="clip")
-        if carry is not None:
-            k[..., 0] += (carry / self.scale).astype(np.int64)
-        np.cumsum(k, axis=-1, out=k)
-        np.multiply(k, self.scale, out=cum[..., 1:])
-        if increments:
-            np.take(self.wbar_t, edges, axis=1, out=w, mode="clip")
-
-    def _sum_floats(self, edges, w, cum, carry) -> None:
-        np.take(self.wbar_t, edges, axis=1, out=w, mode="clip")
+        shape = (len(self.table),) + edges.shape
+        cum_shape = shape[:-1] + (shape[-1] + 1,)
+        cum = scratch[: math.prod(cum_shape)].reshape(cum_shape)
+        w = scratch[cum.size : cum.size + math.prod(shape)].reshape(shape)
+        # mode="clip" keeps take from buffering its output
+        np.take(self.table, edges, axis=1, out=w, mode="clip")
+        if carry is None:
+            cum[..., 0] = 0
+            np.cumsum(w, axis=-1, out=cum[..., 1:])
+            return w, cum
+        cum[..., 0] = carry
         first = w[..., 0].copy()
-        if carry is not None:
-            w[..., 0] += carry
+        w[..., 0] += carry
         np.cumsum(w, axis=-1, out=cum[..., 1:])
         w[..., 0] = first
+        return w, cum
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +554,7 @@ def batch_centered_sums(
     index_offset: int = 0,
 ) -> np.ndarray:
     """Centered first-layer sums for ``samples`` independent n-step walks: (S, d1)."""
+    n = int(_whole("n", n, 0))
     d1 = graph.algebra.layer_dims[0]
     if n == 0:
         return np.zeros((samples, d1))
@@ -563,7 +589,7 @@ def batch_endpoints(
     words become buckets, and then edges, in their own memory (the buckets
     in a new array where a cut splits a cell of the guide table).  So a
     worker holds two or three parts' (rows, n) integer arrays, and on step 2
-    one float buffer for a part's increments and prefixes, not a block's.
+    one buffer for a part's increments and prefixes, not a block's.
     The sums are edge counts times the increments, as in
     ``batch_centered_sums``.
 
@@ -571,10 +597,12 @@ def batch_endpoints(
     row's centered first-layer prefix C, (d1, rows, n), by the identity in
     ``trajectory_scan``, and its first layer is pinned to the sum over a_n;
     nothing is folded.  C is summed by ``_CenteredPrefix``, as in the scan:
-    in int64 through the increment buffer when the increments are dyadic,
-    with the same floats as the float ``cumsum`` it replaces.  Steps 3-4 fold
-    each row's edge logs (``_edge_logs``), which end at its endpoint.
+    in int64 when the increments are dyadic, and its bracket dots and sums
+    of prefixes too, each scaled once, with the same floats as the float
+    route.  Steps 3-4 fold each row's edge logs (``_edge_logs``), which end
+    at its endpoint.
     """
+    n = int(_whole("n", n, 0))
     alg = graph.algebra
     d1 = alg.layer_dims[0]
     a_n = float(scaling(n))
@@ -595,16 +623,13 @@ def batch_endpoints(
             return _scaled_points(graph, xi, bar, n, rho, a_n), bar
         if alg.step == 2:
             # w[:, r, k] is the increment of step k + 1 of row r, gathered before
-            # counting; cum[:, r, k] will be row r's centered sum C after k steps
-            size = d1 * len(edges) * n
-            w = scratch[:size].reshape(d1, len(edges), n)
-            cum = scratch[size : 2 * size + d1 * len(edges)].reshape(d1, len(edges), n + 1)
-            prefixes.fill(edges, w, cum)
+            # counting; cum[:, r, k] is row r's centered sum C after k steps
+            w, cum = prefixes.fill(edges, scratch)
         counts = _count_edges(edges, graph.num_edges)
         bar = np.einsum("be,ed->bd", counts, wbar)
         if alg.step == 1:
             return bar / a_n, bar
-        prefix = _PrefixPoints(alg, logs[:, d1:], rho, len(edges))
+        prefix = _PrefixPoints(alg, logs[:, d1:], rho, prefixes, len(edges))
         prefix.add(counts, cum[..., :-1], w)
         pt = dilate_vector(alg, 1.0 / a_n, prefix.points(n, cum[..., -1]))
         pt[:, :d1] = bar / a_n
@@ -614,7 +639,7 @@ def batch_endpoints(
         parts = [block[lo : lo + part_rows] for lo in range(0, len(block), part_rows)]
         # on step 2 the parts of a block reuse one buffer for their increments and
         # prefixes: fresh ones cost a page fault per 4 KB of every part
-        scratch = np.empty(d1 * len(parts[0]) * (2 * n + 1)) if alg.step == 2 else None
+        scratch = np.empty(d1 * len(parts[0]) * (2 * n + 1), prefixes.table.dtype) if alg.step == 2 else None
 
         def draw(k):
             words = np.empty((len(parts[k]), n), dtype=np.uint64)
@@ -690,27 +715,33 @@ def _row_squares(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _screened_sup(x: np.ndarray, first: int, scaling: ScalingSequence, sup: float) -> float:
-    """``max(sup, max_k ||x[k]|| / scaling(first + k))``, the same float as the unscreened max.
+def _screened_sup(c: np.ndarray, first: int, scaling: ScalingSequence, sup: float, scale2: float) -> float:
+    """``max(sup, max_k ||c[:, k]|| / scaling(first + k))`` for prefixes ``c`` (d1, m) whose squared norms
+    are worth ``scale2`` a unit, the same float as the unscreened max.
 
-    The steps are cut into blocks of ``_SUP_BLOCK``.  The scaling is
-    nondecreasing, so no ratio in a block exceeds its largest norm over the
-    scaling at its first step; the ``1 + 1e-9`` slack covers the rounding of
-    the computed scaling and of the division.  Blocks are visited in order of
-    decreasing bound, and the scan stops at the first bound below the running
-    max: a max of floats does not depend on the order of its terms.  Norms
-    are roots of the squared norms, taken only in the blocks visited: the
+    The steps are cut into blocks of ``_SUP_BLOCK``, and each block is
+    bounded by its coordinate box: B_i, the largest |c_i| in the block, from
+    its largest and its smallest coordinate i.  Squaring and adding are
+    monotone in floats too, so the box's squared norm, summed by
+    ``_row_squares`` in the same order as a step's, is at least the squared
+    norm of every step in the block.  The scaling is nondecreasing, so no
+    ratio in a block exceeds the box's norm over the scaling at its first
+    step; the ``1 + 1e-9`` slack covers the rounding of the computed scaling
+    and of the division.  Blocks are visited in order of decreasing bound,
+    and the scan stops at the first bound below the running max: a max of
+    floats does not depend on the order of its terms.  Squared norms are
+    taken only in the blocks visited, and their roots are the norms: the
     correctly rounded root is monotone, so a block's largest norm is the root
     of its largest square.
     """
-    squares = _row_squares(x)
-    starts = np.arange(0, len(squares), _SUP_BLOCK)
-    bounds = np.sqrt(np.maximum.reduceat(squares, starts)) / scaling(first + starts) * (1 + 1e-9)
+    starts = np.arange(0, c.shape[1], _SUP_BLOCK)
+    box = np.maximum(np.maximum.reduceat(c, starts, axis=1), -np.minimum.reduceat(c, starts, axis=1))
+    bounds = np.sqrt(_row_squares(box.T) * scale2) / scaling(first + starts) * (1 + 1e-9)
     for b in np.argsort(-bounds, kind="stable"):
         if bounds[b] < sup:
             break
         lo = int(starts[b])
-        block = np.sqrt(squares[lo : lo + _SUP_BLOCK])
+        block = np.sqrt(_row_squares(c[:, lo : lo + _SUP_BLOCK].T) * scale2)
         ratios = block / scaling(np.arange(first + lo, first + lo + len(block)))
         sup = max(sup, float(ratios.max()))
     return sup
@@ -731,21 +762,24 @@ def trajectory_scan(
     Returns ``(points, sup)`` where ``points[c]`` holds the log coordinates of
     the centered endpoint at step ``checkpoints[c]`` (not yet dilated) and
     ``sup`` is ``max over n in sup_range of ||centered first-layer sum at n|| /
-    sup_scaling(n)``, the exact max over every step in range.  ``sup_range``
-    must have lo <= hi, and lo at most the last checkpoint and at least
-    ``sup_scaling.domain_min``; a range that breaks this is refused before any
-    draw.  ``sup_scaling`` must be nondecreasing: it is evaluated only in
-    blocks of steps whose bound, the block's largest norm over the scaling at
-    its first step, reaches the running max.
+    sup_scaling(n)``, the exact max over every step in range.  The
+    checkpoints and both ends of ``sup_range`` must be whole numbers;
+    ``sup_range`` must have lo <= hi, and lo at most the last checkpoint and
+    at least ``sup_scaling.domain_min``.  Arguments that break this are
+    refused before any draw.  ``sup_scaling`` must be nondecreasing: it is
+    evaluated only in blocks of steps whose bound, the norm of the block's
+    coordinate box over the scaling at its first step, reaches the running
+    max (``_screened_sup``).
 
     The centered first-layer sum C_n = C_{n-1} + w_n, with w_n the centered
     increment of step n, is one running sum over the whole trajectory
     (``_CenteredPrefix``: an exact int64 ``cumsum`` when the increments are
-    dyadic, else the float ``cumsum``; the same floats either way).  On step
-    <= 2 the checkpoint points come from it.  With S_n the sum of C_0, ...,
-    C_{n-1}, and e^ the voltage of edge e seen from the positions of its
-    ends, log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))) (``_edge_logs``),
-    the point at n has first layer C_n and second layer
+    dyadic, else the float ``cumsum``).  The sup and, on step <= 2, the
+    checkpoint points are reductions of it, taken on its int64 units and
+    scaled once, or on its floats; the same floats either way.  With S_n
+    the sum of C_0, ..., C_{n-1}, and e^ the voltage of edge e seen from the
+    positions of its ends, log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e)))
+    (``_edge_logs``), the point at n has first layer C_n and second layer
 
         sum_{k<=n} e^_k + 1/2 sum_{k<=n} [C_{k-1}, w_k] + [S_n, rho] + (n - 1/2)[rho, C_n],
 
@@ -762,32 +796,37 @@ def trajectory_scan(
     thread sums part k (``_drawn_ahead``); the next draw starts only after
     the previous one is taken, so it knows that vertex, and the helper is
     joined before the scan returns.  The parts share one buffer for their
-    increments and prefixes; only step 2 reads the increments, so the others
-    leave them ungathered.
+    increments and prefixes, in int64 on a dyadic table: no float array
+    spans a part.
     """
     alg = graph.algebra
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    if len(checkpoints) == 0 or np.any(np.diff(checkpoints) <= 0) or checkpoints[0] <= 0:
+    checkpoints = _whole("checkpoints", checkpoints, 1)
+    if checkpoints.ndim != 1 or len(checkpoints) == 0 or np.any(np.diff(checkpoints) <= 0):
         raise InputError("checkpoints must be strictly increasing positive integers")
     n_max = int(checkpoints[-1])
-    lo, hi = sup_range
+    if np.shape(sup_range) != (2,):
+        raise InputError(f"sup_range must be a pair (lo, hi), got {sup_range!r}")
+    lo, hi = _whole("sup_range", sup_range, 0).tolist()
     if not lo <= hi or lo > n_max:
-        raise InputError(f"sup_range {tuple(sup_range)} must have lo <= hi and lo at most the last "
+        raise InputError(f"sup_range {(lo, hi)} must have lo <= hi and lo at most the last "
                          f"checkpoint {n_max}")
     if lo < sup_scaling.domain_min:
-        raise ScalingDomain(f"sup_range {tuple(sup_range)} starts below {sup_scaling.domain_min}, the first "
+        raise ScalingDomain(f"sup_range {(lo, hi)} starts below {sup_scaling.domain_min}, the first "
                             f"step of scaling '{sup_scaling.kind}'")
     d1 = alg.layer_dims[0]
     # coordinate-major, so that each coordinate's gather and prefix sum run along contiguous memory
     prefixes = _CenteredPrefix(np.ascontiguousarray(_centered_increments(graph, phi, rho).T), n_max)
     logs = _edge_logs(graph, phi)
-    sums = _PrefixPoints(alg, logs[:, d1:], rho) if alg.step <= 2 else None
+    sums = _PrefixPoints(alg, logs[:, d1:], rho, prefixes) if alg.step <= 2 else None
+    # edge counts enter the points only through the logs' second layers: where
+    # these are all zero (the Cayley graphs of the presets), no segment is counted
+    counted = bool(np.any(logs[:, d1:]))
 
     points = np.empty((len(checkpoints), alg.dim))
     sup = -np.inf
 
     xi = alg.zero()
-    bar = np.zeros(d1)
+    bar = np.zeros(d1, prefixes.table.dtype)
     pos = 0
     cp_next = 0
     vertex = 0
@@ -803,20 +842,19 @@ def trajectory_scan(
 
     # the parts reuse one buffer for their increments and prefixes: fresh ones
     # cost a page fault per 4 KB of every part
-    scratch = np.empty(d1 * (2 * min(_PART_STEPS, n_max) + 1))
+    scratch = np.empty(d1 * (2 * min(_PART_STEPS, n_max) + 1), prefixes.table.dtype)
     with _drawn_ahead(draw, -(-n_max // _PART_STEPS)) as parts:
         for edges in parts:
             m = len(edges)
             # cum[:, k + 1] is the centered sum C at step pos + k + 1, cum[:, 0] the
-            # carried one; on step 2 w[:, k] is the increment of that step
-            w = scratch[: d1 * m].reshape(d1, m)
-            cum = scratch[d1 * m : d1 * (2 * m + 1)].reshape(d1, m + 1)
-            prefixes.fill(edges, w, cum, bar, increments=alg.step == 2)
+            # carried one; w[:, k] is the increment of that step
+            w, cum = prefixes.fill(edges, scratch, bar)
 
             # the part's steps inside sup_range are the steps first..last
             first, last = max(lo, pos + 1), min(hi, pos + m)
             if first <= last:
-                sup = _screened_sup(cum[:, first - pos : last - pos + 1].T, first, sup_scaling, sup)
+                sup = _screened_sup(cum[:, first - pos : last - pos + 1], first, sup_scaling, sup,
+                                    prefixes.scale**2)
 
             # the group point is needed only at checkpoints: sum or fold the
             # segments between them and the part's end
@@ -826,11 +864,11 @@ def trajectory_scan(
                 if alg.step > 2:
                     xi = bch_product(alg, xi, fold(alg, np.take(logs, edges[a:b], axis=0)))
                 elif alg.step == 2:
-                    sums.add(np.bincount(edges[a:b], minlength=graph.num_edges),
-                             cum[:, None, a:b], w[:, None, a:b])
+                    counts = np.bincount(edges[a:b], minlength=graph.num_edges) if counted else 0
+                    sums.add(counts, cum[:, None, a:b], w[:, None, a:b])
                 if pos + b == checkpoints[cp_next]:
                     if alg.step > 2:
-                        points[cp_next] = _scaled_points(graph, xi, cum[:, b], pos + b, rho, 1.0)
+                        points[cp_next] = _scaled_points(graph, xi, cum[:, b] * prefixes.scale, pos + b, rho, 1.0)
                     else:
                         points[cp_next] = sums.points(pos + b, cum[:, b : b + 1])[0]
                     cp_next += 1

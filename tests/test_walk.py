@@ -5,6 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nilwalk.walk as walk
 from nilwalk.albanese import albanese_pipeline, first_layer_form
@@ -696,6 +699,8 @@ def test_trajectory_scan_sup_screen_is_exact(monkeypatch):
         "Heisenberg": (heisenberg_cayley(), lil_scaling()),
         "hexagonal": (hexagonal(), lil_scaling()),
         "Z biased": (z1_biased(0.75), power_scaling(0.75)),
+        # non-dyadic, so its prefixes and squares are summed in floats
+        "non-uniform cover": (heisenberg_hexagonal((0.3, 0.3, 0.4), (0.3, 0.3, 0.4)), lil_scaling()),
     }
     kw = dict(seed=59, stream_index=0, sup_range=(lo, hi))
     for name, (g, scaling) in cases.items():
@@ -708,13 +713,32 @@ def test_trajectory_scan_sup_screen_is_exact(monkeypatch):
                 _, sup = trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **kw)
             assert sup == want, (name, block)
         if name == "Heisenberg":
-            # chunk ends inside blocks; later chunks add their sums to a carried total
+            # part ends inside blocks; each part's carry enters its first increment
             with monkeypatch.context() as m:
                 m.setattr(walk, "_PART_STEPS", 1000)
                 _, sup = trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **kw)
-            assert abs(sup - want) <= 1e-12
+            assert sup == want
             with pytest.raises(ScalingDomain):
                 trajectory_scan(g, phi0, rho, [n], sup_scaling=scaling, **{**kw, "sup_range": (15, n)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d1=st.integers(1, 3), m=st.integers(1, 700), block=st.integers(1, 90),
+       first=st.integers(16, 10**7), integer=st.booleans(), power=st.booleans())
+def test_the_sup_screen_returns_the_unscreened_max(data, d1, m, block, first, integer, power):
+    # on int64 prefixes (squares worth scale2 a unit) and on float ones, for
+    # any block size, the box screen returns the max over every step bit for bit
+    steps = data.draw(arrays(np.int64, (d1, m), elements=st.integers(-3, 3)))
+    if integer:
+        c, scale2 = np.cumsum(steps, axis=1), 4.0 ** -data.draw(st.integers(0, 3))
+    else:
+        widths = data.draw(arrays(np.float64, (d1, 1), elements=st.floats(1e-3, 1e3)))
+        c, scale2 = np.cumsum(steps * widths, axis=1), 1.0
+    scaling = power_scaling(0.75) if power else lil_scaling()
+    want = float((np.sqrt(walk._row_squares(c.T) * scale2) / scaling(first + np.arange(m))).max())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "_SUP_BLOCK", block)
+        assert walk._screened_sup(c, first, scaling, -np.inf, scale2) == want
 
 
 def test_trajectory_scan_sup_statistic_biased():
@@ -875,38 +899,43 @@ def _increment_table(g):
 
 
 def test_centered_prefix_sums_integers_on_dyadic_tables():
-    # a table K * 2^-s with n * max|K| < 2^53 and no -0.0 is summed in int64;
-    # any other table keeps the float cumsum
+    # a table K * 2^-s with d1 * (n * max|K|)^2 < 2^53 and no -0.0 is summed and
+    # reduced in int64; any other table keeps its floats, at scale 1.0
     for g, scale, steps in (
         (heisenberg_cayley(), 1.0, [[1, -1, 0, 0], [0, 0, 1, -1]]),
         (hexagonal(), 1.0, [[1, -1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]]),
         (z1_biased(0.75), 0.5, [[1, -3]]),
     ):
         prefix = walk._CenteredPrefix(_increment_table(g), 10**7)
-        assert (prefix.scale, prefix.steps.tolist()) == (scale, steps)
-    # 0.25 and -2.0 are 2^-2 (1, -8): 2^50 steps could sum to 2^53 * 2^-2
-    assert walk._CenteredPrefix(np.array([[0.25, -2.0]]), 2**50 - 1).scale == 0.25
+        assert (prefix.scale, prefix.table.dtype, prefix.table.tolist()) == (scale, np.int64, steps)
+    # just inside the certificate and just outside it: on Heisenberg (d1 = 2,
+    # |K| = 1) 2 n^2 < 2^53 up to n = 2^26 - 1; 0.25 and -2.0 are 2^-2 (1, -8),
+    # and 64 n^2 < 2^53 up to n = 11863283
+    heisenberg = _increment_table(heisenberg_cayley())
+    assert walk._CenteredPrefix(heisenberg, 2**26 - 1).table.dtype == np.int64
+    assert walk._CenteredPrefix(np.array([[0.25, -2.0]]), 11_863_283).scale == 0.25
     for table, n in (
         (_increment_table(one_vertex_non_dyadic()), 10**7),
         (_increment_table(heisenberg_hexagonal((0.3, 0.3, 0.4), (0.3, 0.3, 0.4))), 10**7),
         (np.array([[1.0, -1.0, -0.0]]), 10),
-        (np.array([[0.25, -2.0]]), 2**50),
+        (heisenberg, 2**26),
+        (np.array([[0.25, -2.0]]), 11_863_284),
     ):
         prefix = walk._CenteredPrefix(table, n)
-        assert prefix.steps is None and prefix.scale is None, table
+        assert prefix.table is table and prefix.scale == 1.0, table
 
 
 def test_centered_prefix_routes_give_the_same_bits(monkeypatch):
-    # on a dyadic table every partial sum is exact, so the int64 route and the
-    # float cumsum give the same floats: carried across scan chunks, and over
-    # the row parts of a batch
+    # on a dyadic table every partial sum, square, bracket dot and sum of
+    # prefixes is exact, so the int64 route and the float one give the same
+    # floats: carried across scan parts, and over the row parts of a batch
     class FloatPrefix(walk._CenteredPrefix):
         """The helper with its integer route closed, after checking that it was open."""
 
         def __init__(self, wbar_t, n_max):
             super().__init__(wbar_t, n_max)
-            assert self.steps is not None
-            self.steps = self.scale = None
+            assert self.table.dtype == np.int64
+            self.table, self.scale = wbar_t, 1.0
 
     cps, scaling = [5, 64, 65, 999, 3000], lil_scaling()
     for g in (heisenberg_cayley(), z1_biased(0.75), unipotent_cayley(4), hexagonal()):
@@ -934,49 +963,66 @@ def test_centered_prefix_routes_give_the_same_bits(monkeypatch):
             assert np.array_equal(p_int, p_float) and np.array_equal(s_int, s_float), part_rows
 
 
+class _RecordedPrefix(walk._CenteredPrefix):
+    """``_CenteredPrefix`` that records the dtypes of the buffers it fills."""
+
+    filled = []
+
+    def fill(self, edges, scratch, carry=None):
+        w, cum = super().fill(edges, scratch, carry)
+        self.filled.append((w.dtype.name, cum.dtype.name))
+        return w, cum
+
+
 def test_step_two_walks_on_the_cayley_graph_sum_integers(monkeypatch):
     g = heisenberg_cayley()
     meas, rho, phi0 = pipeline(g)
-
-    def no_floats(*args):
-        raise AssertionError("a dyadic prefix was summed in floats")
-
-    monkeypatch.setattr(walk._CenteredPrefix, "_sum_floats", no_floats)
+    monkeypatch.setattr(walk, "_CenteredPrefix", _RecordedPrefix)
+    monkeypatch.setattr(_RecordedPrefix, "filled", [])
     monkeypatch.setattr(walk, "_PART_STEPS", 1000)
     trajectory_scan(g, phi0, rho, [100, 5000], seed=1, stream_index=0, sup_scaling=lil_scaling(),
                     sup_range=(16, 5000))
     batch_endpoints(g, phi0, rho, power_scaling(0.75), 500, 8, seed=2)
+    assert len(_RecordedPrefix.filled) == 5 + 4
+    assert set(_RecordedPrefix.filled) == {("int64", "int64")}, "a dyadic prefix was summed in floats"
 
 
-def test_only_step_two_scans_gather_the_float_increments(monkeypatch):
-    # the scan's points read the increments on step 2 only; on an integer
-    # route the other steps leave them ungathered
-    asked = []
+def test_the_integer_route_makes_no_per_step_float_array(monkeypatch):
+    # on a dyadic table the scan and the step-2 batch keep a part's increments
+    # and prefixes in int64, and the sup squares only the blocks it visits, in
+    # int64 too: no float array spans a part's steps, on any step
+    squared = []
+    row_squares = walk._row_squares
 
-    class Recorded(walk._CenteredPrefix):
-        def fill(self, edges, w, cum, carry=None, increments=True):
-            asked.append(increments)
-            super().fill(edges, w, cum, carry, increments)
+    def recorded(x):
+        squared.append((x.dtype.name, len(x)))
+        return row_squares(x)
 
-    monkeypatch.setattr(walk, "_CenteredPrefix", Recorded)
-    monkeypatch.setattr(walk, "_PART_STEPS", 1000)
-    for g, step in ((zd_lattice(1), 1), (heisenberg_cayley(), 2), (unipotent_cayley(4), 3)):
+    monkeypatch.setattr(walk, "_CenteredPrefix", _RecordedPrefix)
+    monkeypatch.setattr(_RecordedPrefix, "filled", [])
+    monkeypatch.setattr(walk, "_row_squares", recorded)
+    monkeypatch.setattr(walk, "_PART_STEPS", 5000)
+    monkeypatch.setattr(walk, "_SUP_BLOCK", 100)
+    for g in (zd_lattice(1), heisenberg_cayley(), unipotent_cayley(4)):
         meas, rho, phi0 = pipeline(g)
-        asked.clear()
-        trajectory_scan(g, phi0, rho, [100, 2500], seed=1, stream_index=0, sup_scaling=lil_scaling(),
-                        sup_range=(16, 2500))
-        assert asked == [step == 2] * 3, step
+        trajectory_scan(g, phi0, rho, [100, 12_000], seed=1, stream_index=0, sup_scaling=lil_scaling(),
+                        sup_range=(16, 12_000))
+        if g.algebra.step == 2:
+            batch_endpoints(g, phi0, rho, power_scaling(0.75), 500, 30, seed=2)
+    assert len(_RecordedPrefix.filled) == 3 * 3 + 3
+    assert set(_RecordedPrefix.filled) == {("int64", "int64")}
+    assert squared and {dtype for dtype, _ in squared} == {"int64"}
+    assert max(rows for _, rows in squared) <= 100
 
 
 def test_trajectory_scan_memory():
     # a Heisenberg scan of 3 * 2^20 steps holds one buffer for a part's
     # increments and prefixes (2 * d1 rows of a part), the edges of the part
-    # it sums and the next part's uniforms and buckets: 2 * d1 + 3 float
-    # arrays of a part.  The bound allows one more array; the integer prefix
-    # goes through the increment buffer, and a separate (2, part) int64 array
-    # would add two.  The sup runs over the first steps only: over the whole
-    # range its own temporaries set the peak, and a short-lived array in the
-    # prefix sum would not show
+    # it sums and the next part's words and buckets: 2 * d1 + 3 arrays of a
+    # part.  The bound allows one more array; a separate (2, part) array of
+    # the prefix would add two.  The sup runs over the whole range: it boxes
+    # each block and squares only the blocks it visits, so no per-step array
+    # of squares or norms sets the peak
     import tracemalloc
 
     g = heisenberg_cayley()
@@ -986,9 +1032,39 @@ def test_trajectory_scan_memory():
     tracemalloc.start()
     try:
         trajectory_scan(g, phi0, rho, [1000, n // 2, n], seed=3, stream_index=0, sup_scaling=lil_scaling(),
-                        sup_range=(16, 1000))
+                        sup_range=(16, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 7.56-7.60 MB (7.21-7.25 arrays) on seeds 3 and 4 in parts of 2^17 steps
+    # 6.47-6.50 MB on seeds 3 and 4 in parts of 2^17 steps (8.40 MB with per-step squares)
     assert peak < (2 * d1 + 4) * 8 * walk._PART_STEPS
+
+
+def test_walks_refuse_sizes_that_are_not_whole_numbers(monkeypatch):
+    # a fractional checkpoint or sup_range end, or a negative or fractional n,
+    # is an InputError that names the argument, raised before any draw
+    g = zd_lattice(1)
+    meas, rho, phi0 = pipeline(g)
+    drawn = []
+    monkeypatch.setattr(walk, "_uniforms", lambda *args: drawn.append(args))
+    kw = dict(seed=1, stream_index=0, sup_scaling=lil_scaling())
+    for checkpoints in ([1000.7], [100, 1000.5], [float("nan")], [float("inf")], ["1000"]):
+        with pytest.raises(InputError, match="checkpoints"):
+            trajectory_scan(g, phi0, rho, checkpoints, sup_range=(16, 900), **kw)
+    for sup_range in ((16.5, 900), (16, 900.25), (-16, 900), (16,), (16, 900, 1000)):
+        with pytest.raises(InputError, match="sup_range"):
+            trajectory_scan(g, phi0, rho, [1000], sup_range=sup_range, **kw)
+    for n in (-3, 100.5, -0.5, float("nan")):
+        with pytest.raises(InputError, match="n must be a whole number >= 0"):
+            batch_centered_sums(g, phi0, rho, n, 4, seed=1)
+        with pytest.raises(InputError, match="n must be a whole number >= 0"):
+            batch_endpoints(g, phi0, rho, power_scaling(0.75), n, 4, seed=1)
+        with pytest.raises(InputError, match="n must be a whole number >= 0"):
+            sample_path(g, phi0, rho, n, seed=1)
+    assert drawn == []
+    # whole floats and numpy integers are whole numbers
+    monkeypatch.undo()
+    points, _ = trajectory_scan(g, phi0, rho, [np.int64(100), 1000.0], sup_range=(16.0, np.int32(900)), **kw)
+    assert np.array_equal(points, trajectory_scan(g, phi0, rho, [100, 1000], sup_range=(16, 900), **kw)[0])
+    assert np.array_equal(batch_centered_sums(g, phi0, rho, 100.0, 4, seed=1),
+                          batch_centered_sums(g, phi0, rho, 100, 4, seed=1))
