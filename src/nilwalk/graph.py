@@ -130,10 +130,12 @@ class VoltageGraph:
         <= ``u`` (``searchsorted(cuts, u, side="right")``): the first out-edge
         whose cumulative probability exceeds ``u``, or the last out-edge if
         none does.  Each vertex's own cuts are among ``cuts``, so the edge is
-        constant on every bucket.  The walks draw raw 64-bit words, not
-        uniforms, and read the buckets from a guide table of the words' top
-        byte, which ``walk._step_guide`` builds from ``cuts`` and caches
-        beside this table.
+        constant on every bucket, and one set of cuts serves every vertex: a
+        walk on a ``vertex_cycle`` counts each vertex's steps against all of
+        them and maps the buckets through that vertex's row.  The walks draw
+        raw 64-bit words, not uniforms, and read the buckets from a guide
+        table of the words' top byte, which ``walk._step_guide`` builds from
+        ``cuts`` and caches beside this table.
         """
         inner = [np.cumsum(self.prob[ids])[:-1] for ids in self.out_edges]
         cuts = np.unique(np.concatenate(inner))
@@ -142,6 +144,25 @@ class VoltageGraph:
             [ids[np.searchsorted(c, lows, side="right")] for ids, c in zip(self.out_edges, inner)]
         )
         return cuts, table
+
+    @cached_property
+    def vertex_cycle(self) -> np.ndarray | None:
+        """The vertices a walk from vertex 0 visits, ``cycle[k % V]`` at step k, when every vertex's
+        out-edges share one terminus; None when some vertex's reach two.
+
+        Then the next vertex does not depend on the draw.  Each vertex has one
+        successor, and the graph is strongly connected, so the successors form
+        one cycle through all V vertices: a walk from ``cycle[i]`` is at
+        ``cycle[(i + k) % V]`` after k steps, whatever it draws.  A one-vertex
+        graph has the cycle ``[0]``.
+        """
+        heads = [np.unique(self.terminus[ids]) for ids in self.out_edges]
+        if any(len(h) > 1 for h in heads):
+            return None
+        cycle = [0]
+        while len(cycle) < self.num_vertices:
+            cycle.append(int(heads[cycle[-1]][0]))
+        return np.array(cycle)
 
     @classmethod
     def from_pairs(cls, algebra: StratifiedAlgebra, num_vertices: int, pairs) -> "VoltageGraph":

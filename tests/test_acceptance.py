@@ -253,6 +253,7 @@ def test_criterion_9_reproducibility(tmp_path):
          "lln.csv"),
         ("clt", run_clt, _cfg(graph={"preset": "zd_lattice", "params": {"d": 2}},
                               n_grid=[128], samples=128), "clt.csv"),
+        ("clt_hexagonal", run_clt, _cfg(graph={"preset": "hexagonal"}, n_grid=[128], samples=128), "clt.csv"),
         ("mdp", run_mdp, _cfg(graph={"preset": "heisenberg_cayley"},
                               scaling={"kind": "power", "theta": 0.75},
                               n_grid=[64], delta=[0.5], samples=128), "mdp.csv"),

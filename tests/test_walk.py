@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -429,8 +430,9 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
         (heisenberg_cayley(), None),
         (unipotent_cayley(4), None),
         (one_vertex_many_cuts(), None),
+        (heisenberg_hexagonal((0.5, 0.3, 0.2), (0.2, 0.5, 0.3)), None),
     ]
-    assert [len(g.step_table[0]) for g, _ in cases] == [4, 3, 1, 3, 5, 19]
+    assert [len(g.step_table[0]) for g, _ in cases] == [4, 3, 1, 3, 5, 19, 4]
     for g, totals in cases:
         meas, rho, phi0 = pipeline(g)
         wbar = first_layer_form(g, phi0) - rho[None, :]
@@ -473,6 +475,53 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
             path = sample_path(g, phi0, rho, n, seed=0)
             assert np.array_equal(path.edges, replays[0][1])
             assert np.abs(points[0] - scaled_endpoint(path, scaling)).max() <= 1e-12
+
+
+def test_the_vertex_cycle_route_matches_the_vertex_loop(monkeypatch):
+    # where every vertex's out-edges share one terminus, the walks take each
+    # step's vertex from the graph's vertex cycle; with the cycle forced to
+    # None they carry it through the per-step loop, with the same bits.  The
+    # scan's odd parts start at both vertices of the cycle
+    cases = {
+        "hexagonal": hexagonal(), "subdivided": z1_subdivided(), "symmetric": heisenberg_hexagonal(),
+        "non-dyadic": heisenberg_hexagonal((0.3, 0.3, 0.4), (0.3, 0.3, 0.4)),
+        "drifted": heisenberg_hexagonal((0.5, 0.3, 0.2), (0.2, 0.5, 0.3)),
+        "unipotent": unipotent_two_vertex(),
+    }
+    assert uneven_three_vertex().vertex_cycle is None
+    assert zd_lattice(2).vertex_cycle.tolist() == [0]
+    checkpoints, sup_range = [1, 1000, 2001, 4003], (16, 4003)
+    for name, g in cases.items():
+        assert g.vertex_cycle.tolist() == [0, 1], name
+        meas, rho, phi0 = pipeline(g)
+
+        def run():
+            out = [batch_centered_sums(g, phi0, rho, n, samples=9, seed=41, workers=workers, index_offset=3)
+                   for n in (1, 7, 300) for workers in (1, 2)]
+            out += batch_endpoints(g, phi0, rho, power_scaling(0.75), 301, 9, seed=43, workers=2)
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_PART_STEPS", 999)
+                points, sup = trajectory_scan(g, phi0, rho, checkpoints, 47, 1, lil_scaling(), sup_range)
+            return out + [points, sup, sample_path(g, phi0, rho, 1001, seed=53).edges]
+
+        cycle = run()
+        with monkeypatch.context() as m:
+            m.setattr(VoltageGraph, "vertex_cycle", property(lambda self: None))
+            loop = run()
+        assert len(cycle) == len(loop) == 11, name
+        for k, (a, b) in enumerate(zip(cycle, loop)):
+            assert np.array_equal(a, b), (name, k)
+
+
+def test_a_long_hexagonal_trajectory_takes_under_five_seconds():
+    # a 10^7-step trajectory on a two-vertex quotient, at criterion 8's
+    # checkpoints and sup range: 0.16-0.21 s on a 2-vCPU VM (10.6-11.2 s with a per-step vertex loop)
+    g = hexagonal()
+    meas, rho, phi0 = pipeline(g)
+    grid = [1000 * 2**k for k in range(14)] + [10_000_000]
+    start = time.perf_counter()
+    trajectory_scan(g, phi0, rho, grid, 7, 0, lil_scaling(), (1000, 10_000_000))
+    assert time.perf_counter() - start < 5.0
 
 
 def one_vertex_cut_at_one() -> VoltageGraph:
