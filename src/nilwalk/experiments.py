@@ -467,8 +467,8 @@ def run_lil(config: ExperimentConfig, out_dir) -> dict:
 
     results = [None] * config.trajectories
 
-    def job(block):
-        for t in block:
+    def job(shard):
+        for t in shard:
             points_raw, sup = trajectory_scan(graph, data.harmonic, data.rho, checkpoints, config.seed,
                                               t, sup_scaling=scaling, sup_range=sup_range)
             recs = []

@@ -41,7 +41,7 @@ cell that a cut splits.  Where every vertex's out-edges share one terminus
 ``z1_subdivided``), the vertex of step k is fixed before any draw, so the
 edges are one vectorized add of the steps' table rows and one look-up.  Only
 on a quotient whose next vertex depends on the draw does a loop over steps
-carry the current vertex of every row of a block at once.  Every batched
+carry the current vertex of every row of a part at once.  Every batched
 first-layer sum reduces each row to edge counts times the increments; a
 sum-only walk on a vertex cycle counts, for the steps leaving each vertex,
 the words at or above each cut's threshold, with no per-step array.  Every
@@ -55,19 +55,18 @@ returns.  Every walk draws through one seam, ``_uniforms``, from a Philox
 that each thread re-keys: ``sample_path`` and the batched engines one row of
 n words per sample, and ``trajectory_scan`` part k of its trajectory at word
 offset k * ``_PART_STEPS``, because a counter-based stream can be started
-at any counter.  Both walk in parts of one step budget, ``_PART_STEPS`` (a
-batch part holds whole rows, at least one), sized so that a part's passes
-read from a core's L2 cache, and draw part k+1 on one helper thread while
-part k is summed (``_drawn_ahead``).  Only a scan on a quotient whose next
-vertex depends on the draw needs its parts drawn in order, for the vertex
-where the previous part ends; on a vertex cycle that vertex is fixed.
-Results are therefore bitwise reproducible for any worker count, block or
-batch part size, and batch sample 0 takes the edges of ``sample_path``.  A scan
-sums its upper layers per segment between checkpoints and part ends, so on
-step 3-4, or on non-dyadic step-2 increments, its points can move by
-rounding with the part size.  ``workers`` counts the threads
-that run samples or trajectories; each ``batch_endpoints`` worker and each
-``trajectory_scan`` adds its one helper.
+at any counter.  Every batch and scan walks in parts of one step budget,
+``_PART_STEPS`` (a batch part holds whole rows, at least one), sized so
+that a part's passes read from a core's L2 cache; ``batch_endpoints`` and
+``trajectory_scan`` draw part k+1 on one helper thread while part k is
+summed (``_drawn_ahead``), in order, as a scan off a vertex cycle needs for
+the vertex where the previous part ends.  Results are therefore bitwise
+reproducible for any worker count or batch part size, and batch sample 0
+takes the edges of ``sample_path``.  A scan sums its upper layers per
+segment between checkpoints and part ends, so on step 3-4, or on
+non-dyadic step-2 increments, its points can move by rounding with the
+part size.  ``workers`` counts the sample or trajectory threads, one shard
+each; each ``batch_endpoints`` worker and each scan adds one helper.
 """
 
 from __future__ import annotations
@@ -87,15 +86,13 @@ from .algebra import _add_half_brackets, bch_product, dilate_vector, fold
 from .errors import InputError, PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
-# Walks per block of ``_run_sharded``; steps per part of a walk drawn ahead,
-# a part of a ``batch_endpoints`` block (whole rows) or of a ``trajectory_scan``;
-# and steps per block of the sup statistic's screen.  At 2^17 steps a part's
-# 8-byte coordinate array is 1 MiB, the L2 cache of one core of the 2-vCPU VM
-# that set it, so the main thread's passes over a part (gather, prefix sum,
-# sup screen, counts, bracket dots) read from cache: there a 10^7-step
-# Heisenberg scan took 67-69 ms in parts of 2^17 or 2^18 steps, 73 ms of
-# 2^16 and 88-90 ms of 2^20.
-_BLOCK_ROWS = 256
+# Steps per part of a batch (whole rows) or of a ``trajectory_scan``, and steps
+# per block of the sup statistic's screen.  At 2^17 steps a part's 8-byte array
+# is 1 MiB, the L2 cache of one core of the 2-vCPU VM that set it, so the passes
+# over a part (draw, gather, prefix sum, sup screen, counts, bracket dots) read
+# from cache: there a 10^7-step Heisenberg scan took 67-69 ms in parts of 2^17
+# or 2^18 steps, 73 ms of 2^16 and 88-90 ms of 2^20.  A walk's parts reuse one
+# buffer where they can: fresh ones cost a page fault per 4 KB of every part.
 _PART_STEPS = 1 << 17
 _SUP_BLOCK = 4096
 
@@ -294,7 +291,7 @@ def _edge_counts(graph: VoltageGraph, words: np.ndarray) -> np.ndarray:
         above[:, 0] = steps.shape[1]
         for col, t in enumerate(reached, 1):
             # counting the packed compare's bits is faster than count_nonzero: 3.5 against
-            # 6.2 ms for three cuts on a 256 x 10^4 block, on a 2-vCPU VM
+            # 6.2 ms for three cuts on 256 x 10^4 words, on a 2-vCPU VM
             above[:, col] = np.bitwise_count(np.packbits(steps >= t, axis=1)).sum(axis=1)
         np.add.at(counts, (slice(None), table[v]), -np.diff(above, append=0))
     return counts
@@ -528,18 +525,26 @@ def _shards(total: int, workers: int) -> list[range]:
 
 
 def _run_sharded(total: int, workers: int, job: Callable) -> None:
-    """Call ``job(block)`` on each block of at most ``_BLOCK_ROWS`` indices of each worker's shard."""
-    def run(shard):
-        for lo in range(0, len(shard), _BLOCK_ROWS):
-            job(shard[lo : lo + _BLOCK_ROWS])
-
+    """Call ``job(shard)`` once for each worker's shard, a range of the indices 0..total-1."""
     shards = _shards(total, workers)
-    if len(shards) <= 1:
-        for shard in shards:
-            run(shard)
-        return
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        list(pool.map(run, shards))
+    if len(shards) > 1:
+        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+            list(pool.map(job, shards))
+    elif shards:
+        job(shards[0])
+
+
+def _parts(shard: range, n: int) -> list[range]:
+    """``shard`` cut into parts of whole rows of n steps, at most ``_PART_STEPS`` steps in all, or one row."""
+    rows = max(1, _PART_STEPS // max(n, 1))
+    return [shard[lo : lo + rows] for lo in range(0, len(shard), rows)]
+
+
+def _draw_rows(words: np.ndarray, seed: int, indices: range) -> np.ndarray:
+    """``words`` (rows, n) with row r set to the first n words of stream (seed, ``indices[r]``)."""
+    for row, index in enumerate(indices):
+        words[row] = _uniforms(seed, index, words.shape[1])
+    return words
 
 
 @contextmanager
@@ -579,7 +584,12 @@ def batch_centered_sums(
     workers: int = 1,
     index_offset: int = 0,
 ) -> np.ndarray:
-    """Centered first-layer sums for ``samples`` independent n-step walks: (S, d1)."""
+    """Centered first-layer sums for ``samples`` independent n-step walks: (S, d1).
+
+    Sample i reads stream (seed, i + ``index_offset``).  Each worker draws its
+    shard's parts (``_parts``) on its own thread into one buffer of words and
+    counts their edges (``_edge_counts``): about 1 MiB for any sample count.
+    """
     n = int(_whole("n", n, 0))
     d1 = graph.algebra.layer_dims[0]
     if n == 0:
@@ -587,11 +597,12 @@ def batch_centered_sums(
     wbar = _centered_increments(graph, phi, rho)
     out = np.empty((samples, d1))
 
-    def job(block):
-        words = np.empty((len(block), n), dtype=np.uint64)
-        for row, s in enumerate(block):
-            words[row] = _uniforms(seed, s + index_offset, n)
-        out[block] = np.einsum("be,ed->bd", _edge_counts(graph, words), wbar)
+    def job(shard):
+        parts = _parts(shard, n)
+        words = np.empty((len(parts[0]), n), dtype=np.uint64)
+        for part in parts:
+            rows = _draw_rows(words[: len(part)], seed, range(part.start + index_offset, part.stop + index_offset))
+            out[part] = np.einsum("be,ed->bd", _edge_counts(graph, rows), wbar)
 
     _run_sharded(samples, workers, job)
     return out
@@ -609,15 +620,13 @@ def batch_endpoints(
 ):
     """Scaled group endpoints plus raw centered sums: ((S, dim), (S, d1)).
 
-    Each worker walks its blocks in parts of whole rows, at most
-    ``_PART_STEPS`` steps (at least one row), the budget of the scan's parts.
-    One helper thread draws part k+1 while the worker sums part k: the part's
-    words become buckets, and then edges, in their own memory (the buckets
-    in a new array where a cut splits a cell of the guide table).  So a
-    worker holds two or three parts' (rows, n) integer arrays, and on step 2
-    one buffer for a part's increments and prefixes, not a block's.
-    The sums are edge counts times the increments, as in
-    ``batch_centered_sums``.
+    Each worker walks its shard in parts (``_parts``), and one helper thread
+    draws part k+1 while the worker sums part k: the part's words become
+    buckets, and then edges, in their own memory (the buckets in a new array
+    where a cut splits a cell of the guide table).  So a worker holds two or
+    three parts' (rows, n) integer arrays, and on step 2 one buffer for a
+    part's increments and prefixes.  The sums are edge counts times the
+    increments, as in ``batch_centered_sums``.
 
     On step 1 the point is the sum over a_n.  On step 2 it comes from each
     row's centered first-layer prefix C, (d1, rows, n), by the identity in
@@ -638,7 +647,6 @@ def batch_endpoints(
     logs = _edge_logs(graph, phi)
     points = np.empty((samples, alg.dim))
     sums = np.empty((samples, d1))
-    part_rows = max(1, _PART_STEPS // max(n, 1))
 
     def endpoints_of(edges, scratch):
         """Points and sums of the walks with ``edges`` (rows, n); counting offsets the edges in place."""
@@ -661,16 +669,12 @@ def batch_endpoints(
         pt[:, :d1] = bar / a_n
         return pt, bar
 
-    def job(block):
-        parts = [block[lo : lo + part_rows] for lo in range(0, len(block), part_rows)]
-        # on step 2 the parts of a block reuse one buffer for their increments and
-        # prefixes: fresh ones cost a page fault per 4 KB of every part
+    def job(shard):
+        parts = _parts(shard, n)
         scratch = np.empty(d1 * len(parts[0]) * (2 * n + 1), prefixes.table.dtype) if alg.step == 2 else None
 
         def draw(k):
-            words = np.empty((len(parts[k]), n), dtype=np.uint64)
-            for row, s in enumerate(parts[k]):
-                words[row] = _uniforms(seed, s, n)
+            words = _draw_rows(np.empty((len(parts[k]), n), dtype=np.uint64), seed, parts[k])
             return _select_edges(graph, _buckets(graph, words))
 
         with _drawn_ahead(draw, len(parts)) as drawn:
@@ -815,13 +819,11 @@ def trajectory_scan(
     between checkpoints are folded and the segment products chained: the
     e^ telescope, so the product is the point before centering.
 
-    The walk runs in parts of ``_PART_STEPS`` steps, small enough that a
-    part's passes read from a core's L2 cache.  One helper thread draws part
-    k+1 (its words from offset (k+1) * ``_PART_STEPS`` of the stream, then
-    buckets and edges, from the vertex where part k ends) while the calling
-    thread sums part k (``_drawn_ahead``); the next draw starts only after
-    the previous one is taken, so it knows that vertex, and the helper is
-    joined before the scan returns.  The parts share one buffer for their
+    The walk runs in parts of ``_PART_STEPS`` steps.  One helper thread draws
+    part k+1 (its words from offset (k+1) * ``_PART_STEPS``, then buckets and
+    edges, from the vertex where part k ends) while the calling thread sums
+    part k (``_drawn_ahead``, which starts each draw after the previous one
+    is taken and joins the helper).  The parts share one buffer for their
     increments and prefixes, in int64 on a dyadic table: no float array
     spans a part.
     """
@@ -866,8 +868,6 @@ def trajectory_scan(
         vertex = int(graph.terminus[edges[-1]])
         return edges
 
-    # the parts reuse one buffer for their increments and prefixes: fresh ones
-    # cost a page fault per 4 KB of every part
     scratch = np.empty(d1 * (2 * min(_PART_STEPS, n_max) + 1), prefixes.table.dtype)
     with _drawn_ahead(draw, -(-n_max // _PART_STEPS)) as parts:
         for edges in parts:

@@ -241,3 +241,26 @@ def test_only_the_prefix_helper_sums_walk_prefixes():
         if getattr(node, "attr", None) in ("cumsum", "accumulate")
     }
     assert sites == {"_CenteredPrefix", "WalkPath"}, sites
+
+
+def test_every_private_constant_is_read():
+    # a module-level constant such as walk._PART_STEPS is read somewhere in
+    # the package, by name or as a module attribute: a knob whose last reader
+    # is gone is left over
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(Path(nilwalk.__file__).parent.glob("*.py"))]
+    constants = {
+        target.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", target.id)
+    }
+    read = {
+        getattr(node, "id", getattr(node, "attr", None))
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+    }
+    assert len(constants) >= 20, sorted(constants)
+    assert sorted(constants - read) == [], "private constants never read"

@@ -288,24 +288,23 @@ def test_batch_mean_near_zero_for_symmetric():
 
 def test_batch_worker_count_invariance(monkeypatch):
     # the last three graphs have non-dyadic centered increments, so their sums
-    # are rounded and would show a reduction that depends on the block size;
+    # are rounded and would show a reduction that depends on the part size;
     # the drifted Heisenberg cover's points also sum non-dyadic areas.  The
-    # part budget is one row, seven rows and the whole block
+    # part budget is one row, seven rows and all 64 rows
     for g in (zd_lattice(2), hexagonal(), unipotent_cayley(4), uneven_three_vertex(),
               one_vertex_non_dyadic(), heisenberg_hexagonal((0.5, 0.3, 0.2), (0.2, 0.5, 0.3))):
         meas, rho, phi0 = pipeline(g)
         one = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=1)
-        eight = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=8)
-        assert np.array_equal(one, eight)
         p1, s1 = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29, workers=1)
-        for workers, rows in ((2, 256), (8, 256), (1, 7)):
-            for part_rows in (1, 7, rows):
+        for workers in (1, 2, 8):
+            for part_rows in (1, 7, 64):
                 with monkeypatch.context() as m:
-                    m.setattr(walk, "_BLOCK_ROWS", rows)
                     m.setattr(walk, "_PART_STEPS", part_rows * 200)
+                    sums = batch_centered_sums(g, phi0, rho, 200, samples=64, seed=29, workers=workers)
                     p, s = batch_endpoints(g, phi0, rho, power_scaling(0.6), 200, 64, seed=29,
                                            workers=workers)
-                assert np.array_equal(p1, p) and np.array_equal(s1, s), (workers, rows, part_rows)
+                assert np.array_equal(one, sums), (workers, part_rows)
+                assert np.array_equal(p1, p) and np.array_equal(s1, s), (workers, part_rows)
 
 
 def test_batch_endpoints_step_two_points_match_the_group_route(monkeypatch):
@@ -463,9 +462,9 @@ def test_batch_matches_per_sample_streams_multivertex(monkeypatch):
 
         # every engine that draws through the seam takes these rows as its uniforms
         with monkeypatch.context() as m:
-            m.setattr(walk, "_uniforms", lambda seed, index, n: rows[index][:n].copy())
-            m.setattr(walk, "_BLOCK_ROWS", 4)
             n, scaling = len(rows[0]), power_scaling(0.75)
+            m.setattr(walk, "_uniforms", lambda seed, index, n: rows[index][:n].copy())
+            m.setattr(walk, "_PART_STEPS", 4 * n)
             sums = batch_centered_sums(g, phi0, rho, n, samples=len(rows), seed=0)
             points, end_sums = batch_endpoints(g, phi0, rho, scaling, n, samples=len(rows), seed=0)
             for i, (_, edges) in enumerate(replays):
@@ -565,26 +564,33 @@ def test_guide_table_buckets_are_exact():
 
 
 def test_batch_centered_sums_memory():
-    # one 256 x 10^4 block holds its uniforms and nothing per step beside them:
-    # the peak stays below 1.5 times the (B, n) float buffer
+    # each worker draws its parts' words into one buffer of at most
+    # _PART_STEPS words and counts their edges there, so a worker holds about
+    # one part of words at any number of samples; the bound allows three
+    # 8-byte arrays of a part per worker for two workers.  Words drawn 256 rows
+    # at a time (20 MB a worker) peaked at 46 and 88 MB on the two-worker
+    # call, against 2.4 and 4.5 MB in parts.  Z^2 counts its words on its
+    # vertex cycle, the three-vertex quotient selects edges in a per-step loop
+    # (its buckets in a new array)
     import tracemalloc
 
-    g = zd_lattice(2)
-    meas, rho, phi0 = pipeline(g)
-    batch_centered_sums(g, phi0, rho, 100, samples=4, seed=3, workers=1)
-    tracemalloc.start()
-    try:
-        batch_centered_sums(g, phi0, rho, 10_000, samples=256, seed=3, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 256 * 10_000 * 8
+    for g in (zd_lattice(2), uneven_three_vertex()):
+        meas, rho, phi0 = pipeline(g)
+        batch_centered_sums(g, phi0, rho, 100, samples=4, seed=3, workers=2)
+        for samples, workers in ((256, 1), (600, 2)):
+            tracemalloc.start()
+            try:
+                batch_centered_sums(g, phi0, rho, 10_000, samples=samples, seed=3, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 3 * 8 * walk._PART_STEPS, (g.num_vertices, workers, peak)
 
 
 def test_batch_endpoints_memory():
-    # a 256 x 10^4 Heisenberg block is walked in parts, the next drawn while
-    # one is summed: the peak stays below the (256, 10^4) int64 edges of the
-    # whole block
+    # 256 Heisenberg walks of 10^4 steps are walked in parts, the next drawn
+    # while one is summed: the peak stays below the (256, 10^4) int64 edges
+    # of the whole batch
     import tracemalloc
 
     g = heisenberg_cayley()
