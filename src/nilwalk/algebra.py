@@ -16,8 +16,11 @@ automorphisms of the limit group.
 
 Brackets, products and folds work over any leading axes: they sum over the
 table's nonzero structure constants, so a batch of N products costs a few
-array operations per nonzero constant.  ``fold`` is the one batched ordered
-product (of ``exp`` of each row) that every walk and development map uses.
+array operations per nonzero constant.  ``fold`` is the batched ordered
+product (of ``exp`` of each row) of the reference walk and the development
+map.  On steps 3-4 it and both walk engines take their products from one
+primitive, ``_products``: a recursion over the layers that gives the ordered
+product after every step, one carried cumsum per layer.
 """
 
 from __future__ import annotations
@@ -211,13 +214,61 @@ def _fold(alg: StratifiedAlgebra, entries, gammas: np.ndarray) -> np.ndarray:
         nxt = gammas[..., 1:, :d1]
         _add_half_brackets(entries, np.moveaxis(prefix, -1, 0), np.moveaxis(nxt, -1, 0), out)
         return out
-    # balanced tree of pairwise products; odd lengths are padded with the identity
-    g = gammas
-    while g.shape[-2] > 1:
-        if g.shape[-2] % 2:
-            g = np.concatenate([g, np.zeros(g.shape[:-2] + (1, alg.dim))], axis=-2)
-        g = _bch(entries, alg.step, g[..., 0::2, :], g[..., 1::2, :])
-    return g[..., 0, :]
+    # coordinate-major, so that each coordinate's recursion runs along contiguous memory
+    products = _products(alg, entries, np.ascontiguousarray(np.moveaxis(gammas, -1, 0)))
+    return np.moveaxis(products[..., -1], 0, -1)
+
+
+def _products(alg: StratifiedAlgebra, entries, e: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    """The ordered products after 0, 1, ..., m steps, built layer by layer: (dim, ..., m + 1), coordinate-major.
+
+    ``e`` (dim, ..., m) holds the logs of m steps, and ``carry`` (dim, ...),
+    the product before them (the identity if None), leads the result.  With
+    P the product before a step, BCH(P, e) - P in layer j is the layer-j
+    part of e + 1/2 [P, e] + 1/12 ([P, [P, e]] - [e, [P, e]]) - 1/24 [e, [P, [P, e]]],
+    and every bracket raises the degree, so it reads only the layers of P
+    below j.  Layer j of the products is therefore one cumsum of these terms,
+    once the layers below it are final (Strichartz, J. Funct. Anal. 72, 1987;
+    Chen, Ann. Math. 65, 1957): each layer loops over the structure constants
+    whose output lies in it, and [P, e] and [P, [P, e]] are kept per step
+    only below the top layer, where a higher layer reads them.  Each cumsum
+    starts from the carry, so steps summed in parts, each carrying the last
+    one's end, give the same floats as one call over all of them, and each
+    row's floats do not depend on the other rows.
+    """
+    out = np.empty(e.shape[:-1] + (e.shape[-1] + 1,))
+    out[..., 0] = 0.0 if carry is None else carry
+    before = out[..., :-1]
+    below_top = alg.dim - alg.layer_dims[-1]
+    pe = np.zeros((below_top,) + e.shape[1:])    # [P, e]
+    ppe = np.zeros((below_top,) + e.shape[1:])   # [P, [P, e]]
+    lo = 0
+    for j, d in enumerate(alg.layer_dims, 1):
+        hi = lo + d
+        terms = out[lo:hi, ..., 1:]
+        terms[...] = e[lo:hi]
+        if j >= 2:
+            shape = (d,) + e.shape[1:]
+            pe_j = np.zeros(shape)
+            # a depth-3 bracket lies in layer 3 or above, a depth-4 one in layer 4
+            ppe_j, epe_j = (np.zeros(shape), np.zeros(shape)) if j >= 3 else (0.0, 0.0)
+            eppe_j = np.zeros(shape) if j >= 4 else 0.0
+            for i, l, k, c in entries:
+                if not lo <= k < hi:
+                    continue
+                k -= lo
+                pe_j[k] += c * (before[i] * e[l] - before[l] * e[i])
+                if j >= 3:
+                    ppe_j[k] += c * (before[i] * pe[l] - before[l] * pe[i])
+                    epe_j[k] += c * (e[i] * pe[l] - e[l] * pe[i])
+                if j >= 4:
+                    eppe_j[k] += c * (e[i] * ppe[l] - e[l] * ppe[i])
+            terms += 0.5 * pe_j + (ppe_j - epe_j) / 12.0 - eppe_j / 24.0
+            if hi <= below_top:
+                pe[lo:hi], ppe[lo:hi] = pe_j, ppe_j
+        np.cumsum(out[lo:hi], axis=-1, out=out[lo:hi])
+        lo = hi
+    return out
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -272,9 +323,9 @@ def fold(alg: StratifiedAlgebra, gammas) -> np.ndarray:
 
     Batched over any leading axes; an empty product is the identity.  Step 1
     is a sum.  Step 2 is the sum plus half the brackets of each first-layer
-    prefix with the next increment.  Steps 3-4 multiply neighbours in a
-    balanced tree, which gives the ordered product because the BCH series
-    through order 4 is the exact, associative group law for step <= 4.
+    prefix with the next increment.  Steps 3-4 take the last of the products
+    after every step that ``_products`` builds layer by layer, exact because
+    the BCH series through order 4 is the group law for step <= 4.
     The rate layer folds under the limit (graded) law through ``_fold`` with
     ``alg.graded_bracket_entries``.
     """

@@ -13,19 +13,17 @@ voltage of each edge seen from the positions of its ends,
 log(exp(-phi(o_e)) exp(gamma_e) exp(phi(t_e))).  These telescope, so a walk
 from the base vertex 0, where ``phi`` is pinned to zero, ends at the ordered
 product of its edges' logs.  On steps 3-4 ``batch_endpoints`` and
-``trajectory_scan`` fold them (``algebra.fold``).  On step <= 2 they fold
-nothing: their points are sums over the centered first-layer prefix, which
-the scan already builds for the sup, contracted with the structure constants
-by the helper behind ``fold``'s step-2 branch, plus edge counts times the
-logs' second layers (``_PrefixPoints``).  Both build that prefix through one
-helper, ``_CenteredPrefix``: where the increment table is dyadic with room
-to spare below 2^53 (on the presets, but ``z1_biased(q)`` with non-dyadic
-q, up to 2^26 - 1 steps of a two-dimensional walk with unit steps), the
-prefix and every reduction of it (the sup's squared norms, the bracket dots,
-the sums of prefixes) stay exact int64, each scaled to a float once: the
-same floats as the float route that any other table takes.  ``sample_path``
-folds the voltages themselves and adds the position of its end vertex: it is
-the reference the engines are checked against.
+``trajectory_scan`` build it by the layer recursion ``algebra._products``.
+On step <= 2 they fold nothing: their points are sums over the centered
+first-layer prefix, which the scan already builds for the sup, contracted
+with the structure constants by the helper behind ``fold``'s step-2 branch,
+plus edge counts times the logs' second layers (``_PrefixPoints``).  Both
+build that prefix through one helper, ``_CenteredPrefix``: exact int64 on a
+dyadic increment table with room to spare below 2^53 (every preset but
+``z1_biased(q)`` with non-dyadic q), each reduction of it scaled to a float
+once, the same floats as the float route that any other table takes.
+``sample_path`` folds the voltages themselves and adds the position of its
+end vertex: it is the reference the engines are checked against.
 
 Edge selection is inversion by table look-up, one rule for every walk: each
 uniform ``u`` becomes a bucket ``b`` of the graph's cached ``step_table``,
@@ -61,12 +59,11 @@ that a part's passes read from a core's L2 cache; ``batch_endpoints`` and
 ``trajectory_scan`` draw part k+1 on one helper thread while part k is
 summed (``_drawn_ahead``), in order, as a scan off a vertex cycle needs for
 the vertex where the previous part ends.  Results are therefore bitwise
-reproducible for any worker count or batch part size, and batch sample 0
-takes the edges of ``sample_path``.  A scan sums its upper layers per
-segment between checkpoints and part ends, so on step 3-4, or on
-non-dyadic step-2 increments, its points can move by rounding with the
-part size.  ``workers`` counts the sample or trajectory threads, one shard
-each; each ``batch_endpoints`` worker and each scan adds one helper.
+reproducible for any worker count or part size, but for a step-2 scan on
+non-dyadic increments: it sums its areas per segment between checkpoints
+and part ends, so its points can move by rounding with the part size.
+``workers`` counts the sample or trajectory threads, one shard each; each
+``batch_endpoints`` worker and each scan adds one helper.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ from typing import Callable
 import numpy as np
 
 from .albanese import first_layer_form
-from .algebra import _add_half_brackets, bch_product, dilate_vector, fold
+from .algebra import _add_half_brackets, _products, bch_product, dilate_vector, fold
 from .errors import InputError, PinnedLayerMismatch, ScalingDomain
 from .graph import VoltageGraph
 
@@ -634,8 +631,8 @@ def batch_endpoints(
     nothing is folded.  C is summed by ``_CenteredPrefix``, as in the scan:
     in int64 when the increments are dyadic, and its bracket dots and sums
     of prefixes too, each scaled once, with the same floats as the float
-    route.  Steps 3-4 fold each row's edge logs (``_edge_logs``), which end
-    at its endpoint.
+    route.  Steps 3-4 multiply each row's edge logs (``_edge_logs``), which
+    end at its endpoint, by the layer recursion ``algebra._products``.
     """
     n = int(_whole("n", n, 0))
     alg = graph.algebra
@@ -651,11 +648,8 @@ def batch_endpoints(
     def endpoints_of(edges, scratch):
         """Points and sums of the walks with ``edges`` (rows, n); counting offsets the edges in place."""
         if alg.step > 2:
-            # np.take gathers rows several times faster than fancy indexing here
-            xi = fold(alg, np.take(logs, edges, axis=0))
-            bar = np.einsum("be,ed->bd", _count_edges(edges, graph.num_edges), wbar)
-            return _scaled_points(graph, xi, bar, n, rho, a_n), bar
-        if alg.step == 2:
+            xi = _products(alg, alg.bracket_entries, np.take(logs.T, edges, axis=1))[..., -1].T
+        elif alg.step == 2:
             # w[:, r, k] is the increment of step k + 1 of row r, gathered before
             # counting; cum[:, r, k] is row r's centered sum C after k steps
             w, cum = prefixes.fill(edges, scratch)
@@ -663,6 +657,8 @@ def batch_endpoints(
         bar = np.einsum("be,ed->bd", counts, wbar)
         if alg.step == 1:
             return bar / a_n, bar
+        if alg.step > 2:
+            return _scaled_points(graph, xi, bar, n, rho, a_n), bar
         prefix = _PrefixPoints(alg, logs[:, d1:], rho, prefixes, len(edges))
         prefix.add(counts, cum[..., :-1], w)
         pt = dilate_vector(alg, 1.0 / a_n, prefix.points(n, cum[..., -1]))
@@ -815,9 +811,9 @@ def trajectory_scan(
 
     where the first sum is edge counts times the second layers of e^.  It
     needs phi at the base vertex to be the identity; a base vertex off it
-    raises ``PinnedLayerMismatch``.  On steps 3-4 the e^ of each segment
-    between checkpoints are folded and the segment products chained: the
-    e^ telescope, so the product is the point before centering.
+    raises ``PinnedLayerMismatch``.  On steps 3-4 ``algebra._products`` gives
+    the product of the e^ after every step, each part carrying the last one's
+    end: the e^ telescope, so at a checkpoint it is the point before centering.
 
     The walk runs in parts of ``_PART_STEPS`` steps.  One helper thread draws
     part k+1 (its words from offset (k+1) * ``_PART_STEPS``, then buckets and
@@ -882,23 +878,26 @@ def trajectory_scan(
                 sup = _screened_sup(cum[:, first - pos : last - pos + 1], first, sup_scaling, sup,
                                     prefixes.scale**2)
 
-            # the group point is needed only at checkpoints: sum or fold the
-            # segments between them and the part's end
-            a = 0
-            while a < m:
-                b = min(m, int(checkpoints[cp_next]) - pos)
-                if alg.step > 2:
-                    xi = bch_product(alg, xi, fold(alg, np.take(logs, edges[a:b], axis=0)))
-                elif alg.step == 2:
-                    counts = np.bincount(edges[a:b], minlength=graph.num_edges) if counted else 0
-                    sums.add(counts, cum[:, None, a:b], w[:, None, a:b])
-                if pos + b == checkpoints[cp_next]:
-                    if alg.step > 2:
-                        points[cp_next] = _scaled_points(graph, xi, cum[:, b] * prefixes.scale, pos + b, rho, 1.0)
-                    else:
+            if alg.step > 2:
+                # products[:, k] is the point before centering at step pos + k, products[:, 0]
+                # the carried one
+                products = _products(alg, alg.bracket_entries, np.take(logs.T, edges, axis=1), xi)
+                xi = products[:, -1].copy()
+                for c in np.flatnonzero((checkpoints > pos) & (checkpoints <= pos + m)):
+                    b = checkpoints[c] - pos
+                    points[c] = _scaled_points(graph, products[:, b], cum[:, b] * prefixes.scale, pos + b, rho, 1.0)
+            else:
+                # step <= 2: sum the segments between checkpoints and the part's end
+                a = 0
+                while a < m:
+                    b = min(m, int(checkpoints[cp_next]) - pos)
+                    if alg.step == 2:
+                        counts = np.bincount(edges[a:b], minlength=graph.num_edges) if counted else 0
+                        sums.add(counts, cum[:, None, a:b], w[:, None, a:b])
+                    if pos + b == checkpoints[cp_next]:
                         points[cp_next] = sums.points(pos + b, cum[:, b : b + 1])[0]
-                    cp_next += 1
-                a = b
+                        cp_next += 1
+                    a = b
 
             bar = cum[:, m].copy()
             pos += m

@@ -145,9 +145,10 @@ def test_only_the_draw_seam_constructs_a_philox():
 
 
 def test_only_the_reference_path_and_the_edge_table_read_the_voltages():
-    # the batched engines fold or sum walk._edge_logs on every step, and
-    # sample_path, the reference they are checked against, folds the voltages
-    # and adds the end vertex's position: no third route reads them
+    # the batched engines read walk._edge_logs on every step, through the
+    # layer recursion on steps 3-4 and edge counts on step 2, and sample_path,
+    # the reference they are checked against, folds the voltages and adds the
+    # end vertex's position: no third route reads them
     path = Path(nilwalk.__file__).parent / "walk.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     readers = [
@@ -156,6 +157,22 @@ def test_only_the_reference_path_and_the_edge_table_read_the_voltages():
         if any(getattr(node, "attr", None) == "voltages" for node in ast.walk(top))
     ]
     assert readers == ["sample_path", "_edge_logs"], readers
+
+
+def test_only_the_reference_path_calls_fold():
+    # the engines build their points from the centered prefix on step <= 2 and
+    # by algebra's layer recursion on steps 3-4; only sample_path, the
+    # reference they are checked against, calls fold.  Nested jobs count as
+    # their enclosing function
+    path = Path(nilwalk.__file__).parent / "walk.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = [
+        getattr(top, "name", "module level")
+        for top in tree.body
+        if any(isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "fold"
+               for node in ast.walk(top))
+    ]
+    assert callers == ["sample_path"], callers
 
 
 def test_walks_draw_no_floats():

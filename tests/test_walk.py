@@ -657,9 +657,9 @@ def test_trajectory_scan_chunk_invariance(monkeypatch):
             assert abs(s_small - s_big) <= 1e-12
     # where the increments are dyadic, every prefix and area sum is exact: parts
     # of 2^17 and of 2^20 steps give the same bits, with segments across the
-    # ends of the smaller parts.  On step 3 only the sup and the first layer
-    # are exact sums; the fold's tree of BCH products rounds its upper layers
-    # differently where a part end splits a segment
+    # ends of the smaller parts.  On step 3 the sup and the first layer are
+    # exact sums; the upper layers are the layer recursion's carried cumsums,
+    # whose bits test_step_three_points_do_not_move_with_the_part_size_or_the_workers checks
     cps = [1, 7, 131_071, 131_072, 131_073, 300_000]
     kw = dict(seed=43, stream_index=2, sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
     cases = {"Z": zd_lattice(1), "Heisenberg": heisenberg_cayley(), "hexagonal": hexagonal(),
@@ -898,7 +898,8 @@ def test_trajectory_scan_step_two_points_match_the_group_route(monkeypatch):
 
 
 def test_trajectory_scan_step_three_folds_match_the_group_route(monkeypatch):
-    # steps 3-4 fold the segments between checkpoints and chain them
+    # steps 3-4 build the point after every step of a part by the layer
+    # recursion, carried from the last part's end, and read the checkpoints
     g = unipotent_cayley(4)
     meas, rho, phi0 = pipeline(g)
     cps = [1, 7, 300, 777, 3000]
@@ -942,6 +943,76 @@ def test_step_three_points_on_a_two_vertex_cover_match_the_group_route(monkeypat
             points, _ = trajectory_scan(g, phi0, rho, cps, seed=89, stream_index=0,
                                         sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
         assert np.abs(points - want).max() <= 1e-12 * np.abs(want).max(), chunk
+
+
+def test_step_three_points_do_not_move_with_the_part_size_or_the_workers(monkeypatch):
+    # each layer of a step-3 point is one cumsum of the layer recursion, whose
+    # carry enters the first step of a part: parts, part rows and workers move
+    # no bit, and one checkpoint replays batch row 0 to the last bit
+    cps = [1000, 33_333, 100_000]
+    kw = dict(seed=101, stream_index=0, sup_scaling=lil_scaling(), sup_range=(16, cps[-1]))
+    unit = walk.ScalingSequence(kind="unit", evaluate=np.ones_like)
+    n = 3000
+    for g in (unipotent_cayley(4), unipotent_two_vertex()):
+        meas, rho, phi0 = pipeline(g)
+        runs = []
+        for part in (1 << 10, 1 << 13, 1 << 17):
+            with monkeypatch.context() as m:
+                m.setattr(walk, "_PART_STEPS", part)
+                runs.append(trajectory_scan(g, phi0, rho, cps, **kw))
+        for points, sup in runs[1:]:
+            assert np.array_equal(points, runs[0][0]) and sup == runs[0][1]
+        want, sums = batch_endpoints(g, phi0, rho, unit, n, 8, seed=103)
+        for workers in (1, 2):
+            for part_rows in (1, 2, 256):
+                with monkeypatch.context() as m:
+                    m.setattr(walk, "_PART_STEPS", part_rows * n)
+                    p, s = batch_endpoints(g, phi0, rho, unit, n, 8, seed=103, workers=workers)
+                assert np.array_equal(p, want) and np.array_equal(s, sums), (workers, part_rows)
+        one, _ = trajectory_scan(g, phi0, rho, [n], seed=103, stream_index=0, sup_scaling=lil_scaling(),
+                                 sup_range=(16, n))
+        assert np.array_equal(one[0], want[0])
+
+
+def _matrix_points(size, g, edges, checkpoints):
+    """log of the unipotent matrix product of the voltages of ``edges`` after each checkpoint.
+
+    The voltages are +-E_{i,i+1}, so each exp is an integer matrix and the
+    products are exact int64; only the final logs round.
+    """
+    mats = [np.rint(unipotent_exp(size, v)).astype(np.int64) for v in g.voltages]
+    assert all(np.array_equal(unipotent_exp(size, v), m) for v, m in zip(g.voltages, mats))
+    acc, done, out = np.eye(size, dtype=np.int64), 0, []
+    for c in checkpoints:
+        for e in edges[done:c]:
+            acc = acc @ mats[e]
+        done = c
+        out.append(unipotent_log(size, acc.astype(float)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_step_three_and_four_points_match_the_matrix_product(size):
+    # fold, sample_path and both engines share the layer recursion, so the
+    # replay tests do not check it: the exact unipotent matrix product does.
+    # The 5 x 5 group is step 4.  The edges are replayed from the uniforms
+    g = unipotent_cayley(size)
+    meas, rho, phi0 = pipeline(g)
+    assert g.algebra.step == size - 1
+    assert np.array_equal(rho, np.zeros(size - 1)) and np.array_equal(phi0, np.zeros((1, size - 1)))
+    cps, samples = [1, 777, 5000, 12_000], 3
+    n = cps[-1]
+    unit = walk.ScalingSequence(kind="unit", evaluate=np.ones_like)
+    points, _ = batch_endpoints(g, phi0, rho, unit, n, samples, seed=97)
+    scan, _ = trajectory_scan(g, phi0, rho, cps, seed=97, stream_index=0, sup_scaling=lil_scaling(),
+                              sup_range=(16, n))
+    for i in range(samples):
+        _, edges = _replay_vertices_edges(g, philox_stream(97, i).random(n))
+        want = _matrix_points(size, g, edges, cps)
+        assert np.abs(points[i] - want[-1]).max() <= 1e-12 * np.abs(want[-1]).max(), i
+        if i == 0:
+            for got, w in zip(scan, want):
+                assert np.abs(got - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # ---------------------------------------------------------------------------
